@@ -12,7 +12,10 @@ absolutely continuous functions of position.
 Windowed measures lose slowly decaying tails in every measure sum.  All
 sums here are completed with the free lattice model at the estimated
 type (atom parity fixes the sign pattern of the cosine data), which is
-exact on the free fixture and a recorded heuristic otherwise.
+exact on the free fixture and a recorded heuristic otherwise.  The model
+tails are summed to infinity in closed form: a Hurwitz zeta for the
+non-oscillating part, and a short explicit head plus an Euler-Maclaurin
+remainder for the parts oscillating at ``s`` and ``2s``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 from scipy.interpolate import PchipInterpolator
 
 from .model import (
@@ -66,9 +70,51 @@ def band_mass_pair(ordered_masses: np.ndarray) -> tuple[float, float]:
     return m_next, m_after
 
 
-#: Lattice-model tails for measure sums run out to this multiple of the
-#: window; the analytic remainder beyond is attached in closed form.
-_TAIL_SPAN = 1024.0
+#: Explicit terms of an oscillating lattice sum before its analytic
+#: remainder.  They move the remainder's start ``q`` past 64, where
+#: ``_EM_ORDER`` Bernoulli corrections reach roundoff for every phase.
+_LATTICE_TERMS = 64
+_EM_ORDER = 25
+_EM_WEIGHTS = scipy.special.bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
+
+
+def _lerch_remainder(theta: float, q: float) -> complex:
+    """``sum_{i >= 0} exp(1j theta i) / (q + i)^2`` for ``|theta| <= pi`` and large ``q``.
+
+    Euler-Maclaurin on ``F(x) = exp(1j theta x) / (q + x)^2``: the integral
+    (sine and cosine integrals), ``F(0)/2`` and the Bernoulli corrections
+    ``B_2k/(2k) f_(2k-1)``, where ``f`` are the Taylor coefficients of ``F``
+    at 0.  The corrections shrink like ``(theta/2pi)^2k`` plus powers of
+    ``1/q`` uniformly in ``theta``; at resonance (``theta = 0``) this is the
+    asymptotic series of the Hurwitz zeta ``zeta(2, q)``, so nothing grows
+    as ``theta`` approaches it.
+    """
+    a = abs(theta)
+    x = a * q
+    integral = 1.0 / q
+    if x > 0:
+        si, ci = scipy.special.sici(x)
+        integral += 1j * a * np.exp(-1j * x) * (-ci + 1j * (0.5 * np.pi - si))
+    n = np.arange(2 * _EM_ORDER)
+    taylor = np.convolve(
+        (1j * a) ** n / scipy.special.factorial(n), (-1.0) ** n * (n + 1) / q ** (n + 2)
+    )
+    value = integral + 0.5 / q**2 - taylor[1 : n.size : 2] @ _EM_WEIGHTS
+    return complex(np.conj(value) if theta < 0 else value)
+
+
+def _oscillating_sum(omega: float, first: float, step: float) -> complex:
+    """``sum_{i >= 0} exp(1j omega tau_i) / tau_i^2`` over ``tau_i = first + step i``.
+
+    ``_LATTICE_TERMS`` explicit terms, then :func:`_lerch_remainder` with
+    the phase per step ``omega * step`` reduced to ``[-pi, pi)``.
+    """
+    tau = first + step * np.arange(_LATTICE_TERMS)
+    head = np.sum(np.exp(1j * omega * tau) / tau**2)
+    tau_end = first + step * _LATTICE_TERMS
+    theta = np.remainder(omega * step + np.pi, 2.0 * np.pi) - np.pi
+    tail = np.exp(1j * omega * tau_end) * _lerch_remainder(theta, tau_end / step) / step**2
+    return complex(head + tail)
 
 
 def recentering_moment(mu: SpectralMeasure, return_tail_bound: bool = False):
@@ -240,32 +286,30 @@ class RecoveryPipeline:
         """Lattice-model tails of the measure sums beyond the window.
 
         The model lattice continues from the outermost atoms on each side
-        (inheriting the asymptotic phase of the zero sequence); an
-        oscillation-averaged remainder covers what lies beyond the
-        explicit span.  Returns tails for the squared sine sum, the
-        squared cosine sum and their cross sum.
+        (inheriting the asymptotic phase of the zero sequence) to infinity.
+        Each mass parity is a lattice ``tau_i = B + 2h i``; with
+        ``sin^2 = (1 - cos 2st)/2``, ``(cos st - 1)^2 = 3/2 + cos(2st)/2 -
+        2 cos st`` and ``sin st (cos st - 1) = sin(2st)/2 - sin st`` every
+        sum is a Hurwitz zeta or an oscillating sum at frequency ``s`` or
+        ``2s`` (see :func:`_oscillating_sum`).  Returns tails for the squared
+        sine sum, the squared cosine sum and their cross sum.
         """
         spacing = np.pi / self.lattice
-        t_end = _TAIL_SPAN * self.r_eff
+        step = 2.0 * spacing
         sine = cosine = cross = 0.0
         for side in (1.0, -1.0):
             order = np.argsort(side * self.mu.positions)
             anchor = float((side * self.mu.positions)[order][-1])
-            m_next, m_after = band_mass_pair(self.mu.masses[order])
-            nsteps = int(np.ceil((t_end - anchor) / spacing))
-            j = np.arange(1, nsteps + 1)
-            t = side * (anchor + spacing * j)
             # alternating masses correlate with the alternating component
             # values; continue the parity pattern of the real sequence
-            mw = np.where(j % 2 == 1, m_next, m_after)
-            sv = np.sin(s * t) / t
-            cv = (np.cos(s * t) - 1.0) / t
-            sine += float(np.sum(mw * sv * sv))
-            cosine += float(np.sum(mw * cv * cv))
-            cross += float(np.sum(mw * sv * cv))
-            mbar = 0.5 * (m_next + m_after)
-            sine += (mbar / spacing) * 0.5 / np.abs(t[-1])
-            cosine += (mbar / spacing) * 1.5 / np.abs(t[-1])
+            m_next, m_after = band_mass_pair(self.mu.masses[order])
+            for mass, first in ((m_next, anchor + spacing), (m_after, anchor + step)):
+                plain = scipy.special.zeta(2.0, first / step) / step**2
+                one = _oscillating_sum(s, first, step)
+                two = _oscillating_sum(2.0 * s, first, step)
+                sine += mass * 0.5 * (plain - two.real)
+                cosine += mass * (1.5 * plain + 0.5 * two.real - 2.0 * one.real)
+                cross += side * mass * (0.5 * two.imag - one.imag)
         return sine, cosine, cross
 
     def _model_coefficients(self, basis) -> np.ndarray:

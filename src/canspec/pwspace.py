@@ -105,10 +105,28 @@ class PWBasis:
         return np.pi * k / self.s
 
     def functions_at(self, points: np.ndarray) -> np.ndarray:
-        """Matrix ``phi_k(points)``, shape ``(size, len(points))``."""
+        """Matrix ``phi_k(points)``, shape ``(size, len(points))``.
+
+        ``sin(s(x - pi k/s)) = (-1)^k sin(sx)`` leaves one sine per point
+        and one division per pair.  Near a node that product loses digits
+        (the rounding of ``sx`` is divided by a small distance), so each
+        point's nearest node is recomputed with ``sinc_kernel`` wherever
+        ``|s(x - node)| < 1``; node spacing ``pi/s`` leaves at most one
+        such node per point.
+        """
         points = np.atleast_1d(np.asarray(points, dtype=float))
-        scale = np.sqrt(np.pi / self.s)
-        return scale * sinc_kernel(self.s, points[None, :], self.nodes[:, None])
+        s, half, nodes = self.s, self.half_size, self.nodes
+        scale = np.sqrt(np.pi / s)
+        sign = np.where(np.arange(-half, half + 1) % 2 == 0, scale / np.pi, -scale / np.pi)
+        out = points[None, :] - nodes[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # exact hits are redone below
+            np.divide(np.sin(s * points), out, out=out)
+        out *= sign[:, None]
+        row = np.clip(np.rint(s * points / np.pi), -half, half).astype(int) + half
+        near = np.abs(s * (points - nodes[row])) < 1.0
+        row = row[near]
+        out[row, near] = scale * sinc_kernel(s, points[near], nodes[row])
+        return out
 
     def derivatives_at(self, points: np.ndarray) -> np.ndarray:
         """Matrix ``phi_k'(points)``, shape ``(size, len(points))``."""
@@ -150,19 +168,14 @@ class PWOperator:
     def s(self) -> float:
         return self.basis.s
 
-    @property
-    def condition_estimate(self) -> float:
-        lo, hi = self.extreme_eigenvalues()
-        return hi / lo if lo > 0 else np.inf
-
     def extreme_eigenvalues(self) -> tuple[float, float]:
         if self._extremes is None:
             n = self.gram.shape[0]
             if n <= _DIRECT_EIG_LIMIT:
-                lo = scipy.linalg.eigh(self.gram, eigvals_only=True, subset_by_index=[0, 0])[0]
-                hi = scipy.linalg.eigh(
-                    self.gram, eigvals_only=True, subset_by_index=[n - 1, n - 1]
-                )[0]
+                # the full spectrum: LAPACK's index-subset drivers fail to
+                # converge on sections that equal the identity to roundoff
+                evals = scipy.linalg.eigvalsh(self.gram)
+                lo, hi = evals[0], evals[-1]
             else:
                 from scipy.sparse.linalg import eigsh
 
@@ -170,9 +183,6 @@ class PWOperator:
                 hi = eigsh(self.gram, k=1, which="LA", tol=1e-8)[0][0]
             self._extremes = (float(lo), float(hi))
         return self._extremes
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return apply_inverse(self, rhs)
 
 
 def _lattice_nodes(mu: SpectralMeasure, lattice_type: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from canspec.inverse import (
     reconstruct,
     zeta,
 )
-from canspec.model import GridConfig, NumericalError, SpectralMeasure
+from canspec.model import GridConfig, Hamiltonian, NumericalError, SpectralMeasure, normalize_trace
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +23,26 @@ def free_pipeline(free_pi):
         np.pi, s_samples=17, pw_truncation=256, measure_window=200.0
     )
     return RecoveryPipeline(mu, c=0.0, cfg=cfg)
+
+
+@pytest.fixture(scope="module")
+def smooth_pipeline():
+    """Smooth 64-segment weight (log-eigenvalue and rotation modes), window 400."""
+    x = (np.arange(64) + 0.5) / 64
+    g = 0.3 * np.cos(2 * np.pi * x + 0.7) + 0.15 * np.cos(4 * np.pi * x + 2.9)
+    th = 0.3 * np.cos(2 * np.pi * x + 4.1) + 0.1 * np.cos(6 * np.pi * x + 1.3)
+    c, sn, e = np.cos(th), np.sin(th), np.exp(g)
+    segments = [
+        (k * np.pi / 64, (k + 1) * np.pi / 64, h11, h12, h22)
+        for k, (h11, h12, h22) in enumerate(
+            zip(c * c * e + sn * sn / e, c * sn * (e - 1 / e), sn * sn * e + c * c / e)
+        )
+    ]
+    H, _ = normalize_trace(Hamiltonian.from_segments(segments))
+    mu = forward.spectral_measure(H, 400.0)
+    a = forward.exponential_type(H)
+    cfg = GridConfig.for_bandwidth(a, s_samples=9, pw_truncation=64, measure_window=400.0)
+    return RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg)
 
 
 @pytest.fixture(scope="module")
@@ -309,3 +331,75 @@ class TestBandMassPair:
         m_next, m_after = band_mass_pair(np.full(30, 0.7))
         assert m_next == pytest.approx(0.7)
         assert m_after == pytest.approx(0.7)
+
+
+def _brute_force_tails(pipe, s, terms=2**22, chunk=2**19):
+    """Explicit lattice-model sums over ``terms`` points per side, plus the
+    oscillation-averaged remainder; returns the tails and a bound on the
+    error of that remainder (exact only where the oscillation averages)."""
+    mu = pipe.mu
+    spacing = np.pi / pipe.lattice
+    sine = cosine = cross = bound = 0.0
+    for side in (1.0, -1.0):
+        order = np.argsort(side * mu.positions)
+        anchor = float((side * mu.positions)[order][-1])
+        m_next, m_after = band_mass_pair(mu.masses[order])
+        for start in range(1, terms + 1, chunk):
+            j = np.arange(start, start + chunk)
+            t = side * (anchor + spacing * j)
+            mw = np.where(j % 2 == 1, m_next, m_after)
+            sv = np.sin(s * t) / t
+            cv = (np.cos(s * t) - 1.0) / t
+            sine += float(np.sum(mw * sv * sv))
+            cosine += float(np.sum(mw * cv * cv))
+            cross += float(np.sum(mw * sv * cv))
+        rest = 0.5 * (m_next + m_after) / (spacing * (anchor + spacing * terms))
+        sine += 0.5 * rest
+        cosine += 1.5 * rest
+        bound += 2.5 * rest  # (cos - 1)^2 in [0, 4] against its mean 3/2
+    return np.array([sine, cosine, cross]), bound
+
+
+class TestModelTails:
+    def test_free_full_bandwidth_exact(self, free_pipeline):
+        # sin(pi n) = 0 on the free lattice: the sine tail vanishes and the
+        # reproducing identity holds to roundoff
+        assert abs(free_pipeline._model_tails(np.pi)[0]) <= 1e-15
+        assert free_pipeline.slice_at(np.pi).sine_norm_residual <= 1e-12
+
+    @pytest.mark.parametrize("fixture", ["free_pipeline", "smooth_pipeline"])
+    @pytest.mark.parametrize("frac", [1.0, 0.5, 0.77])
+    def test_matches_brute_force(self, request, fixture, frac):
+        pipe = request.getfixturevalue(fixture)
+        s = frac * pipe.a
+        want, bound = _brute_force_tails(pipe, s)
+        got = np.array(pipe._model_tails(s))
+        # at (near-)resonant s the brute force's own 1/T remainder limits it
+        tol = 1e-12 if frac == 0.77 else bound
+        assert np.max(np.abs(got - want)) <= tol
+
+    def test_near_resonance_bounded_and_exact(self, free_pipeline):
+        # gap |1 - exp(2i s h)| = 1e-8 on the unit free lattice; the exact
+        # tails are Lerch transcendents, and the cost must not grow with the gap
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        s = np.pi - 0.5e-8
+        tracemalloc.start()
+        try:
+            got = free_pipeline._model_tails(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
+
+        ms, q = mp.mpf(s), 201  # both sides: unit masses at 201, 202, ...
+
+        def osc(w):
+            return mp.expj(w * q) * mp.lerchphi(mp.expj(w), 2, q)
+
+        plain, one, two = mp.zeta(2, q), osc(ms), osc(2 * ms)
+        sine = 2 * 0.5 * (plain - mp.re(two))
+        cosine = 2 * (1.5 * plain + 0.5 * mp.re(two) - 2 * mp.re(one))
+        assert got[0] == pytest.approx(float(sine), abs=1e-15)
+        assert got[1] == pytest.approx(float(cosine), abs=1e-15)
+        assert abs(got[2]) <= 1e-15

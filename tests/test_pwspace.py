@@ -62,6 +62,40 @@ class TestSincKernelDt:
         assert abs(sinc_kernel_dt(s, x, t) - fd) < 1e-7
 
 
+class TestFunctionsAt:
+    @pytest.mark.parametrize("s", [1.0, np.pi, 3.14249])
+    def test_matches_high_precision(self, s):
+        # one sine per point loses digits next to a node; the near-node
+        # branch must keep the assembly at the per-pair accuracy everywhere
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        basis = PWBasis(s, 128)
+        rng = np.random.default_rng(17)
+        nodes = basis.nodes[np.abs(basis.nodes) <= 399.0]
+        offsets = np.array([0.0, 1e-5, 9e-5, 1.1e-4, 3e-4, 1e-3, 1e-2, 0.3])
+        picked = rng.choice(nodes, 6, replace=False)
+        xs = np.concatenate(
+            [
+                (picked[:, None] + offsets).ravel(),
+                (picked[:, None] - offsets).ravel(),
+                rng.uniform(-400.0, 400.0, 40),
+            ]
+        )
+        got = basis.functions_at(xs)
+
+        # reference: sqrt(pi/s) (-1)^k sin(sx) / (pi (x - pi k/s)), exact nodes
+        ms = mp.mpf(s)
+        scale = mp.sqrt(mp.pi / ms) / mp.pi
+        want = np.empty_like(got)
+        for j, x in enumerate(xs):
+            mx = mp.mpf(x)
+            sx = mp.sin(ms * mx)
+            for i, k in enumerate(range(-basis.half_size, basis.half_size + 1)):
+                u = mx - mp.pi * k / ms
+                want[i, j] = float(scale * ms if u == 0 else (-1) ** k * scale * sx / u)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
 class TestBuildOperator:
     @pytest.mark.parametrize("s_frac", [1.0, 0.5])
     def test_free_measure_gives_identity(self, free_pi, s_frac):
@@ -184,7 +218,8 @@ class TestEvaluate:
         xs = np.linspace(-2, 2, 7)
         got = evaluate_pw(c, basis, xs)
         want = np.sqrt(np.pi / 1.3) * sinc_kernel(1.3, xs, basis.nodes[basis.center + 3])
-        np.testing.assert_allclose(got, want, rtol=1e-14)
+        # at x = 0 the function vanishes exactly; atol covers the kernel's roundoff there
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
 
     def test_interpolation_at_nodes(self):
         basis = PWBasis(2.0, 8)
