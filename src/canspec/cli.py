@@ -21,9 +21,12 @@ from .inverse import RecoveryPipeline
 from .model import (
     ComparabilityError,
     GridConfig,
+    Hamiltonian,
     InvariantViolation,
     NumericalError,
+    SpectralMeasure,
     ValidationError,
+    _fmt,
     dumps_hamiltonian,
     dumps_measure,
     load_hamiltonian,
@@ -67,10 +70,6 @@ class RunManifest:
         if path.resolve() in self._resolved_inputs:
             raise ValidationError(f"output {path} would overwrite an input file")
         return path
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_json(path: Path, doc) -> None:
@@ -126,10 +125,15 @@ def _grid_config(mu_or_a, opts: dict, window: float) -> GridConfig:
     )
 
 
+def _det_certificate(H: Hamiltonian, mu: SpectralMeasure) -> float:
+    """Determinant drift of the propagation at the atoms, ``+-window`` and ``z = i``."""
+    real = np.concatenate([mu.positions, [-mu.window, mu.window]])
+    return max(forward.det_residual(H, real), forward.det_residual(H, 1j))
+
+
 def _cmd_forward(manifest: RunManifest) -> list[str]:
     opts = manifest.options
     H = load_hamiltonian(manifest.inputs[0])
-    forward.reset_det_tracker()
     mu = forward.spectral_measure(H, opts["window"], opts.get("step"))
     _write_json(
         manifest.output("measure.json"), json.loads(dumps_measure(mu))
@@ -139,7 +143,7 @@ def _cmd_forward(manifest: RunManifest) -> list[str]:
         "herglotz_b": mu.herglotz_b,
         "herglotz_c": mu.herglotz_c,
         "exponential_type": forward.exponential_type(H),
-        "max_det_residual": forward.max_det_residual(),
+        "max_det_residual": _det_certificate(H, mu),
     }
     _write_json(manifest.output("diagnostics.json"), diagnostics)
     print(f"wrote {manifest.output('measure.json')} ({mu.positions.size} atoms)")
@@ -176,13 +180,11 @@ def _cmd_inverse(manifest: RunManifest) -> list[str]:
                 "(pass --c when the measure is not symmetric)",
                 file=sys.stderr,
             )
-    forward.reset_det_tracker()
     a = opts.get("bandwidth") or mu.lattice_type()
     cfg = _grid_config(a, opts, mu.window)
     result = RecoveryPipeline(mu, c=c, cfg=cfg).run()
     _reconstruction_outputs(manifest, result)
     diagnostics = dict(result.diagnostics)
-    diagnostics["max_det_residual"] = forward.max_det_residual()
     _write_json(manifest.output("diagnostics.json"), diagnostics)
     print(f"recovered weight on [0, {result.hamiltonian.ell:.6g}]")
     return _check_gates(diagnostics, opts.get("tol_override"))
@@ -191,7 +193,6 @@ def _cmd_inverse(manifest: RunManifest) -> list[str]:
 def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
     opts = manifest.options
     H = load_hamiltonian(manifest.inputs[0])
-    forward.reset_det_tracker()
     report = oracles.roundtrip(
         H,
         window=opts["window"],
@@ -205,7 +206,7 @@ def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
     )
     _reconstruction_outputs(manifest, report.result, prefix="recovered_")
     diagnostics = dict(report.diagnostics)
-    diagnostics["max_det_residual"] = forward.max_det_residual()
+    diagnostics["max_det_residual"] = _det_certificate(report.normalized, report.measure)
     diagnostics["sup_error"] = report.sup_error
     diagnostics["sup_error_interior"] = report.sup_error_interior
     diagnostics["l1_relative"] = report.l1_relative
@@ -308,20 +309,19 @@ def _cmd_check_diag(manifest: RunManifest) -> list[str]:
 
 
 _COMMANDS = {
-    "forward": (_cmd_forward, 1),
-    "inverse": (_cmd_inverse, 1),
-    "roundtrip": (_cmd_roundtrip, 1),
-    "framebounds": (_cmd_framebounds, 1),
-    "example-nonpw": (_cmd_example_nonpw, 0),
-    "check-diag": (_cmd_check_diag, None),  # optional input
+    "forward": _cmd_forward,
+    "inverse": _cmd_inverse,
+    "roundtrip": _cmd_roundtrip,
+    "framebounds": _cmd_framebounds,
+    "example-nonpw": _cmd_example_nonpw,
+    "check-diag": _cmd_check_diag,
 }
 
 
 def run(manifest: RunManifest) -> int:
     """Execute one manifest; returns the process exit code."""
-    handler, _ = _COMMANDS[manifest.command]
     try:
-        breaches = handler(manifest)
+        breaches = _COMMANDS[manifest.command](manifest)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
@@ -338,6 +338,14 @@ def run(manifest: RunManifest) -> int:
     return 0
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="canspec",
@@ -348,6 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, needs_in=True):
         if needs_in:
             p.add_argument("--in", dest="input", required=True, help="input JSON file")
+        else:
+            p.set_defaults(input=None)
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--tol-override", type=float, default=None,
                        help="report deltas against this tolerance (diagnostics only)")
@@ -383,47 +393,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=6)
 
     p = sub.add_parser("check-diag", help="diagonal admissibility ratio")
-    p.add_argument("--in", dest="input", default=None,
+    common(p, needs_in=False)
+    p.add_argument("--in", dest="input",
                    help="two-column profile samples (default: constant 1)")
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--tol-override", type=float, default=None)
-    p.add_argument("--n", default="1,2,3", help="comma-separated iteration depths")
-    p.add_argument("--s", default="1.0", help="comma-separated bandwidths")
+    p.add_argument("--n", dest="n_list", type=_int_list, default="1,2,3",
+                   help="comma-separated iteration depths")
+    p.add_argument("--s", dest="s_list", type=_float_list, default="1.0",
+                   help="comma-separated bandwidths")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    opts = {}
-    inputs: tuple[Path, ...] = ()
+    opts = vars(_build_parser().parse_args(argv))
+    command = opts.pop("command")
+    path = opts.pop("input")
+    inputs = (Path(path),) if path else ()
     try:
-        if args.command == "forward":
-            inputs = (Path(args.input),)
-            opts = {"window": args.window, "step": args.step,
-                    "tol_override": args.tol_override}
-        elif args.command == "inverse":
-            inputs = (Path(args.input),)
-            opts = {"c": args.c, "bandwidth": args.bandwidth,
-                    "pw_trunc": args.pw_trunc, "s_samples": args.s_samples,
-                    "r_samples": args.r_samples, "tol_override": args.tol_override}
-        elif args.command == "roundtrip":
-            inputs = (Path(args.input),)
-            opts = {"window": args.window, "pw_trunc": args.pw_trunc,
-                    "s_samples": args.s_samples, "r_samples": args.r_samples,
-                    "tol_override": args.tol_override}
-        elif args.command == "framebounds":
-            inputs = (Path(args.input),)
-            opts = {"s": args.s, "pw_trunc": args.pw_trunc,
-                    "tol_override": args.tol_override}
-        elif args.command == "example-nonpw":
-            opts = {"h": args.h, "kmax": args.kmax,
-                    "tol_override": args.tol_override}
-        elif args.command == "check-diag":
-            inputs = (Path(args.input),) if args.input else ()
-            opts = {"n_list": [int(x) for x in args.n.split(",")],
-                    "s_list": [float(x) for x in args.s.split(",")],
-                    "tol_override": args.tol_override}
-        manifest = RunManifest(args.command, inputs, Path(args.out_dir), opts)
+        manifest = RunManifest(command, inputs, Path(opts.pop("out_dir")), opts)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION

@@ -6,8 +6,7 @@ Since ``A`` is traceless, the exponential reduces to two entire scalar
 functions of ``delta = z**2 det(H) d**2``, which keeps the propagation
 spectrally exact at arbitrary ``|z|`` and preserves the determinant.
 
-Everything here is a pure function of immutable inputs; the module-level
-determinant tracker only accumulates a max residual for diagnostics.
+Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.special
 
 from .model import (
     Hamiltonian,
@@ -33,6 +33,7 @@ __all__ = [
     "propagate",
     "transfer_entries",
     "theta_and_derivative",
+    "det_residual",
     "find_zeros",
     "spectral_measure",
     "weyl_function",
@@ -41,26 +42,7 @@ __all__ = [
     "quadrature_grid",
     "exponential_type",
     "type_inverse",
-    "reset_det_tracker",
-    "max_det_residual",
 ]
-
-_det_tracker = {"max": 0.0, "count": 0}
-
-
-def reset_det_tracker() -> None:
-    """Zero the global determinant-drift accumulator."""
-    _det_tracker["max"] = 0.0
-    _det_tracker["count"] = 0
-
-
-def max_det_residual() -> float:
-    """Largest ``|det M - 1|`` seen since the last reset."""
-    return _det_tracker["max"]
-
-
-def det_tracker_count() -> int:
-    return _det_tracker["count"]
 
 
 # ---------------------------------------------------------------------------
@@ -101,33 +83,59 @@ def _csd(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, s, d
 
 
-def _segment_arrays(H: Hamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment ``(lengths, K, det)`` with ``K = -J H`` (traceless)."""
-    h = H.matrices
-    K = np.empty_like(h)
-    K[:, 0, 0] = h[:, 0, 1]
-    K[:, 0, 1] = h[:, 1, 1]
-    K[:, 1, 0] = -h[:, 0, 0]
-    K[:, 1, 1] = -h[:, 0, 1]
-    # determinants within PSD slack of zero behave as rank-one segments
-    return H.lengths, K, np.maximum(H.determinants(), 0.0)
-
-
-def _effective_lengths(H: Hamiltonian, r: float) -> np.ndarray:
-    """Segment lengths clipped to ``[0, r]`` (partial last segment)."""
-    if not -1e-15 <= r <= H.ell * (1 + 1e-12) + 1e-15:
+def _effective_lengths(H: Hamiltonian, r) -> np.ndarray:
+    """Segment lengths clipped to ``[0, r]``, shape ``r.shape + (nsegments,)``."""
+    r = np.asarray(r, dtype=float)
+    if not np.all((r >= -1e-15) & (r <= H.ell * (1 + 1e-12) + 1e-15)):
         raise ValidationError(f"r={r!r} outside [0, {H.ell!r}]")
-    lo = H.edges[:-1]
-    hi = H.edges[1:]
-    return np.clip(np.minimum(hi, r) - lo, 0.0, None)
+    return np.clip(np.minimum(H.edges[1:], r[..., None]) - H.edges[:-1], 0.0, None)
 
 
-def _track_det(M: np.ndarray) -> None:
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    res = float(np.max(np.abs(det - 1.0))) if det.size else 0.0
-    if res > _det_tracker["max"]:
-        _det_tracker["max"] = res
-    _det_tracker["count"] += int(det.size)
+def _propagate(
+    H: Hamiltonian, r, z, derivative: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Segment products ``M(r, z)`` and, on request, ``dM/dz``.
+
+    ``r`` and ``z`` broadcast together; every point multiplies the exact
+    segment factors over its own ``[0, r]``.  A segment the point does not
+    reach has length 0, whose factor is exactly the identity.  Returns
+    arrays of shape ``broadcast + (2, 2)`` (real for real ``z``) and
+    ``None`` for the derivative unless it is asked for.
+    """
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z)
+    shape = np.broadcast_shapes(r.shape, z.shape)
+    z = np.broadcast_to(z, shape).reshape(-1)
+    if r.ndim:
+        r = np.broadcast_to(r, shape).reshape(-1)
+    # per-segment lengths of each point, computed once: (nsegments,) or (nsegments, n)
+    steps = _effective_lengths(H, r).T
+    reached = int(np.count_nonzero(H.edges[:-1] < np.max(r, initial=0.0)))
+    h = H.matrices
+    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1).reshape(-1, 2, 2)
+    # determinants within PSD slack of zero behave as rank-one segments
+    dets = np.maximum(H.determinants(), 0.0)
+    eye = np.eye(2, dtype=complex if np.iscomplexobj(z) else float)
+    M = np.broadcast_to(eye, (z.size, 2, 2)).copy()
+    dM = np.zeros_like(M) if derivative else None
+    z2 = z**2
+    for d, Kj, detj in zip(steps[:reached], K, dets):
+        gamma = detj * d * d
+        delta = z2 * gamma
+        if derivative:
+            c, s, dd = _csd(delta)
+        else:
+            c, s = _cs(delta)
+        F = c[:, None, None] * eye + (s * z * d)[:, None, None] * Kj
+        if derivative:
+            # dF/dz = -z*gamma*S*I + (z^2*gamma*D + S) * d * K
+            dF = (-z * gamma * s)[:, None, None] * eye + ((z2 * gamma * dd + s) * d)[
+                :, None, None
+            ] * Kj
+            dM = dF @ M + F @ dM
+        M = F @ M
+    out = shape + (2, 2)
+    return M.reshape(out), None if dM is None else dM.reshape(out)
 
 
 def transfer_entries(H: Hamiltonian, r: float, z: np.ndarray) -> np.ndarray:
@@ -135,23 +143,7 @@ def transfer_entries(H: Hamiltonian, r: float, z: np.ndarray) -> np.ndarray:
 
     Returns shape ``z.shape + (2, 2)``; real for real ``z``.
     """
-    z = np.asarray(z)
-    scalar_shape = z.shape
-    zf = z.reshape(-1)
-    lengths, K, dets = _segment_arrays(H)
-    eff = _effective_lengths(H, r)
-    dtype = complex if np.iscomplexobj(zf) else float
-    M = np.broadcast_to(np.eye(2, dtype=dtype), (zf.size, 2, 2)).copy()
-    eye = np.eye(2, dtype=dtype)
-    for d, Kj, detj in zip(eff, K, dets):
-        if d <= 0.0:
-            break
-        delta = zf**2 * (detj * d * d)
-        c, s = _cs(delta)
-        F = c[:, None, None] * eye + (s * zf * d)[:, None, None] * Kj
-        M = F @ M
-    _track_det(M)
-    return M.reshape(scalar_shape + (2, 2))
+    return _propagate(H, r, z)[0]
 
 
 def propagate(H: Hamiltonian, r: float, z: complex) -> TransferMatrix:
@@ -176,35 +168,20 @@ def theta_and_derivative(
     ``(theta_plus, theta_minus, dtheta_plus, dtheta_minus)`` with the
     shape of ``z``.
     """
-    z = np.asarray(z)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z).reshape(-1)
-    lengths, K, dets = _segment_arrays(H)
-    eff = _effective_lengths(H, r)
-    dtype = complex if np.iscomplexobj(zf) else float
-    M = np.broadcast_to(np.eye(2, dtype=dtype), (zf.size, 2, 2)).copy()
-    dM = np.zeros((zf.size, 2, 2), dtype=dtype)
-    eye = np.eye(2, dtype=dtype)
-    for d, Kj, detj in zip(eff, K, dets):
-        if d <= 0.0:
-            break
-        gamma = detj * d * d
-        delta = zf**2 * gamma
-        c, s, dd = _csd(delta)
-        F = c[:, None, None] * eye + (s * zf * d)[:, None, None] * Kj
-        # dF/dz = -z*gamma*S*I + (z^2*gamma*D + S) * d * K
-        dF = (-zf * gamma * s)[:, None, None] * eye + ((zf**2 * gamma * dd + s) * d)[
-            :, None, None
-        ] * Kj
-        dM = dF @ M + F @ dM
-        M = F @ M
-    _track_det(M)
-    tp, tm = M[:, 0, 0], M[:, 1, 0]
-    dp, dm = dM[:, 0, 0], dM[:, 1, 0]
-    if scalar:
-        return tp[0], tm[0], dp[0], dm[0]
-    shape = z.shape
-    return tp.reshape(shape), tm.reshape(shape), dp.reshape(shape), dm.reshape(shape)
+    M, dM = _propagate(H, r, z, derivative=True)
+    # [()] turns the 0-d results of a scalar z into scalars
+    return M[..., 0, 0][()], M[..., 1, 0][()], dM[..., 0, 0][()], dM[..., 1, 0][()]
+
+
+def det_residual(H: Hamiltonian, z) -> float:
+    """Largest ``|det M(ell, z) - 1|`` over the spectral parameters ``z``.
+
+    The exact segment factors have unit determinant, so this measures the
+    roundoff drift of one propagation to the endpoint.
+    """
+    M = transfer_entries(H, H.ell, np.asarray(z))
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return float(np.max(np.abs(det - 1.0))) if det.size else 0.0
 
 
 def exponential_type(H: Hamiltonian, r: float | None = None) -> float:
@@ -364,37 +341,32 @@ def weyl_function(H: Hamiltonian, z: complex) -> WeylValue:
     return WeylValue(z, complex(M[1, 1] / tm))
 
 
-def herglotz_constants(
-    H: Hamiltonian, mu: SpectralMeasure, return_details: bool = False
-):
+def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, float]:
     """Additive and linear Herglotz constants, returned as ``(b, c)``.
 
     Evaluating the representation at ``z = i`` gives
     ``c = Re m(i)`` and ``b = Im m(i) - (1/pi) * sum mass/(1+t^2)``.
     The sum over atoms outside the window is estimated with the free
-    lattice model at the system's exponential type (spacing and masses
-    ``pi / type``), continued from the outermost observed atoms so the
-    asymptotic phase of the zero sequence is inherited.
+    lattice model at the system's exponential type (spacing ``h = pi /
+    type``), continued from the outermost observed atom ``A`` on each side
+    so the asymptotic phase of the zero sequence is inherited.  The model
+    sum is closed form: ``sum_{j >= 1} 1/(1 + (A + h j)^2) = Im psi(1 +
+    A/h + i/h) / h`` with the digamma function ``psi``.
     """
     m_i = weyl_function(H, 1j).m
     c = float(m_i.real)
     window_sum = float(np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi)
-    lam = exponential_type(H)
-    spacing = np.pi / lam
-    t_end = max(1e5, 1e3 * mu.window)
+    spacing = np.pi / exponential_type(H)
     tail = 0.0
     nband = min(32, max(2, mu.positions.size // 4))
     for side in (1.0, -1.0):
-        ordered = np.sort(side * mu.positions)
-        anchor = ordered[-1]
+        order = np.argsort(side * mu.positions)
+        anchor = abs(float(np.max(side * mu.positions)))
         # asymptotic masses need not equal pi/type (they may alternate);
         # average them over the outermost band on this side
-        mbar = float(np.mean(mu.masses[np.argsort(side * mu.positions)][-nband:]))
-        nsteps = int(np.ceil((t_end - abs(anchor)) / spacing))
-        t = abs(anchor) + spacing * np.arange(1, nsteps + 1)
-        tail += (mbar / np.pi) * float(np.sum(1.0 / (1.0 + t**2)))
-        # integral remainder beyond the explicit continuation
-        tail += (mbar / spacing) * (0.5 * np.pi - np.arctan(t[-1])) / np.pi
+        mbar = float(np.mean(mu.masses[order][-nband:]))
+        lattice_sum = scipy.special.psi(1.0 + (anchor + 1j) / spacing).imag / spacing
+        tail += (mbar / np.pi) * lattice_sum
     b = float(m_i.imag) - window_sum - tail
     # the hard floor is widened by a fraction of the applied correction:
     # the lattice continuation is a model, and its own error scales with
@@ -404,8 +376,6 @@ def herglotz_constants(
             f"estimated linear Herglotz constant b={b:.3e} is significantly negative; "
             "the measure window is too small"
         )
-    if return_details:
-        return b, c, {"window_sum": window_sum, "tail_correction": tail}
     return b, c
 
 
@@ -419,42 +389,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 def quadrature_grid(H: Hamiltonian, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite 8-point Gauss-Legendre grid aligned with segments on ``[0, r]``."""
     eff = _effective_lengths(H, r)
-    nodes = []
-    weights = []
-    for lo, d in zip(H.edges[:-1], eff):
-        if d <= 0:
-            break
-        nodes.append(lo + 0.5 * d * (_GL_NODES + 1.0))
-        weights.append(0.5 * d * _GL_WEIGHTS)
-    if not nodes:
-        return np.zeros(0), np.zeros(0)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _theta_profile(H: Hamiltonian, ts: np.ndarray, z: complex) -> np.ndarray:
-    """``Theta(t, z)`` for increasing positions ``ts``; shape ``(len(ts), 2)``."""
-    lengths, K, dets = _segment_arrays(H)
-    dtype = complex if (np.iscomplexobj(np.asarray(z)) and np.imag(z) != 0) else float
-    zv = complex(z) if dtype is complex else float(np.real(z))
-    theta = np.empty((len(ts), 2), dtype=dtype)
-    M_edge = np.eye(2, dtype=dtype)
-    idx = np.clip(np.searchsorted(H.edges, ts, side="right") - 1, 0, H.nsegments - 1)
-    for j in range(H.nsegments):
-        sel = idx == j
-        if np.any(sel):
-            dt = ts[sel] - H.edges[j]
-            delta = (zv * zv) * dets[j] * dt * dt
-            c, s = _cs(delta)
-            F = c[:, None, None] * np.eye(2, dtype=dtype) + (s * zv * dt)[:, None, None] * K[j]
-            theta[sel] = (F @ M_edge)[:, :, 0]
-        if np.max(ts) <= H.edges[j + 1]:
-            break
-        d = lengths[j]
-        delta = (zv * zv) * dets[j] * d * d
-        c, s = _cs(np.asarray(delta))
-        F = c * np.eye(2, dtype=dtype) + (s * zv * d) * K[j]
-        M_edge = F @ M_edge
-    return theta
+    d = eff[eff > 0.0][:, None]
+    lo = H.edges[: d.shape[0], None]
+    return (lo + 0.5 * d * (_GL_NODES + 1.0)).ravel(), (0.5 * d * _GL_WEIGHTS).ravel()
 
 
 def weyl_titchmarsh(
@@ -488,6 +425,6 @@ def weyl_titchmarsh(
     hx = np.einsum("nij,nj->ni", hmat, xv)
     # <u, Theta(t, conj(z))> with real-coefficient entire Theta reduces to
     # the bilinear pairing against Theta(t, z).
-    theta = _theta_profile(H, nodes, z)
+    theta = _propagate(H, nodes, z)[0][:, :, 0]
     integrand = hx[:, 0] * theta[:, 0] + hx[:, 1] * theta[:, 1]
     return complex(np.sum(weights * integrand) / np.sqrt(np.pi))

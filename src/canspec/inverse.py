@@ -38,7 +38,7 @@ from .model import (
     SpectralMeasure,
     ValidationError,
 )
-from .pwspace import PWOperator, apply_inverse, build_operator
+from .pwspace import apply_inverse, build_operator, lattice_points
 
 __all__ = [
     "BandwidthSlice",
@@ -46,6 +46,7 @@ __all__ = [
     "recentering_moment",
     "boundary_cosine_values",
     "band_mass_pair",
+    "lattice_tail_sums",
     "zeta",
     "converged_truncation",
     "reconstruct",
@@ -117,6 +118,25 @@ def _oscillating_sum(omega: float, first: float, step: float) -> complex:
     return complex(head + tail)
 
 
+def lattice_tail_sums(s: float, first: float, step: float) -> tuple[float, float, float]:
+    """Model sums of ``sin^2``, ``(cos - 1)^2`` and ``sin (cos - 1)`` at ``s tau`` over ``tau^2``.
+
+    The lattice is ``tau_i = first + step i``, ``i >= 0``.  With ``sin^2 =
+    (1 - cos 2st)/2``, ``(cos st - 1)^2 = 3/2 + cos(2st)/2 - 2 cos st`` and
+    ``sin st (cos st - 1) = sin(2st)/2 - sin st`` every sum is a Hurwitz
+    zeta or an oscillating sum at frequency ``s`` or ``2s`` (see
+    :func:`_oscillating_sum`).
+    """
+    plain = scipy.special.zeta(2.0, first / step) / step**2
+    one = _oscillating_sum(s, first, step)
+    two = _oscillating_sum(2.0 * s, first, step)
+    return (
+        0.5 * (plain - two.real),
+        1.5 * plain + 0.5 * two.real - 2.0 * one.real,
+        0.5 * two.imag - one.imag,
+    )
+
+
 def recentering_moment(mu: SpectralMeasure, return_tail_bound: bool = False):
     """Measure moment ``(1/pi) * sum_{t != 0} mass / (t (1 + t^2))``.
 
@@ -182,7 +202,6 @@ class BandwidthSlice:
     """
 
     s: float
-    op: PWOperator
     sine_at_zero: float
     sine_values: np.ndarray
     cosine_values: np.ndarray
@@ -269,10 +288,8 @@ class RecoveryPipeline:
         # zeros alternate the sign of the cosine-type solution component),
         # so pairings are completed as [core atoms] + [closed form] -
         # [in-core lattice], mirroring the Gram completion.
-        m_core = int(np.floor((self.a_edge + 0.5 * spacing) * self.lattice / np.pi))
-        m = np.arange(-m_core, m_core + 1)
+        m, t_lat = lattice_points(self.a_edge, self.lattice)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_lat = np.pi * m / self.lattice
             vals = np.where(m % 2 == 0, 0.0, -2.0) / t_lat
         vals[m == 0] = 0.0
         self.core_lattice_points = t_lat
@@ -287,12 +304,9 @@ class RecoveryPipeline:
 
         The model lattice continues from the outermost atoms on each side
         (inheriting the asymptotic phase of the zero sequence) to infinity.
-        Each mass parity is a lattice ``tau_i = B + 2h i``; with
-        ``sin^2 = (1 - cos 2st)/2``, ``(cos st - 1)^2 = 3/2 + cos(2st)/2 -
-        2 cos st`` and ``sin st (cos st - 1) = sin(2st)/2 - sin st`` every
-        sum is a Hurwitz zeta or an oscillating sum at frequency ``s`` or
-        ``2s`` (see :func:`_oscillating_sum`).  Returns tails for the squared
-        sine sum, the squared cosine sum and their cross sum.
+        Each mass parity is a lattice ``tau_i = B + 2h i`` summed by
+        :func:`lattice_tail_sums`.  Returns tails for the squared sine sum,
+        the squared cosine sum and their cross sum.
         """
         spacing = np.pi / self.lattice
         step = 2.0 * spacing
@@ -304,12 +318,10 @@ class RecoveryPipeline:
             # values; continue the parity pattern of the real sequence
             m_next, m_after = band_mass_pair(self.mu.masses[order])
             for mass, first in ((m_next, anchor + spacing), (m_after, anchor + step)):
-                plain = scipy.special.zeta(2.0, first / step) / step**2
-                one = _oscillating_sum(s, first, step)
-                two = _oscillating_sum(2.0 * s, first, step)
-                sine += mass * 0.5 * (plain - two.real)
-                cosine += mass * (1.5 * plain + 0.5 * two.real - 2.0 * one.real)
-                cross += side * mass * (0.5 * two.imag - one.imag)
+                sine2, cosine2, cross_sum = lattice_tail_sums(s, first, step)
+                sine += mass * sine2
+                cosine += mass * cosine2
+                cross += side * mass * cross_sum
         return sine, cosine, cross
 
     def _model_coefficients(self, basis) -> np.ndarray:
@@ -401,7 +413,6 @@ class RecoveryPipeline:
 
         sl = BandwidthSlice(
             s=s,
-            op=op,
             sine_at_zero=sine_at_zero,
             sine_values=sine_vals,
             cosine_values=cosine_vals,

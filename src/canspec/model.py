@@ -93,9 +93,7 @@ class Atom(NamedTuple):
 
 def _fmt(x: float) -> str:
     """Format a float with 17 significant digits (round-trip safe)."""
-    s = format(float(x), ".17g")
-    # json requires a leading digit form; ".17g" already provides one.
-    return s
+    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -210,13 +208,6 @@ class Hamiltonian:
             for i, h in enumerate(self.matrices)
         ]
 
-    def matrix_at(self, r: float) -> np.ndarray:
-        """Segment value at position ``r`` (right-continuous)."""
-        if not 0.0 <= r <= self.ell * (1 + 1e-15):
-            raise ValidationError(f"r={r!r} outside [0, {self.ell!r}]")
-        i = min(int(np.searchsorted(self.edges, r, side="right")) - 1, self.nsegments - 1)
-        return self.matrices[max(i, 0)]
-
     def sample(self, rs: np.ndarray) -> np.ndarray:
         """Segment values at an array of positions, shape ``(len(rs), 2, 2)``."""
         rs = np.asarray(rs, dtype=float)
@@ -317,10 +308,6 @@ class SpectralMeasure:
     def mass_at_zero(self) -> float:
         return float(self.masses[self.zero_index])
 
-    @property
-    def has_zero_atom(self) -> bool:
-        return True  # enforced at construction
-
     def lattice_type(self) -> float:
         """Asymptotic exponential type implied by the atom spacing.
 
@@ -390,24 +377,6 @@ class TransferMatrix:
     @property
     def theta_minus(self) -> complex:
         return complex(self.entries[1, 0])
-
-    @property
-    def phi_plus(self) -> complex:
-        return complex(self.entries[0, 1])
-
-    @property
-    def phi_minus(self) -> complex:
-        return complex(self.entries[1, 1])
-
-    @property
-    def hermite_biehler(self) -> complex:
-        """The structure function ``theta_plus + i * theta_minus``."""
-        return self.theta_plus + 1j * self.theta_minus
-
-    @property
-    def det_residual(self) -> float:
-        m = self.entries
-        return float(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0))
 
 
 @dataclass(frozen=True)

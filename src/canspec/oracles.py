@@ -25,7 +25,7 @@ from .model import (
     normalize_trace,
 )
 from . import forward
-from .inverse import RecoveryPipeline, band_mass_pair
+from .inverse import RecoveryPipeline, band_mass_pair, lattice_tail_sums
 from .pwspace import apply_inverse, build_operator
 
 __all__ = [
@@ -228,15 +228,20 @@ def kernel_identity_check(
     return float(np.max(np.abs(got - want)) / scale)
 
 
-def trace_identity_check(
-    H: Hamiltonian, mu: SpectralMeasure, r: float, tail_span: float = 128.0
-) -> np.ndarray:
+#: Explicit lattice continuation of the trace identities, in measure windows.
+_TAIL_SPAN = 128.0
+
+
+def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.ndarray:
     """Residuals of the three integrated-weight identities at position ``r``.
 
     The left sides are exact segment integrals of the weight entries; the
     right sides are measure sums of solution components, extended beyond
     the window over the anchored lattice continuation with the solver
-    evaluated at the synthetic atoms (band-averaged masses).
+    evaluated at the synthetic atoms (parity-split band masses) out to
+    ``_TAIL_SPAN`` windows.  Beyond that span the components follow the
+    free model at the exponential type of ``[0, r]``, summed to infinity
+    in closed form by :func:`~canspec.inverse.lattice_tail_sums`.
     """
     eff = np.clip(np.minimum(H.edges[1:], r) - H.edges[:-1], 0.0, None)
     lhs = np.einsum("n,nij->ij", eff, H.matrices)
@@ -254,13 +259,13 @@ def trace_identity_check(
     s22 = float(np.sum(mu.masses * f2 * f2))
     s12 = float(np.sum(mu.masses * f1 * f2))
 
-    lam = mu.lattice_type()
-    spacing = np.pi / lam
+    s = forward.exponential_type(H, r)
+    spacing = np.pi / mu.lattice_type()
     for side in (1.0, -1.0):
         order = np.argsort(side * mu.positions)
         anchor = float((side * mu.positions)[order][-1])
         m_next, m_after = band_mass_pair(mu.masses[order])
-        nsteps = int(np.ceil((tail_span * mu.window - anchor) / spacing))
+        nsteps = int(np.ceil((_TAIL_SPAN * mu.window - anchor) / spacing))
         j = np.arange(1, nsteps + 1)
         ts = side * (anchor + spacing * j)
         # masses may alternate between two values correlated with the
@@ -270,12 +275,13 @@ def trace_identity_check(
         s11 += float(np.sum(mw * g1 * g1))
         s22 += float(np.sum(mw * g2 * g2))
         s12 += float(np.sum(mw * g1 * g2))
-        # oscillation-averaged remainder beyond the explicit span; the
-        # solution components average 1/2 and 3/2 over a period
-        t_end = float(np.abs(ts[-1]))
-        mbar = 0.5 * (m_next + m_after)
-        s11 += (mbar / spacing) * 0.5 / t_end
-        s22 += (mbar / spacing) * 1.5 / t_end
+        # model remainder beyond the span: f1 = -sin(st)/t, f2 = (cos st - 1)/t
+        for i in (nsteps + 1, nsteps + 2):
+            mass = m_next if i % 2 == 1 else m_after
+            sine2, cosine2, cross = lattice_tail_sums(s, anchor + spacing * i, 2.0 * spacing)
+            s11 += mass * sine2
+            s22 += mass * cosine2
+            s12 -= side * mass * cross
 
     rhs11 = s11 / np.pi
     rhs22 = s22 / np.pi

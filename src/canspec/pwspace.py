@@ -29,6 +29,7 @@ __all__ = [
     "sinc_kernel",
     "sinc_kernel_dt",
     "build_operator",
+    "lattice_points",
     "apply_inverse",
     "frame_bounds",
     "evaluate_pw",
@@ -157,10 +158,6 @@ class PWOperator:
     gram: np.ndarray
     gram_window: np.ndarray
     atom_matrix: np.ndarray
-    positions: np.ndarray
-    masses: np.ndarray
-    lattice_type: float
-    tail_completed: bool
     _cho: tuple = None
     _extremes: tuple | None = None
 
@@ -185,12 +182,15 @@ class PWOperator:
         return self._extremes
 
 
-def _lattice_nodes(mu: SpectralMeasure, lattice_type: float) -> np.ndarray:
-    """Free-model lattice points covering the same range as the atoms."""
-    r_eff = float(np.max(np.abs(mu.positions)))
-    kmax = int(np.floor((r_eff + 0.5 * np.pi / lattice_type) * lattice_type / np.pi))
-    k = np.arange(-kmax, kmax + 1, dtype=float)
-    return np.pi * k / lattice_type
+def lattice_points(extent: float, lattice_type: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ``k`` and points ``pi k / L`` of the free-model lattice.
+
+    The lattice covers ``[-extent, extent]`` plus half a spacing on each
+    side.
+    """
+    kmax = int(np.floor((extent + 0.5 * np.pi / lattice_type) * lattice_type / np.pi))
+    k = np.arange(-kmax, kmax + 1)
+    return k, np.pi * k / lattice_type
 
 
 def build_operator(
@@ -216,15 +216,14 @@ def build_operator(
     phi = basis.functions_at(mu.positions)
     gram_window = (phi * mu.masses[None, :]) @ phi.T
     gram_window = 0.5 * (gram_window + gram_window.T)
-    lam = mu.lattice_type() if mu.positions.size > 1 else basis.s
     if tail_completion and mu.positions.size > 1:
-        lattice = _lattice_nodes(mu, lam)
+        lam = mu.lattice_type()
+        _, lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
         phi_lat = basis.functions_at(lattice)
         gram_lat = (np.pi / lam) * (phi_lat @ phi_lat.T)
+        # both Gram terms are exactly symmetric, and so is their sum with I
         gram = gram_window + np.eye(n) - 0.5 * (gram_lat + gram_lat.T)
-        gram = 0.5 * (gram + gram.T)
     else:
-        tail_completion = False
         gram = gram_window
     try:
         cho = scipy.linalg.cho_factor(gram)
@@ -238,10 +237,6 @@ def build_operator(
         gram=gram,
         gram_window=gram_window,
         atom_matrix=phi,
-        positions=mu.positions,
-        masses=mu.masses,
-        lattice_type=lam,
-        tail_completed=tail_completion,
         _cho=cho,
     )
 

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one pass/fail line (run with ``pytest -s`` to see them).
-Propagation determinant drift is tracked globally across criteria 1-9 and
-gated by the final test.
+The final test gates the propagation determinant drift ``|det M - 1|``
+on the forward fixtures of criteria 1-9, over their zero-scan grids and
+atoms.
 """
 
 import time
@@ -18,12 +19,6 @@ from canspec.model import GridConfig, Hamiltonian, SpectralMeasure
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_det_tracker():
-    forward.reset_det_tracker()
-    yield
 
 
 @pytest.fixture(scope="module")
@@ -213,13 +208,30 @@ def test_criterion_09_frame_bounds():
     )
 
 
-def test_criterion_10_determinant_preservation():
-    res = forward.max_det_residual()
-    count = forward.det_tracker_count()
-    ok = res <= 1e-10 and count > 0
+def test_criterion_10_determinant_preservation(step_hamiltonian):
+    weights = [
+        (Hamiltonian.identity(np.pi), 200.0),  # criteria 1, 3, 4, 9
+        (step_hamiltonian, 100.0),  # criterion 2
+        (step_hamiltonian, 200.0),  # criteria 2, 3, 4, 6
+        (Hamiltonian.identity(1.0), 200.0 * np.pi),  # criterion 5
+    ]
+    res = 0.0
+    count = 0
+    for H, window in weights:
+        # the zero scan's default grid, step pi/(4 type), plus the atoms
+        step = np.pi / (4.0 * forward.exponential_type(H))
+        grid = np.linspace(-window, window, int(np.ceil(2 * window / step)) + 1)
+        z = np.concatenate([grid, forward.spectral_measure(H, window).positions])
+        res = max(res, forward.det_residual(H, z))
+        count += z.size
+    # criterion 7: the lacunary weight at its growth frequencies
+    lacunary = np.pi * 3.0 ** np.arange(2, 7, 2) / 2.0
+    res = max(res, forward.det_residual(oracles.section5_hamiltonian(0.1, 18), lacunary))
+    count += lacunary.size
+    ok = res <= 1e-10
     _report(
         10,
         ok,
-        f"determinant drift over criteria 1-9: max |det-1| = {res:.2e} (<=1e-10) "
-        f"across {count} propagator evaluations",
+        f"determinant drift on the fixtures of criteria 1-9: max |det-1| = {res:.2e} "
+        f"(<=1e-10) across {count} spectral parameters",
     )

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from canspec import forward, oracles
 from canspec.model import (
+    J,
     Hamiltonian,
     InvariantViolation,
     TransferMatrix,
@@ -70,6 +72,43 @@ class TestPropagate:
             target = np.diag([h ** (-k / 2), h ** (k / 2)])
             rel = np.max(np.abs(M - target)) / np.max(np.abs(target))
             assert rel < 1e-12
+
+
+class TestSegmentKernel:
+    @pytest.mark.parametrize(
+        "z", [np.linspace(-40.0, 40.0, 81), np.array([0.3 + 0.8j, -7.0 + 2.0j])]
+    )
+    def test_theta_columns_equal_transfer_columns(self, step_hamiltonian, z):
+        H = step_hamiltonian
+        M = forward.transfer_entries(H, H.ell, z)
+        tp, tm, _, _ = forward.theta_and_derivative(H, H.ell, z)
+        assert np.array_equal(tp, M[..., 0, 0])
+        assert np.array_equal(tm, M[..., 1, 0])
+
+    def test_origin_is_exact_identity(self, step_hamiltonian):
+        z = np.array([0.7, -30.0, 2.0 + 1.5j])
+        M, dM = forward._propagate(step_hamiltonian, 0.0, z, derivative=True)
+        assert np.array_equal(M, np.broadcast_to(np.eye(2), (3, 2, 2)))
+        assert np.array_equal(dM, np.zeros((3, 2, 2)))
+
+    @pytest.mark.parametrize("z", [0.9, 12.0, 1.0 + 0.5j])
+    def test_segment_edge_is_one_exponential(self, step_hamiltonian, z):
+        H = step_hamiltonian
+        r1 = float(H.edges[1])
+        got = forward.transfer_entries(H, r1, np.asarray(z))
+        # J X' = z H X on one constant segment: X(r) = exp(-z r J H) X(0)
+        want = scipy.linalg.expm(-z * r1 * J @ H.matrices[0])
+        np.testing.assert_allclose(got, want, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+    def test_positions_broadcast_against_parameters(self, step_hamiltonian):
+        # each point stops at its own r; a shared r gives the same products
+        H = step_hamiltonian
+        rs = np.array([0.0, 0.4, float(H.edges[1]), 1.7, H.ell])
+        z = np.array([0.9, 2.5 + 0.3j])
+        M = forward._propagate(H, rs[:, None], z[None, :])[0]
+        assert M.shape == (5, 2, 2, 2)
+        for i, r in enumerate(rs):
+            assert np.array_equal(M[i], forward.transfer_entries(H, r, z))
 
 
 class TestThetaDerivative:
@@ -205,6 +244,11 @@ class TestHerglotzConstants:
     def test_symmetric_weight_c_vanishes(self, step_hamiltonian, step_measure):
         assert abs(step_measure.herglotz_c) < 1e-10
 
+    @pytest.mark.parametrize("ell, window", [(np.pi, 200.0), (1.0, 200.0 * np.pi)])
+    def test_closed_form_tail_is_exact_on_free_weights(self, ell, window):
+        mu = forward.spectral_measure(Hamiltonian.identity(ell), window)
+        assert abs(mu.herglotz_b) <= 1e-14
+
 
 class TestWeylTitchmarsh:
     @pytest.mark.parametrize("z", [0.9, 2.7, 1.1 + 0.4j])
@@ -250,6 +294,17 @@ class TestWeylTitchmarsh:
                 H, r, w, np.asarray([z], dtype=float)
             )[0]
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [0.9, 1.1 + 0.4j])
+    def test_profile_matches_per_node_propagation(self, step_hamiltonian, z):
+        H = step_hamiltonian
+        r = 1.5
+        nodes, weights = forward.quadrature_grid(H, r)
+        X = np.column_stack([np.cos(nodes), 1.0 + nodes**2])
+        theta = np.array([forward.transfer_entries(H, t, np.asarray(z))[:, 0] for t in nodes])
+        hx = np.einsum("nij,nj->ni", H.sample(nodes), X)
+        want = np.sum(weights * np.sum(hx * theta, axis=1)) / np.sqrt(np.pi)
+        assert abs(forward.weyl_titchmarsh(H, r, X, z) - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_grid_misalignment_rejected(self, step_hamiltonian):
         H = step_hamiltonian

@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import canspec
 from canspec import forward, oracles
 from canspec.model import (
     GridConfig,
@@ -205,3 +209,12 @@ class TestGridConfig:
         cfg = GridConfig.for_bandwidth(2.0, s_samples=65)
         assert cfg.bandwidth == pytest.approx(2.0)
         assert cfg.s_grid.size == 64
+
+
+@pytest.mark.parametrize(
+    "name", ["canspec"] + [f"canspec.{m.name}" for m in pkgutil.iter_modules(canspec.__path__)]
+)
+def test_public_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing

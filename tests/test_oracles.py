@@ -95,6 +95,12 @@ class TestTraceIdentities:
             res = oracles.trace_identity_check(H, mu, r)
             assert np.max(res) < 1e-4
 
+    def test_free_resonant_tail_is_exact(self, free_pi):
+        # at r = pi the tail sine terms vanish on the lattice; the closed-form
+        # remainder leaves roundoff only
+        H, mu, _ = free_pi
+        assert np.max(oracles.trace_identity_check(H, mu, np.pi)) <= 1e-12
+
     def test_off_diagonal_vanishes_for_diagonal_weight(self, free_pi):
         H, mu, _ = free_pi
         res = oracles.trace_identity_check(H, mu, 0.6 * np.pi)
