@@ -25,6 +25,7 @@ from .model import (
     SpectralMeasure,
     TransferMatrix,
     ValidationError,
+    band_mass_pair,
     merge_close_atoms,
 )
 
@@ -91,8 +92,37 @@ def _effective_lengths(H: Hamiltonian, r) -> np.ndarray:
     return np.clip(np.minimum(H.edges[1:], r[..., None]) - H.edges[:-1], 0.0, None)
 
 
+def _generators(H: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment ``K = -J H`` and ``det H``."""
+    h = H.matrices
+    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1).reshape(-1, 2, 2)
+    # determinants within PSD slack of zero behave as rank-one segments
+    return K, np.maximum(H.determinants(), 0.0)
+
+
+def _factor(z: np.ndarray, d, K: np.ndarray, det, derivative: bool):
+    """Exact segment factors ``exp(d A)`` at the points ``z`` and, on request, ``dF/dz``.
+
+    ``d`` and ``det`` are scalars or one per point; ``K`` is one generator or one per point.
+    """
+    eye = np.eye(2)
+    z2 = z**2
+    gamma = det * d * d
+    delta = z2 * gamma
+    if derivative:
+        c, s, dd = _csd(delta)
+    else:
+        c, s = _cs(delta)
+    F = c[:, None, None] * eye + (s * z * d)[:, None, None] * K
+    if not derivative:
+        return F, None
+    # dF/dz = -z*gamma*S*I + (z^2*gamma*D + S) * d * K
+    dF = (-z * gamma * s)[:, None, None] * eye + ((z2 * gamma * dd + s) * d)[:, None, None] * K
+    return F, dF
+
+
 def _propagate(
-    H: Hamiltonian, r, z, derivative: bool = False
+    H: Hamiltonian, r, z, derivative: bool = False, running: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Segment products ``M(r, z)`` and, on request, ``dM/dz``.
 
@@ -100,7 +130,8 @@ def _propagate(
     segment factors over its own ``[0, r]``.  A segment the point does not
     reach has length 0, whose factor is exactly the identity.  Returns
     arrays of shape ``broadcast + (2, 2)`` (real for real ``z``) and
-    ``None`` for the derivative unless it is asked for.
+    ``None`` for the derivative unless it is asked for.  ``running``
+    stacks the products at ``edges[:reached]`` and ``r`` on a leading axis.
     """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z)
@@ -111,31 +142,21 @@ def _propagate(
     # per-segment lengths of each point, computed once: (nsegments,) or (nsegments, n)
     steps = _effective_lengths(H, r).T
     reached = int(np.count_nonzero(H.edges[:-1] < np.max(r, initial=0.0)))
-    h = H.matrices
-    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1).reshape(-1, 2, 2)
-    # determinants within PSD slack of zero behave as rank-one segments
-    dets = np.maximum(H.determinants(), 0.0)
-    eye = np.eye(2, dtype=complex if np.iscomplexobj(z) else float)
-    M = np.broadcast_to(eye, (z.size, 2, 2)).copy()
+    K, dets = _generators(H)
+    M = np.broadcast_to(np.eye(2), (z.size, 2, 2)).astype(complex if np.iscomplexobj(z) else float)
     dM = np.zeros_like(M) if derivative else None
-    z2 = z**2
+    trail = [M]
     for d, Kj, detj in zip(steps[:reached], K, dets):
-        gamma = detj * d * d
-        delta = z2 * gamma
+        F, dF = _factor(z, d, Kj, detj, derivative)
         if derivative:
-            c, s, dd = _csd(delta)
-        else:
-            c, s = _cs(delta)
-        F = c[:, None, None] * eye + (s * z * d)[:, None, None] * Kj
-        if derivative:
-            # dF/dz = -z*gamma*S*I + (z^2*gamma*D + S) * d * K
-            dF = (-z * gamma * s)[:, None, None] * eye + ((z2 * gamma * dd + s) * d)[
-                :, None, None
-            ] * Kj
             dM = dF @ M + F @ dM
         M = F @ M
+        if running:
+            trail.append(M)
     out = shape + (2, 2)
-    return M.reshape(out), None if dM is None else dM.reshape(out)
+    if running:
+        M, out = np.stack(trail), (len(trail),) + out
+    return M.reshape(out), None if dM is None else dM.reshape(shape + (2, 2))
 
 
 def transfer_entries(H: Hamiltonian, r: float, z: np.ndarray) -> np.ndarray:
@@ -215,13 +236,23 @@ def type_inverse(H: Hamiltonian, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: Refinement passes before :func:`find_zeros` gives up; plain bisection would
+#: take ``log2(step / 1e-14)``, 45 at the default step of a type-pi weight.
+_REFINE_PASSES = 64
+
+
 def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.ndarray:
     """All real zeros of ``theta_minus(ell, .)`` in ``[-window, window]``.
 
     A sign-change scan (``step`` must stay below ``pi / (2 * type)`` so no
-    crossing is skipped) brackets each root; bisection plus a Newton
-    polish refine them to relative ``1e-13``.  The origin is always a
-    zero and is always included.
+    crossing is skipped) brackets each root and seeds it at the secant
+    point.  Each pass then propagates ``theta_minus`` and its z-derivative
+    once at all roots; the sign shrinks each bracket, and a Newton step
+    that would leave it becomes the bracket midpoint.  Zeros found on the
+    scan grid and the origin (always included) keep the fixed bracket
+    ``x +- step``.  Once every Newton correction is below ``1e-14 (1 +
+    |x|)`` the loop stops; after ``_REFINE_PASSES`` passes without that it
+    raises :class:`NumericalError`.
     """
     ell = H.ell
     lam = exponential_type(H, ell)
@@ -233,45 +264,41 @@ def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.n
             f"scan step {step!r} exceeds pi/(2*type)={max_step!r}; zeros could be skipped"
         )
 
-    def f(x: np.ndarray) -> np.ndarray:
-        return transfer_entries(H, ell, x)[..., 1, 0].real
-
-    def fdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, tm, _, dm = theta_and_derivative(H, ell, x)
-        return np.real(tm), np.real(dm)
-
     n = int(np.ceil(2 * window / step)) + 1
     grid = np.linspace(-window, window, n)
-    vals = f(grid)
+    vals = transfer_entries(H, ell, grid)[..., 1, 0].real
 
     scale = max(float(np.median(np.abs(vals))), 1e-300)
     on_zero = np.abs(vals) <= 1e-9 * scale
 
     sign = np.sign(vals)
     bracket = (sign[:-1] * sign[1:] < 0) & ~on_zero[:-1] & ~on_zero[1:]
-    lo = grid[:-1][bracket].copy()
-    hi = grid[1:][bracket].copy()
-    flo = vals[:-1][bracket].copy()
-    for _ in range(30):
-        if lo.size == 0:
+    lo, hi = grid[:-1][bracket], grid[1:][bracket]
+    flo, fhi = vals[:-1][bracket], vals[1:][bracket]
+    fixed = np.concatenate([grid[on_zero], [0.0]])
+    x = np.concatenate([lo - flo * (hi - lo) / (fhi - flo), fixed])
+    lo = np.concatenate([lo, fixed - step])
+    hi = np.concatenate([hi, fixed + step])
+    # a zero sign marks a fixed bracket: neither of the tests below moves it
+    flo = np.concatenate([flo, np.zeros_like(fixed)])
+    for _ in range(_REFINE_PASSES):
+        _, fx, _, dfx = theta_and_derivative(H, ell, x)
+        fx, dfx = np.real(fx), np.real(dfx)
+        same, opposite = fx * flo > 0, fx * flo < 0
+        lo, flo = np.where(same, x, lo), np.where(same, fx, flo)
+        hi = np.where(opposite, x, hi)
+        dx = fx / np.where(np.abs(dfx) < 1e-300, 1e-300, dfx)
+        newton = x - dx
+        done = np.abs(dx) <= 1e-14 * (1.0 + np.abs(newton))
+        # a converged root keeps its place rather than step out of its bracket
+        x = np.where((newton >= lo) & (newton <= hi), newton, np.where(done, x, 0.5 * (lo + hi)))
+        if np.all(done):
             break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        take_left = flo * fm <= 0
-        hi = np.where(take_left, mid, hi)
-        lo = np.where(take_left, lo, mid)
-        flo = np.where(take_left, flo, fm)
-    seeds = 0.5 * (lo + hi)
-    seeds = np.concatenate([seeds, grid[on_zero], [0.0]])
-
-    x = seeds.copy()
-    for _ in range(12):
-        fx, dfx = fdf(x)
-        dfx = np.where(np.abs(dfx) < 1e-300, 1e-300, dfx)
-        dx = fx / dfx
-        x = x - dx
-        if np.all(np.abs(dx) <= 1e-14 * (1.0 + np.abs(x))):
-            break
+    else:
+        raise NumericalError(
+            f"zero refinement did not converge in {_REFINE_PASSES} passes near "
+            f"t={x[~done][:3]!r}"
+        )
     x[np.abs(x) < 1e-12] = 0.0
 
     ok = np.abs(x) <= window * (1 + 1e-12)
@@ -349,24 +376,26 @@ def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, floa
     The sum over atoms outside the window is estimated with the free
     lattice model at the system's exponential type (spacing ``h = pi /
     type``), continued from the outermost observed atom ``A`` on each side
-    so the asymptotic phase of the zero sequence is inherited.  The model
-    sum is closed form: ``sum_{j >= 1} 1/(1 + (A + h j)^2) = Im psi(1 +
-    A/h + i/h) / h`` with the digamma function ``psi``.
+    so the asymptotic phase of the zero sequence is inherited.  Asymptotic
+    masses may alternate, so the model continues the parity pattern of
+    :func:`~canspec.model.band_mass_pair`: the next atoms ``A + h, A + 3h,
+    ...`` carry one mass and ``A + 2h, A + 4h, ...`` the other.  Each
+    parity is a lattice of spacing ``2h`` summed in closed form,
+    ``sum_{j >= 1} 1/(1 + (a + 2h j)^2) = Im psi(1 + (a + i)/(2h)) / (2h)``
+    with the digamma function ``psi`` and ``a = A - h`` or ``a = A``.
     """
     m_i = weyl_function(H, 1j).m
     c = float(m_i.real)
     window_sum = float(np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi)
     spacing = np.pi / exponential_type(H)
     tail = 0.0
-    nband = min(32, max(2, mu.positions.size // 4))
     for side in (1.0, -1.0):
         order = np.argsort(side * mu.positions)
         anchor = abs(float(np.max(side * mu.positions)))
-        # asymptotic masses need not equal pi/type (they may alternate);
-        # average them over the outermost band on this side
-        mbar = float(np.mean(mu.masses[order][-nband:]))
-        lattice_sum = scipy.special.psi(1.0 + (anchor + 1j) / spacing).imag / spacing
-        tail += (mbar / np.pi) * lattice_sum
+        m_next, m_after = band_mass_pair(mu.masses[order])
+        for mass, start in ((m_next, anchor - spacing), (m_after, anchor)):
+            lattice_sum = scipy.special.psi(1.0 + (start + 1j) / (2.0 * spacing)).imag
+            tail += mass * lattice_sum / (2.0 * spacing * np.pi)
     b = float(m_i.imag) - window_sum - tail
     # the hard floor is widened by a fraction of the applied correction:
     # the lattice continuation is a model, and its own error scales with
@@ -424,7 +453,11 @@ def weyl_titchmarsh(
     hmat = H.sample(nodes)
     hx = np.einsum("nij,nj->ni", hmat, xv)
     # <u, Theta(t, conj(z))> with real-coefficient entire Theta reduces to
-    # the bilinear pairing against Theta(t, z).
-    theta = _propagate(H, nodes, z)[0][:, :, 0]
+    # the bilinear pairing against Theta(t, z).  Each node continues the
+    # running product at its segment's left edge by one partial factor.
+    seg = np.searchsorted(H.edges, nodes, side="right") - 1
+    K, dets = _generators(H)
+    F = _factor(np.full(nodes.shape, z), nodes - H.edges[seg], K[seg], dets[seg], False)[0]
+    theta = (F @ _propagate(H, r, z, running=True)[0][seg])[:, :, 0]
     integrand = hx[:, 0] * theta[:, 0] + hx[:, 1] * theta[:, 1]
     return complex(np.sum(weights * integrand) / np.sqrt(np.pi))

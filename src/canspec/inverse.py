@@ -37,6 +37,7 @@ from .model import (
     ReconstructionResult,
     SpectralMeasure,
     ValidationError,
+    band_mass_pair,
 )
 from .pwspace import apply_inverse, build_operator, lattice_points
 
@@ -45,30 +46,11 @@ __all__ = [
     "RecoveryPipeline",
     "recentering_moment",
     "boundary_cosine_values",
-    "band_mass_pair",
     "lattice_tail_sums",
     "zeta",
     "converged_truncation",
     "reconstruct",
 ]
-
-
-def band_mass_pair(ordered_masses: np.ndarray) -> tuple[float, float]:
-    """Parity-split outer-band mass means ``(next, after-next)``.
-
-    ``ordered_masses`` is sorted outward.  Asymptotic atom masses may
-    alternate between two values; continuing the observed parity pattern
-    keeps tail models consistent with value patterns that alternate at
-    the same rate.
-    """
-    n = ordered_masses.size
-    nband = min(32, max(2, n // 4))
-    band = ordered_masses[-nband:]
-    same_parity_as_last = band[-1::-2]
-    other_parity = band[-2::-2] if band.size > 1 else band
-    m_after = float(np.mean(same_parity_as_last))
-    m_next = float(np.mean(other_parity)) if other_parity.size else m_after
-    return m_next, m_after
 
 
 #: Explicit terms of an oscillating lattice sum before its analytic

@@ -41,6 +41,7 @@ __all__ = [
     "ReconstructionResult",
     "normalize_trace",
     "merge_close_atoms",
+    "band_mass_pair",
     "load_hamiltonian",
     "save_hamiltonian",
     "dumps_hamiltonian",
@@ -347,6 +348,24 @@ def merge_close_atoms(
             out_pos.append(float(t))
             out_mass.append(float(m))
     return np.array(out_pos), np.array(out_mass)
+
+
+def band_mass_pair(ordered_masses: np.ndarray) -> tuple[float, float]:
+    """Parity-split outer-band mass means ``(next, after-next)``.
+
+    ``ordered_masses`` is sorted outward.  Asymptotic atom masses may
+    alternate between two values; continuing the observed parity pattern
+    keeps tail models consistent with value patterns that alternate at
+    the same rate.
+    """
+    n = ordered_masses.size
+    nband = min(32, max(2, n // 4))
+    band = ordered_masses[-nband:]
+    same_parity_as_last = band[-1::-2]
+    other_parity = band[-2::-2] if band.size > 1 else band
+    m_after = float(np.mean(same_parity_as_last))
+    m_next = float(np.mean(other_parity)) if other_parity.size else m_after
+    return m_next, m_after
 
 
 @dataclass(frozen=True)

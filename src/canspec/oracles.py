@@ -22,10 +22,11 @@ from .model import (
     ReconstructionResult,
     SpectralMeasure,
     ValidationError,
+    band_mass_pair,
     normalize_trace,
 )
 from . import forward
-from .inverse import RecoveryPipeline, band_mass_pair, lattice_tail_sums
+from .inverse import RecoveryPipeline, lattice_tail_sums
 from .pwspace import apply_inverse, build_operator
 
 __all__ = [

@@ -7,6 +7,7 @@ from canspec.model import (
     J,
     Hamiltonian,
     InvariantViolation,
+    NumericalError,
     TransferMatrix,
     ValidationError,
     normalize_trace,
@@ -17,6 +18,44 @@ def free_matrix(r, z):
     return np.array(
         [[np.cos(r * z), np.sin(r * z)], [-np.sin(r * z), np.cos(r * z)]]
     )
+
+
+def smooth_weight(seed, segments):
+    """Trace-normalized ``R(th) diag(e^g, e^-g) R(th)^T`` with smooth seeded ``g``, ``th``."""
+    rng = np.random.default_rng(seed)
+    x = (np.arange(segments) + 0.5) / segments
+    k = np.arange(1, 4)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(2, 3))
+    g, th = ((0.3 / k) * np.cos(2.0 * np.pi * k * x[:, None] + phases[:, None, :])).sum(axis=2)
+    c, s, e = np.cos(th), np.sin(th), np.exp(g)
+    mats = np.empty((segments, 2, 2))
+    mats[:, 0, 0] = c * c * e + s * s / e
+    mats[:, 1, 1] = s * s * e + c * c / e
+    mats[:, 0, 1] = mats[:, 1, 0] = c * s * (e - 1.0 / e)
+    scale = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1])
+    lengths = np.full(segments, np.pi / segments) * scale
+    return Hamiltonian.from_lengths(lengths, mats / scale[:, None, None])
+
+
+def bisection_zeros(H, window, step=None, passes=60):
+    """Zeros of theta_minus(ell, .) by plain bisection of sign-change scan brackets.
+
+    The scan step defaults to the one ``find_zeros`` uses, ``pi / (4 type)``.
+    """
+    step = np.pi / (4.0 * forward.exponential_type(H)) if step is None else step
+    grid = np.linspace(-window, window, int(np.ceil(2 * window / step)) + 1)
+    vals = forward.transfer_entries(H, H.ell, grid)[:, 1, 0]
+    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    lo, hi, flo = grid[idx], grid[idx + 1], vals[idx]
+    for _ in range(passes):
+        mid = 0.5 * (lo + hi)
+        fm = forward.transfer_entries(H, H.ell, mid)[:, 1, 0]
+        take = flo * fm <= 0
+        hi, lo, flo = np.where(take, mid, hi), np.where(take, lo, mid), np.where(take, flo, fm)
+    zeros = np.concatenate([0.5 * (lo + hi), [0.0]])
+    # a bracket may straddle the origin, whose zero is exact
+    zeros[np.abs(zeros) < 1e-12] = 0.0
+    return np.unique(zeros)
 
 
 class TestPropagate:
@@ -156,20 +195,7 @@ class TestFindZeros:
         H = step_hamiltonian
         zeros = forward.find_zeros(H, 10.0)
         # independent oracle: brute-force sign-change scan at step 1e-3
-        grid = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
-        vals = forward.transfer_entries(H, H.ell, grid)[:, 1, 0]
-        sign_changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        lo, hi = grid[sign_changes].copy(), grid[sign_changes + 1].copy()
-        flo = vals[sign_changes].copy()
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            fm = forward.transfer_entries(H, H.ell, mid)[:, 1, 0]
-            take = flo * fm <= 0
-            hi = np.where(take, mid, hi)
-            lo = np.where(take, lo, mid)
-            flo = np.where(take, flo, fm)
-        oracle = np.sort(np.concatenate([0.5 * (lo + hi), [0.0]]))
-        oracle = oracle[np.abs(np.diff(np.concatenate([[-1e9], oracle]))) > 1e-9]
+        oracle = bisection_zeros(H, 10.0, step=1e-3, passes=50)
         assert zeros.size == oracle.size
         np.testing.assert_allclose(zeros, oracle, atol=1e-9)
 
@@ -181,6 +207,59 @@ class TestFindZeros:
     def test_zero_always_included(self, step_hamiltonian):
         zeros = forward.find_zeros(step_hamiltonian, 3.0)
         assert 0.0 in zeros
+
+    @pytest.mark.parametrize("seed, segments", [(0, 50), (1, 120), (2, 200)])
+    def test_matches_bisection_reference(self, seed, segments):
+        H = smooth_weight(seed, segments)
+        zeros = forward.find_zeros(H, 40.0)
+        ref = bisection_zeros(H, 40.0)
+        assert zeros.size == ref.size
+        assert np.all(np.abs(zeros - ref) <= 1e-13 * np.abs(ref))
+
+    def test_propagation_count(self, monkeypatch):
+        # one scan plus a few joint derivative passes, not one pass per bisection
+        H = smooth_weight(3, 200)
+        calls = {"plain": 0, "derivative": 0}
+        plain, joint = forward.transfer_entries, forward.theta_and_derivative
+
+        def count(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(forward, "transfer_entries", count("plain", plain))
+        monkeypatch.setattr(forward, "theta_and_derivative", count("derivative", joint))
+        forward.find_zeros(H, 60.0)
+        assert calls["plain"] <= 1
+        assert calls["derivative"] <= 6
+
+    def test_wrong_derivative_sign_falls_back_to_brackets(self, monkeypatch):
+        H = smooth_weight(4, 100)
+        ref = bisection_zeros(H, 30.0)
+        joint = forward.theta_and_derivative
+
+        def flipped(*args):
+            tp, tm, dp, dm = joint(*args)
+            return tp, tm, -dp, -dm
+
+        monkeypatch.setattr(forward, "theta_and_derivative", flipped)
+        zeros = forward.find_zeros(H, 30.0)
+        assert zeros.size == ref.size
+        assert np.all(np.abs(zeros - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+    def test_unconverged_refinement_raises(self, monkeypatch):
+        H = smooth_weight(5, 50)
+        joint = forward.theta_and_derivative
+
+        def no_root(*args):
+            tp, tm, dp, dm = joint(*args)
+            return tp, np.ones_like(tm), dp, dm
+
+        monkeypatch.setattr(forward, "theta_and_derivative", no_root)
+        with pytest.raises(NumericalError, match="did not converge"):
+            forward.find_zeros(H, 10.0)
 
 
 class TestSpectralMeasure:
@@ -249,6 +328,12 @@ class TestHerglotzConstants:
         mu = forward.spectral_measure(Hamiltonian.identity(ell), window)
         assert abs(mu.herglotz_b) <= 1e-14
 
+    @pytest.mark.parametrize("window", [30.0, 60.0, 200.0])
+    def test_parity_split_tail_on_alternating_masses(self, step_hamiltonian, window):
+        # the step fixture's outer masses alternate; a plain band mean misses b
+        mu = forward.spectral_measure(step_hamiltonian, window)
+        assert abs(mu.herglotz_b) <= 1e-12
+
 
 class TestWeylTitchmarsh:
     @pytest.mark.parametrize("z", [0.9, 2.7, 1.1 + 0.4j])
@@ -305,6 +390,25 @@ class TestWeylTitchmarsh:
         hx = np.einsum("nij,nj->ni", H.sample(nodes), X)
         want = np.sum(weights * np.sum(hx * theta, axis=1)) / np.sqrt(np.pi)
         assert abs(forward.weyl_titchmarsh(H, r, X, z) - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_work_linear_in_segments(self, monkeypatch):
+        # count the spectral parameters that pass through the segment factors
+        seen = []
+        cs = forward._cs
+
+        def counted(delta):
+            seen.append(np.size(delta))
+            return cs(delta)
+
+        monkeypatch.setattr(forward, "_cs", counted)
+        X = lambda t: np.column_stack([np.cos(t), 1.0 + t**2])
+        work = {}
+        for n in (100, 400):
+            seen.clear()
+            H = smooth_weight(6, n)
+            forward.weyl_titchmarsh(H, H.ell, X, 1.3 + 0.2j)
+            work[n] = sum(seen)
+        assert work[400] <= 4 * work[100]
 
     def test_grid_misalignment_rejected(self, step_hamiltonian):
         H = step_hamiltonian
