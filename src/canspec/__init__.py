@@ -1,7 +1,6 @@
 """Direct and inverse spectral computations for 2x2 canonical systems."""
 
 from .model import (
-    Atom,
     ComparabilityError,
     GridConfig,
     Hamiltonian,
@@ -28,12 +27,11 @@ from .forward import (
     weyl_titchmarsh,
 )
 from .pwspace import PWBasis, PWOperator, build_operator, frame_bounds, sinc_kernel
-from .inverse import RecoveryPipeline, reconstruct, zeta
+from .inverse import RecoveryPipeline, reconstruct
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
     "ComparabilityError",
     "GridConfig",
     "Hamiltonian",
@@ -63,5 +61,4 @@ __all__ = [
     "spectral_measure",
     "weyl_function",
     "weyl_titchmarsh",
-    "zeta",
 ]

@@ -72,9 +72,13 @@ class RunManifest:
         return path
 
 
-def _write_json(path: Path, doc) -> None:
+def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, default=_json_default) + "\n")
+    path.write_text(text + "\n")
+
+
+def _write_json(path: Path, doc) -> None:
+    _write(path, json.dumps(doc, indent=2, default=_json_default))
 
 
 def _json_default(obj):
@@ -86,11 +90,10 @@ def _json_default(obj):
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = ["\t".join(header)]
     for vals in zip(*columns):
         rows.append("\t".join(_fmt(v) for v in vals))
-    path.write_text("\n".join(rows) + "\n")
+    _write(path, "\n".join(rows))
 
 
 def _check_gates(diagnostics: dict, tol_override: float | None) -> list[str]:
@@ -135,9 +138,7 @@ def _cmd_forward(manifest: RunManifest) -> list[str]:
     opts = manifest.options
     H = load_hamiltonian(manifest.inputs[0])
     mu = forward.spectral_measure(H, opts["window"], opts.get("step"))
-    _write_json(
-        manifest.output("measure.json"), json.loads(dumps_measure(mu))
-    )
+    _write(manifest.output("measure.json"), dumps_measure(mu))
     diagnostics = {
         "atoms": int(mu.positions.size),
         "herglotz_b": mu.herglotz_b,
@@ -152,9 +153,7 @@ def _cmd_forward(manifest: RunManifest) -> list[str]:
 
 def _reconstruction_outputs(manifest: RunManifest, result, prefix: str = "") -> None:
     H = result.hamiltonian
-    _write_json(
-        manifest.output(f"{prefix}hamiltonian.json"), json.loads(dumps_hamiltonian(H))
-    )
+    _write(manifest.output(f"{prefix}hamiltonian.json"), dumps_hamiltonian(H))
     mids = 0.5 * (H.edges[:-1] + H.edges[1:])
     _write_csv(
         manifest.output(f"{prefix}hamiltonian.csv"),
@@ -180,8 +179,8 @@ def _cmd_inverse(manifest: RunManifest) -> list[str]:
                 "(pass --c when the measure is not symmetric)",
                 file=sys.stderr,
             )
-    a = opts.get("bandwidth") or mu.lattice_type()
-    cfg = _grid_config(a, opts, mu.window)
+    a = opts["bandwidth"]
+    cfg = _grid_config(mu.lattice_type() if a is None else a, opts, mu.window)
     result = RecoveryPipeline(mu, c=c, cfg=cfg).run()
     _reconstruction_outputs(manifest, result)
     diagnostics = dict(result.diagnostics)
@@ -200,10 +199,7 @@ def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
         s_samples=opts.get("s_samples", 129),
         r_samples=opts.get("r_samples", 257),
     )
-    _write_json(
-        manifest.output("normalized_input.json"),
-        json.loads(dumps_hamiltonian(report.normalized)),
-    )
+    _write(manifest.output("normalized_input.json"), dumps_hamiltonian(report.normalized))
     _reconstruction_outputs(manifest, report.result, prefix="recovered_")
     diagnostics = dict(report.diagnostics)
     diagnostics["max_det_residual"] = _det_certificate(report.normalized, report.measure)
@@ -230,7 +226,7 @@ def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
 def _cmd_framebounds(manifest: RunManifest) -> list[str]:
     opts = manifest.options
     mu = load_measure(manifest.inputs[0])
-    s = opts.get("s") or mu.lattice_type()
+    s = mu.lattice_type() if opts["s"] is None else opts["s"]
     half = GridConfig.for_bandwidth(
         s, pw_truncation=opts.get("pw_trunc", 256), measure_window=mu.window
     ).basis_half_size(s)
@@ -269,12 +265,21 @@ def _cmd_example_nonpw(manifest: RunManifest) -> list[str]:
 
 
 def _load_profile(path: Path | None):
+    """Two-column ``t w`` samples; a first row that is not two numbers is a header."""
     if path is None:
         return lambda t: np.ones_like(t)
-    rows = [r.split() for r in path.read_text().strip().splitlines()]
-    if rows and not rows[0][0].lstrip("-").replace(".", "").isdigit():
-        rows = rows[1:]
-    data = np.array([[float(a), float(b)] for a, b in rows])
+    data = []
+    for i, line in enumerate(path.read_text().strip().splitlines()):
+        try:
+            t, w = map(float, line.split())
+        except ValueError:
+            if i == 0:
+                continue
+            raise ValidationError(f"{path}: line {i + 1} is not two numbers: {line!r}") from None
+        data.append((t, w))
+    if not data:
+        raise ValidationError(f"{path}: no profile samples")
+    data = np.array(data)
     return lambda t: np.interp(t, data[:, 0], data[:, 1])
 
 

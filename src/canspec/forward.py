@@ -25,8 +25,6 @@ from .model import (
     SpectralMeasure,
     TransferMatrix,
     ValidationError,
-    band_mass_pair,
-    merge_close_atoms,
 )
 
 __all__ = [
@@ -300,11 +298,8 @@ def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.n
             f"t={x[~done][:3]!r}"
         )
     x[np.abs(x) < 1e-12] = 0.0
-
-    ok = np.abs(x) <= window * (1 + 1e-12)
-    x = np.sort(x[ok])
-    pos, _ = merge_close_atoms(x, np.ones_like(x))
-    pos[np.abs(pos) < 1e-12] = 0.0
+    # the origin is the only root found twice, and both copies are exactly 0
+    pos = np.unique(x[np.abs(x) <= window * (1 + 1e-12)])
 
     gaps = np.diff(pos)
     if lam > 0 and gaps.size and np.max(gaps) > 1.5 * np.pi / lam:
@@ -373,29 +368,21 @@ def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, floa
 
     Evaluating the representation at ``z = i`` gives
     ``c = Re m(i)`` and ``b = Im m(i) - (1/pi) * sum mass/(1+t^2)``.
-    The sum over atoms outside the window is estimated with the free
-    lattice model at the system's exponential type (spacing ``h = pi /
-    type``), continued from the outermost observed atom ``A`` on each side
-    so the asymptotic phase of the zero sequence is inherited.  Asymptotic
-    masses may alternate, so the model continues the parity pattern of
-    :func:`~canspec.model.band_mass_pair`: the next atoms ``A + h, A + 3h,
-    ...`` carry one mass and ``A + 2h, A + 4h, ...`` the other.  Each
-    parity is a lattice of spacing ``2h`` summed in closed form,
-    ``sum_{j >= 1} 1/(1 + (a + 2h j)^2) = Im psi(1 + (a + i)/(2h)) / (2h)``
-    with the digamma function ``psi`` and ``a = A - h`` or ``a = A``.
+    The sum over atoms outside the window is estimated with the lattice
+    continuation :meth:`~canspec.model.SpectralMeasure.tail_lattices` at
+    the spacing ``h = pi / type`` of the system's exponential type.  Each
+    of its lattices ``first + 2h j`` is summed in closed form,
+    ``sum_{j >= 0} 1/(1 + (first + 2h j)^2) = Im psi((first + i)/(2h)) /
+    (2h)`` with the digamma function ``psi``.
     """
     m_i = weyl_function(H, 1j).m
     c = float(m_i.real)
     window_sum = float(np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi)
     spacing = np.pi / exponential_type(H)
+    step = 2.0 * spacing
     tail = 0.0
-    for side in (1.0, -1.0):
-        order = np.argsort(side * mu.positions)
-        anchor = abs(float(np.max(side * mu.positions)))
-        m_next, m_after = band_mass_pair(mu.masses[order])
-        for mass, start in ((m_next, anchor - spacing), (m_after, anchor)):
-            lattice_sum = scipy.special.psi(1.0 + (start + 1j) / (2.0 * spacing)).imag
-            tail += mass * lattice_sum / (2.0 * spacing * np.pi)
+    for _, first, mass in mu.tail_lattices(spacing):
+        tail += mass * scipy.special.psi((first + 1j) / step).imag / (step * np.pi)
     b = float(m_i.imag) - window_sum - tail
     # the hard floor is widened by a fraction of the applied correction:
     # the lattice continuation is a model, and its own error scales with
@@ -439,17 +426,12 @@ def weyl_titchmarsh(
     nodes, weights = quadrature_grid(H, r)
     if len(nodes) == 0:
         return 0.0
-    if callable(X):
-        xv = np.asarray(X(nodes))
-    else:
-        xv = np.asarray(X)
-        if xv.shape != (len(nodes), 2):
-            raise ValidationError(
-                f"sample grid misalignment: expected {(len(nodes), 2)} samples "
-                f"matching quadrature_grid, got {xv.shape}"
-            )
+    xv = np.asarray(X(nodes) if callable(X) else X)
     if xv.shape != (len(nodes), 2):
-        raise ValidationError(f"X must produce shape {(len(nodes), 2)}, got {xv.shape}")
+        raise ValidationError(
+            f"sample grid misalignment: expected {(len(nodes), 2)} samples "
+            f"matching quadrature_grid, got {xv.shape}"
+        )
     hmat = H.sample(nodes)
     hx = np.einsum("nij,nj->ni", hmat, xv)
     # <u, Theta(t, conj(z))> with real-coefficient entire Theta reduces to

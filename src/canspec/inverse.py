@@ -37,7 +37,6 @@ from .model import (
     ReconstructionResult,
     SpectralMeasure,
     ValidationError,
-    band_mass_pair,
 )
 from .pwspace import apply_inverse, build_operator, lattice_points
 
@@ -47,8 +46,6 @@ __all__ = [
     "recentering_moment",
     "boundary_cosine_values",
     "lattice_tail_sums",
-    "zeta",
-    "converged_truncation",
     "reconstruct",
 ]
 
@@ -119,24 +116,18 @@ def lattice_tail_sums(s: float, first: float, step: float) -> tuple[float, float
     )
 
 
-def recentering_moment(mu: SpectralMeasure, return_tail_bound: bool = False):
+def recentering_moment(mu: SpectralMeasure) -> float:
     """Measure moment ``(1/pi) * sum_{t != 0} mass / (t (1 + t^2))``.
 
     Summation runs over atoms ordered by ``|t|`` so that near-symmetric
-    pairs cancel early.  The reported tail bound uses the cubic decay of
-    the summand beyond the window.
+    pairs cancel early.
     """
     t = mu.positions
     m = mu.masses
     nz = t != 0.0
     terms = m[nz] / (t[nz] * (1.0 + t[nz] ** 2))
     order = np.argsort(np.abs(t[nz]), kind="stable")
-    value = float(math.fsum(terms[order])) / np.pi
-    if return_tail_bound:
-        r_eff = float(np.max(np.abs(t)))
-        bound = 1.0 / (np.pi * r_eff**2) if r_eff > 0 else np.inf
-        return value, bound
-    return value
+    return float(math.fsum(terms[order])) / np.pi
 
 
 def boundary_cosine_values(
@@ -213,16 +204,7 @@ class RecoveryPipeline:
     cosine values, pairing extensions) and serves per-bandwidth slices.
     """
 
-    def __init__(
-        self,
-        mu: SpectralMeasure,
-        c: float = 0.0,
-        cfg: GridConfig | None = None,
-        bandwidth: float | None = None,
-    ):
-        if cfg is None:
-            a = bandwidth if bandwidth is not None else mu.lattice_type()
-            cfg = GridConfig.for_bandwidth(a, measure_window=mu.window)
+    def __init__(self, mu: SpectralMeasure, c: float, cfg: GridConfig):
         self.mu = mu
         self.c = float(c)
         self.cfg = cfg
@@ -284,26 +266,19 @@ class RecoveryPipeline:
     def _model_tails(self, s: float) -> tuple[float, float, float]:
         """Lattice-model tails of the measure sums beyond the window.
 
-        The model lattice continues from the outermost atoms on each side
-        (inheriting the asymptotic phase of the zero sequence) to infinity.
-        Each mass parity is a lattice ``tau_i = B + 2h i`` summed by
-        :func:`lattice_tail_sums`.  Returns tails for the squared sine sum,
-        the squared cosine sum and their cross sum.
+        The model continues the atoms to infinity over
+        :meth:`~canspec.model.SpectralMeasure.tail_lattices` (alternating
+        masses correlate with the alternating component values), each
+        lattice summed by :func:`lattice_tail_sums`.  Returns tails for the
+        squared sine sum, the squared cosine sum and their cross sum.
         """
         spacing = np.pi / self.lattice
-        step = 2.0 * spacing
         sine = cosine = cross = 0.0
-        for side in (1.0, -1.0):
-            order = np.argsort(side * self.mu.positions)
-            anchor = float((side * self.mu.positions)[order][-1])
-            # alternating masses correlate with the alternating component
-            # values; continue the parity pattern of the real sequence
-            m_next, m_after = band_mass_pair(self.mu.masses[order])
-            for mass, first in ((m_next, anchor + spacing), (m_after, anchor + step)):
-                sine2, cosine2, cross_sum = lattice_tail_sums(s, first, step)
-                sine += mass * sine2
-                cosine += mass * cosine2
-                cross += side * mass * cross_sum
+        for side, first, mass in self.mu.tail_lattices(spacing):
+            sine2, cosine2, cross_sum = lattice_tail_sums(s, first, 2.0 * spacing)
+            sine += mass * sine2
+            cosine += mass * cosine2
+            cross += side * mass * cross_sum
         return sine, cosine, cross
 
     def _model_coefficients(self, basis) -> np.ndarray:
@@ -487,66 +462,11 @@ class RecoveryPipeline:
         return ReconstructionResult(ham, zeta_table, tau_table, diagnostics)
 
 
-def zeta(
-    mu: SpectralMeasure,
-    s: float,
-    bandwidth: float | None = None,
-    c: float = 0.0,
-    pw_truncation: int = 256,
-) -> float:
-    """Chain position at bandwidth ``s`` for a one-off query (builds a pipeline)."""
-    a = bandwidth if bandwidth is not None else mu.lattice_type()
-    cfg = GridConfig.for_bandwidth(
-        a, pw_truncation=pw_truncation, measure_window=mu.window
-    )
-    return RecoveryPipeline(mu, c=c, cfg=cfg).zeta(s)
-
-
-def converged_truncation(
-    mu: SpectralMeasure,
-    s: float,
-    bandwidth: float | None = None,
-    c: float = 0.0,
-    start: int = 64,
-    tol: float = 1e-5,
-    cap: int = 2048,
-) -> tuple[int, float]:
-    """Double the section half-size until the chain position stabilizes.
-
-    Finite sections of a boundedly invertible form converge; the window
-    caps the usable half-size, so the doubling stops there at the latest.
-    Returns the accepted half-size and the chain position at it.
-    """
-    a = bandwidth if bandwidth is not None else mu.lattice_type()
-    half = start
-    last = None
-    while True:
-        cfg = GridConfig.for_bandwidth(
-            a, pw_truncation=max(half, 8), measure_window=mu.window
-        )
-        effective = cfg.basis_half_size(s)
-        val = RecoveryPipeline(mu, c=c, cfg=cfg).zeta(s)
-        if last is not None and abs(val - last) < tol:
-            return effective, val
-        if effective < cfg.pw_truncation or half >= cap:
-            # the window (or the cap) is the binding constraint
-            return effective, val
-        last = val
-        half *= 2
-
-
-def reconstruct(
-    mu: SpectralMeasure,
-    c: float = 0.0,
-    cfg: GridConfig | None = None,
-    bandwidth: float | None = None,
-) -> ReconstructionResult:
+def reconstruct(mu: SpectralMeasure, c: float, cfg: GridConfig) -> ReconstructionResult:
     """Recover the trace-2 weight whose spectral measure is ``mu``.
 
     ``c`` is the additive Herglotz constant of the Weyl function; round
     trips obtain it from the forward solver, raw measures must supply it
-    (the measure alone does not determine it).  When no grid is given, a
-    default one is derived from the measure (bandwidth from the atom
-    spacing unless provided).
+    (the measure alone does not determine it).
     """
-    return RecoveryPipeline(mu, c=c, cfg=cfg, bandwidth=bandwidth).run()
+    return RecoveryPipeline(mu, c=c, cfg=cfg).run()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,15 +33,12 @@ __all__ = [
     "NumericalError",
     "ComparabilityError",
     "InvariantViolation",
-    "Atom",
     "Hamiltonian",
     "SpectralMeasure",
     "TransferMatrix",
     "GridConfig",
     "ReconstructionResult",
     "normalize_trace",
-    "merge_close_atoms",
-    "band_mass_pair",
     "load_hamiltonian",
     "save_hamiltonian",
     "dumps_hamiltonian",
@@ -85,13 +82,6 @@ class InvariantViolation(NumericalError):
     """A computed quantity breached its tolerance."""
 
 
-class Atom(NamedTuple):
-    """Single atom ``mass * delta(position)`` of a spectral measure."""
-
-    position: float
-    mass: float
-
-
 def _fmt(x: float) -> str:
     """Format a float with 17 significant digits (round-trip safe)."""
     return format(float(x), ".17g")
@@ -123,6 +113,8 @@ class Hamiltonian:
             raise ValidationError(
                 f"matrices shape {mats.shape} does not match {edges.size - 1} segments"
             )
+        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(mats))):
+            raise ValidationError("segment edges and matrices must be finite")
         if abs(edges[0]) > _TILING_TOL:
             raise ValidationError(f"first segment must start at 0, got {edges[0]!r}")
         edges[0] = 0.0
@@ -278,6 +270,9 @@ class SpectralMeasure:
         mass = np.asarray(self.masses, dtype=float).copy()
         if pos.ndim != 1 or pos.shape != mass.shape:
             raise ValidationError("positions and masses must be matching 1-d arrays")
+        scalars = [self.window, self.herglotz_b, self.herglotz_c]
+        if not np.all(np.isfinite(np.concatenate([pos, mass, scalars]))):
+            raise ValidationError("positions, masses, window, b and c must be finite")
         if pos.size == 0:
             raise ValidationError("measure has no atoms")
         if np.any(np.diff(pos) <= 0):
@@ -296,10 +291,6 @@ class SpectralMeasure:
         mass.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", mass)
-
-    @property
-    def atoms(self) -> list[Atom]:
-        return [Atom(float(t), float(m)) for t, m in zip(self.positions, self.masses)]
 
     @property
     def zero_index(self) -> int:
@@ -325,47 +316,28 @@ class SpectralMeasure:
     def with_constants(self, b: float, c: float) -> "SpectralMeasure":
         return SpectralMeasure(self.positions, self.masses, self.window, b, c)
 
+    def tail_lattices(self, spacing: float) -> list[tuple[float, float, float]]:
+        """Lattices that continue the atoms beyond the window, as ``(side, first, mass)``.
 
-def merge_close_atoms(
-    positions: np.ndarray, masses: np.ndarray, rtol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge atoms closer than ``rtol * (1 + |t|)``, summing masses.
-
-    Zero refinement can report the same root twice; merged positions are
-    the mass-weighted means.
-    """
-    order = np.argsort(positions)
-    pos = np.asarray(positions, dtype=float)[order]
-    mass = np.asarray(masses, dtype=float)[order]
-    out_pos: list[float] = []
-    out_mass: list[float] = []
-    for t, m in zip(pos, mass):
-        if out_pos and abs(t - out_pos[-1]) < rtol * (1.0 + abs(t)):
-            tot = out_mass[-1] + m
-            out_pos[-1] = (out_pos[-1] * out_mass[-1] + t * m) / tot
-            out_mass[-1] = tot
-        else:
-            out_pos.append(float(t))
-            out_mass.append(float(m))
-    return np.array(out_pos), np.array(out_mass)
-
-
-def band_mass_pair(ordered_masses: np.ndarray) -> tuple[float, float]:
-    """Parity-split outer-band mass means ``(next, after-next)``.
-
-    ``ordered_masses`` is sorted outward.  Asymptotic atom masses may
-    alternate between two values; continuing the observed parity pattern
-    keeps tail models consistent with value patterns that alternate at
-    the same rate.
-    """
-    n = ordered_masses.size
-    nband = min(32, max(2, n // 4))
-    band = ordered_masses[-nband:]
-    same_parity_as_last = band[-1::-2]
-    other_parity = band[-2::-2] if band.size > 1 else band
-    m_after = float(np.mean(same_parity_as_last))
-    m_next = float(np.mean(other_parity)) if other_parity.size else m_after
-    return m_next, m_after
+        On each side (``side`` is ``1.0``, then ``-1.0``) the continuation
+        starts from the outermost atom ``A`` at the given spacing ``h``, so
+        it inherits the asymptotic phase of the zero sequence.  Asymptotic
+        masses may alternate between two values, so it continues the
+        parity pattern of the outer band (the outer quarter of the atoms
+        sorted outward, 2 to 32 of them): the atoms ``A + h, A + 3h, ...``
+        carry the mean mass of the band's other parity and ``A + 2h, A +
+        4h, ...`` the mean of the outermost atom's parity.  Each parity is
+        the lattice ``|t| = first + 2h i``, ``i >= 0``.
+        """
+        lattices = []
+        for side in (1.0, -1.0):
+            order = np.argsort(side * self.positions)
+            anchor = float((side * self.positions)[order][-1])
+            band = self.masses[order][-min(32, max(2, order.size // 4)) :]
+            m_after = float(np.mean(band[-1::-2]))
+            m_next = float(np.mean(band[-2::-2])) if band.size > 1 else m_after
+            lattices += [(side, anchor + spacing, m_next), (side, anchor + 2.0 * spacing, m_after)]
+        return lattices
 
 
 @dataclass(frozen=True)
@@ -413,7 +385,6 @@ class GridConfig:
     measure_window: float = 200.0
     s_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, np.pi, 129)[1:])
     r_samples: int = 257
-    zero_scan_step: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.s_grid, dtype=float).copy()
@@ -440,11 +411,10 @@ class GridConfig:
         pw_truncation: int = 256,
         measure_window: float = 200.0,
         r_samples: int = 257,
-        zero_scan_step: float | None = None,
     ) -> "GridConfig":
         """Uniform ``s`` grid on ``(0, a]`` with ``s_samples`` points incl. 0."""
         grid = np.linspace(0.0, a, s_samples)[1:]
-        return cls(pw_truncation, measure_window, grid, r_samples, zero_scan_step)
+        return cls(pw_truncation, measure_window, grid, r_samples)
 
     def basis_half_size(self, s: float) -> int:
         """Effective basis half-size at bandwidth ``s``.
@@ -492,7 +462,7 @@ def dumps_hamiltonian(H: Hamiltonian) -> str:
 
 def loads_hamiltonian(text: str) -> Hamiltonian:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)  # keeps the sign of "-0"
     except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot parse Hamiltonian JSON: {exc}") from exc
     try:
@@ -505,7 +475,9 @@ def loads_hamiltonian(text: str) -> Hamiltonian:
             segments.append(
                 (float(seg["r0"]), float(seg["r1"]), float(h[0][0]), float(h[0][1]), float(h[1][1]))
             )
-    except (KeyError, TypeError, IndexError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: {exc!r}") from exc
     H = Hamiltonian.from_segments(segments)
     if abs(H.ell - ell) > _TILING_TOL * (1.0 + abs(ell)):
@@ -536,7 +508,7 @@ def dumps_measure(mu: SpectralMeasure) -> str:
 
 def loads_measure(text: str) -> SpectralMeasure:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)  # keeps the sign of "-0"
     except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot parse measure JSON: {exc}") from exc
     try:
@@ -545,7 +517,7 @@ def loads_measure(text: str) -> SpectralMeasure:
         window = float(doc["window"])
         b = float(doc.get("b", 0.0))
         c = float(doc.get("c", 0.0))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed measure JSON: {exc!r}") from exc
     order = np.argsort(pos)
     return SpectralMeasure(pos[order], mass[order], window, b, c)

@@ -22,7 +22,6 @@ from .model import (
     ReconstructionResult,
     SpectralMeasure,
     ValidationError,
-    band_mass_pair,
     normalize_trace,
 )
 from . import forward
@@ -127,25 +126,27 @@ def _piecewise_l1(Ha: Hamiltonian, Hb: Hamiltonian) -> np.ndarray:
     return l1 / denom
 
 
+#: Fraction of the interval dropped at both ends for the interior sup error.
+_INTERIOR = 0.02
+
+
 def roundtrip(
     H: Hamiltonian,
     window: float = 200.0,
     pw_truncation: int = 256,
     s_samples: int = 129,
     r_samples: int = 257,
-    interior: float = 0.02,
-    zero_scan_step: float | None = None,
 ) -> RoundtripReport:
     """Full forward-then-inverse pass with error accounting.
 
     Normalizes the trace, computes the spectral measure and its Herglotz
     constants, recovers the weight, and compares against the normalized
     input: exact entrywise relative L1 and sup errors over cell midpoints
-    (the interior sup drops a fraction ``interior`` at both ends, where
+    (the interior sup drops 2% of the interval at both ends, where
     one-sided effects dominate).
     """
     Ht, _ = normalize_trace(H)
-    mu = forward.spectral_measure(Ht, window, zero_scan_step)
+    mu = forward.spectral_measure(Ht, window)
     a = forward.exponential_type(Ht)
     cfg = GridConfig.for_bandwidth(
         a,
@@ -153,7 +154,6 @@ def roundtrip(
         pw_truncation=pw_truncation,
         measure_window=window,
         r_samples=r_samples,
-        zero_scan_step=zero_scan_step,
     )
     result = RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg).run()
     Hr = result.hamiltonian
@@ -162,7 +162,7 @@ def roundtrip(
     ref = Ht.sample(np.minimum(mids, Ht.ell * (1 - 1e-15)))
     err = np.abs(Hr.matrices - ref)
     sup = err.max(axis=0)
-    inner = (mids >= interior * Ht.ell) & (mids <= (1 - interior) * Ht.ell)
+    inner = (mids >= _INTERIOR * Ht.ell) & (mids <= (1 - _INTERIOR) * Ht.ell)
     sup_inner = err[inner].max(axis=0) if np.any(inner) else sup
     l1 = _piecewise_l1(Hr, Ht)
 
@@ -193,30 +193,23 @@ def _debranges_kernel(H: Hamiltonian, r: float, w: complex, zs: np.ndarray) -> n
     return out
 
 
-def kernel_identity_check(
-    H: Hamiltonian,
-    mu: SpectralMeasure,
-    s: float,
-    w: complex = 0.0,
-    pw_truncation: int = 256,
-    grid_size: int = 50,
-) -> float:
+def kernel_identity_check(H: Hamiltonian, mu: SpectralMeasure, s: float, w: complex = 0.0) -> float:
     """Residual of the inverted-kernel identity at one evaluation point.
 
     Applying the inverse of the sectioned form to the band-limited kernel
     at ``conj(w)`` must reproduce the chain-space reproducing kernel at
-    the position of exponential type ``s``.  The comparison runs on a
-    grid of ``grid_size`` consecutive basis nodes around the origin so
-    basis truncation does not masquerade as operator error; the returned
-    value is the relative sup difference.
+    the position of exponential type ``s``.  The section has the default
+    :class:`~canspec.model.GridConfig` half-size, and the comparison runs
+    on the 50 consecutive basis nodes around the origin so basis
+    truncation does not masquerade as operator error; the returned value
+    is the relative sup difference.
     """
-    cfg = GridConfig.for_bandwidth(s, pw_truncation=pw_truncation, measure_window=mu.window)
-    half = cfg.basis_half_size(s)
+    half = GridConfig.for_bandwidth(s, measure_window=mu.window).basis_half_size(s)
     op = build_operator(mu, s, half)
     coeffs = op.basis.kernel_coefficients(np.conj(complex(w)))
     u = apply_inverse(op, coeffs)
 
-    m = min(grid_size // 2, half)
+    m = min(25, half)
     idx = np.arange(op.basis.center - m, op.basis.center + m)
     nodes = op.basis.nodes[idx]
     # interpolation property of the sampling basis: values at nodes are
@@ -238,9 +231,9 @@ def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.nd
 
     The left sides are exact segment integrals of the weight entries; the
     right sides are measure sums of solution components, extended beyond
-    the window over the anchored lattice continuation with the solver
-    evaluated at the synthetic atoms (parity-split band masses) out to
-    ``_TAIL_SPAN`` windows.  Beyond that span the components follow the
+    the window over :meth:`~canspec.model.SpectralMeasure.tail_lattices`
+    with the solver evaluated at the synthetic atoms below ``_TAIL_SPAN``
+    windows plus one spacing.  Beyond that span the components follow the
     free model at the exponential type of ``[0, r]``, summed to infinity
     in closed form by :func:`~canspec.inverse.lattice_tail_sums`.
     """
@@ -262,27 +255,18 @@ def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.nd
 
     s = forward.exponential_type(H, r)
     spacing = np.pi / mu.lattice_type()
-    for side in (1.0, -1.0):
-        order = np.argsort(side * mu.positions)
-        anchor = float((side * mu.positions)[order][-1])
-        m_next, m_after = band_mass_pair(mu.masses[order])
-        nsteps = int(np.ceil((_TAIL_SPAN * mu.window - anchor) / spacing))
-        j = np.arange(1, nsteps + 1)
-        ts = side * (anchor + spacing * j)
-        # masses may alternate between two values correlated with the
-        # alternating solution components; continue the parity pattern
-        mw = np.where(j % 2 == 1, m_next, m_after)
-        g1, g2 = components(ts)
-        s11 += float(np.sum(mw * g1 * g1))
-        s22 += float(np.sum(mw * g2 * g2))
-        s12 += float(np.sum(mw * g1 * g2))
+    step = 2.0 * spacing
+    for side, first, mass in mu.tail_lattices(spacing):
+        taus = np.arange(first, _TAIL_SPAN * mu.window + spacing, step)
+        g1, g2 = components(side * taus)
+        s11 += mass * float(np.sum(g1 * g1))
+        s22 += mass * float(np.sum(g2 * g2))
+        s12 += mass * float(np.sum(g1 * g2))
         # model remainder beyond the span: f1 = -sin(st)/t, f2 = (cos st - 1)/t
-        for i in (nsteps + 1, nsteps + 2):
-            mass = m_next if i % 2 == 1 else m_after
-            sine2, cosine2, cross = lattice_tail_sums(s, anchor + spacing * i, 2.0 * spacing)
-            s11 += mass * sine2
-            s22 += mass * cosine2
-            s12 -= side * mass * cross
+        sine2, cosine2, cross = lattice_tail_sums(s, first + step * taus.size, step)
+        s11 += mass * sine2
+        s22 += mass * cosine2
+        s12 -= side * mass * cross
 
     rhs11 = s11 / np.pi
     rhs22 = s22 / np.pi

@@ -6,9 +6,9 @@ quadratic form becomes a symmetric Gram matrix over that basis; its
 factorization drives the whole recovery pipeline.
 
 Gram matrices assembled over a windowed measure miss the slowly decaying
-atom tail.  By default the missing part is completed with the free
-lattice model at the type estimated from the atom spacing (spacing and
-masses ``pi / L``): the full lattice sum is the identity by the sampling
+atom tail.  The missing part is completed with the free lattice model
+at the type estimated from the atom spacing (spacing and masses
+``pi / L``): the full lattice sum is the identity by the sampling
 theorem, so the completion is ``I`` minus the in-window lattice Gram.
 The completion is exact on the free fixture and a controlled heuristic
 otherwise; the raw windowed matrix stays available for diagnostics.
@@ -32,7 +32,6 @@ __all__ = [
     "lattice_points",
     "apply_inverse",
     "frame_bounds",
-    "evaluate_pw",
 ]
 
 _DENSE_LIMIT = 4097  # largest direct factorization; beyond is out of desk scale
@@ -159,27 +158,6 @@ class PWOperator:
     gram_window: np.ndarray
     atom_matrix: np.ndarray
     _cho: tuple = None
-    _extremes: tuple | None = None
-
-    @property
-    def s(self) -> float:
-        return self.basis.s
-
-    def extreme_eigenvalues(self) -> tuple[float, float]:
-        if self._extremes is None:
-            n = self.gram.shape[0]
-            if n <= _DIRECT_EIG_LIMIT:
-                # the full spectrum: LAPACK's index-subset drivers fail to
-                # converge on sections that equal the identity to roundoff
-                evals = scipy.linalg.eigvalsh(self.gram)
-                lo, hi = evals[0], evals[-1]
-            else:
-                from scipy.sparse.linalg import eigsh
-
-                lo = eigsh(self.gram, k=1, which="SA", tol=1e-8)[0][0]
-                hi = eigsh(self.gram, k=1, which="LA", tol=1e-8)[0][0]
-            self._extremes = (float(lo), float(hi))
-        return self._extremes
 
 
 def lattice_points(extent: float, lattice_type: float) -> tuple[np.ndarray, np.ndarray]:
@@ -193,9 +171,7 @@ def lattice_points(extent: float, lattice_type: float) -> tuple[np.ndarray, np.n
     return k, np.pi * k / lattice_type
 
 
-def build_operator(
-    mu: SpectralMeasure, s: float, half_size: int, tail_completion: bool = True
-) -> PWOperator:
+def build_operator(mu: SpectralMeasure, s: float, half_size: int) -> PWOperator:
     """Assemble and factorize the sectioned quadratic form at bandwidth ``s``.
 
     The basis nodes must fall inside the measure window.  Factorization
@@ -216,7 +192,7 @@ def build_operator(
     phi = basis.functions_at(mu.positions)
     gram_window = (phi * mu.masses[None, :]) @ phi.T
     gram_window = 0.5 * (gram_window + gram_window.T)
-    if tail_completion and mu.positions.size > 1:
+    if mu.positions.size > 1:
         lam = mu.lattice_type()
         _, lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
         phi_lat = basis.functions_at(lattice)
@@ -268,26 +244,21 @@ def apply_inverse(op: PWOperator, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def frame_bounds(
-    mu: SpectralMeasure, s: float, half_size: int, tail_completion: bool = True
-) -> tuple[float, float]:
+def frame_bounds(mu: SpectralMeasure, s: float, half_size: int) -> tuple[float, float]:
     """Extreme eigenvalues of the sectioned form: a comparability certificate.
 
     They bound the ratio of the measure norm to the line norm over the
     truncated band-limited section; stability of the lower bound under
     refinement is the practical substitute for the density condition.
     """
-    op = build_operator(mu, s, half_size, tail_completion)
-    return op.extreme_eigenvalues()
+    gram = build_operator(mu, s, half_size).gram
+    if gram.shape[0] <= _DIRECT_EIG_LIMIT:
+        # the full spectrum: LAPACK's index-subset drivers fail to
+        # converge on sections that equal the identity to roundoff
+        evals = scipy.linalg.eigvalsh(gram)
+        return float(evals[0]), float(evals[-1])
+    from scipy.sparse.linalg import eigsh
 
-
-def evaluate_pw(coeffs: np.ndarray, basis: PWBasis, x) -> np.ndarray | float:
-    """Evaluate ``sum_k coeffs[k] * phi_k`` at real points ``x``."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[0] != basis.size:
-        raise ValidationError("coefficient vector does not match the basis size")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = basis.functions_at(xs).T @ coeffs
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return vals[0]
-    return vals
+    lo = eigsh(gram, k=1, which="SA", tol=1e-8)[0][0]
+    hi = eigsh(gram, k=1, which="LA", tol=1e-8)[0][0]
+    return float(lo), float(hi)

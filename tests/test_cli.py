@@ -195,3 +195,104 @@ class TestCheckDiagCommand:
         assert code == 0
         doc = json.loads((tmp_path / "checkdiag.json").read_text())
         assert doc[0]["oracle_delta"] < 1e-6
+
+
+class TestCanonicalJsonOutputs:
+    def test_measure_json_has_17_digits(self, free_h_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["forward", "--in", str(free_h_file), "--window", "30",
+                     "--out-dir", str(out)]) == 0
+        path = out / "measure.json"
+        assert path.read_text() == dumps_measure(load_measure(path)) + "\n"
+
+    def test_hamiltonian_json_has_17_digits(self, free_mu_file, tmp_path):
+        out = tmp_path / "rec"
+        assert main(["inverse", "--in", str(free_mu_file), "--c", "0", "--pw-trunc", "64",
+                     "--s-samples", "17", "--r-samples", "33", "--out-dir", str(out)]) == 0
+        path = out / "hamiltonian.json"
+        assert path.read_text() == dumps_hamiltonian(load_hamiltonian(path)) + "\n"
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+class TestBadNumbersExit2:
+    @pytest.mark.parametrize(
+        "keys,value",
+        [
+            (["window"], "abc"),
+            (["window"], float("inf")),
+            (["b"], float("nan")),
+            (["c"], float("-inf")),
+            (["atoms", 3, "mass"], float("nan")),
+            (["atoms", 3, "t"], "x"),
+            (["atoms", -1, "t"], float("inf")),
+        ],
+        ids=["window-str", "window-inf", "b-nan", "c-inf", "mass-nan", "t-str", "t-inf"],
+    )
+    def test_measure(self, free_mu_file, tmp_path, keys, value):
+        doc = json.loads(free_mu_file.read_text())
+        _set(doc, keys, value)
+        free_mu_file.write_text(json.dumps(doc))
+        code = main(["inverse", "--in", str(free_mu_file), "--c", "0", "--pw-trunc", "16",
+                     "--s-samples", "9", "--r-samples", "17", "--out-dir", str(tmp_path)])
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "keys,value",
+        [
+            (["segments", 0, "r1"], "x"),
+            (["ell"], "abc"),
+            (["segments", 0, "h", 0, 0], float("nan")),
+            (["segments", 0, "h", 1, 1], float("inf")),
+        ],
+        ids=["r1-str", "ell-str", "h11-nan", "h22-inf"],
+    )
+    def test_hamiltonian(self, free_h_file, tmp_path, keys, value):
+        doc = json.loads(free_h_file.read_text())
+        _set(doc, keys, value)
+        free_h_file.write_text(json.dumps(doc))
+        code = main(["forward", "--in", str(free_h_file), "--window", "10",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+
+
+class TestZeroBandwidthExit2:
+    def test_inverse(self, free_mu_file, tmp_path):
+        code = main(["inverse", "--in", str(free_mu_file), "--c", "0", "--bandwidth", "0",
+                     "--pw-trunc", "16", "--s-samples", "9", "--r-samples", "17",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+
+    def test_framebounds(self, free_mu_file, tmp_path):
+        code = main(["framebounds", "--in", str(free_mu_file), "--s", "0",
+                     "--pw-trunc", "16", "--out-dir", str(tmp_path)])
+        assert code == 2
+
+
+class TestCheckDiagProfileRows:
+    def _ratio(self, tmp_path, text):
+        prof = tmp_path / "w.txt"
+        prof.write_text(text)
+        out = tmp_path / "out"
+        code = main(["check-diag", "--in", str(prof), "--n", "2", "--s", "1.0",
+                     "--out-dir", str(out)])
+        assert code == 0
+        return json.loads((out / "checkdiag.json").read_text())[0]["ratio"]
+
+    def test_exponent_first_row_is_data(self, tmp_path):
+        rest = "\n0.5 1.0\n1.0 1.0\n"
+        plain = self._ratio(tmp_path, "0.001 5.0" + rest)
+        assert self._ratio(tmp_path, "1e-3 5.0" + rest) == plain
+        assert self._ratio(tmp_path, "t w\n0.001 5.0" + rest) == plain
+
+    @pytest.mark.parametrize("bad_row", ["0.5 1.0 2.0", "0.5 abc"], ids=["3-columns", "text"])
+    def test_bad_row_exits_2(self, tmp_path, bad_row):
+        prof = tmp_path / "w.txt"
+        prof.write_text(f"t w\n0.0 1.0\n{bad_row}\n1.0 1.0\n")
+        code = main(["check-diag", "--in", str(prof), "--n", "2", "--s", "1.0",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2

@@ -6,12 +6,9 @@ import pytest
 from canspec import forward
 from canspec.inverse import (
     RecoveryPipeline,
-    band_mass_pair,
     boundary_cosine_values,
-    converged_truncation,
     recentering_moment,
     reconstruct,
-    zeta,
 )
 from canspec.model import GridConfig, Hamiltonian, NumericalError, SpectralMeasure, normalize_trace
 
@@ -72,11 +69,6 @@ class TestRecenteringMoment:
         mass = np.array([0.7, 1.3, 1.0, 1.3, 0.7])
         mu = SpectralMeasure(pos, mass, 10.0)
         assert abs(recentering_moment(mu)) < 1e-14
-
-    def test_tail_bound_reported(self, free_pi):
-        _, mu, _ = free_pi
-        val, bound = recentering_moment(mu, return_tail_bound=True)
-        assert bound == pytest.approx(1.0 / (np.pi * 200.0**2))
 
 
 class TestSineComponent:
@@ -213,19 +205,6 @@ class TestChainPosition:
             xi = forward.type_inverse(step_hamiltonian, s)
             assert abs(pipe.zeta(s) - xi) < 2e-3
 
-    def test_one_shot_wrapper(self, free_pi):
-        _, mu, _ = free_pi
-        val = zeta(mu, 1.0, bandwidth=np.pi, pw_truncation=64)
-        assert abs(val - 1.0) < 1e-3
-
-    def test_converged_truncation(self, step_measure, step_hamiltonian):
-        a = forward.exponential_type(step_hamiltonian)
-        half, val = converged_truncation(step_measure, 0.75 * a, bandwidth=a,
-                                         c=step_measure.herglotz_c)
-        assert half >= 64
-        xi = forward.type_inverse(step_hamiltonian, 0.75 * a)
-        assert abs(val - xi) < 2e-3
-
     def test_sine_norm_identity_free(self, free_pipeline):
         # reproducing identity at the stated tolerance where the tail
         # completion is exact
@@ -321,39 +300,42 @@ class TestReconstruct:
 
 
 class TestBandMassPair:
+    """Parity-split outer-band masses of ``SpectralMeasure.tail_lattices``."""
+
     def test_alternating_pattern(self):
-        masses = np.array([1.0, 2.0] * 20)
-        m_next, m_after = band_mass_pair(masses)
-        assert m_after == pytest.approx(2.0)  # same parity as the last entry
-        assert m_next == pytest.approx(1.0)
+        k = np.arange(-20, 21)
+        masses = np.where(k % 2 == 0, 2.0, 1.0)
+        mu = SpectralMeasure(k.astype(float), masses, 20.5)
+        for side in (1.0, -1.0):
+            (_, first_next, m_next), (_, first_after, m_after) = [
+                lat for lat in mu.tail_lattices(1.0) if lat[0] == side
+            ]
+            assert (first_next, first_after) == (21.0, 22.0)
+            assert m_after == pytest.approx(2.0)  # same parity as the outermost atom
+            assert m_next == pytest.approx(1.0)
 
     def test_constant_pattern(self):
-        m_next, m_after = band_mass_pair(np.full(30, 0.7))
-        assert m_next == pytest.approx(0.7)
-        assert m_after == pytest.approx(0.7)
+        k = np.arange(-15, 15)
+        mu = SpectralMeasure(k.astype(float), np.full(k.size, 0.7), 15.5)
+        masses = [mass for _, _, mass in mu.tail_lattices(1.0)]
+        assert masses == pytest.approx([0.7] * 4)
 
 
 def _brute_force_tails(pipe, s, terms=2**22, chunk=2**19):
     """Explicit lattice-model sums over ``terms`` points per side, plus the
     oscillation-averaged remainder; returns the tails and a bound on the
     error of that remainder (exact only where the oscillation averages)."""
-    mu = pipe.mu
     spacing = np.pi / pipe.lattice
     sine = cosine = cross = bound = 0.0
-    for side in (1.0, -1.0):
-        order = np.argsort(side * mu.positions)
-        anchor = float((side * mu.positions)[order][-1])
-        m_next, m_after = band_mass_pair(mu.masses[order])
-        for start in range(1, terms + 1, chunk):
-            j = np.arange(start, start + chunk)
-            t = side * (anchor + spacing * j)
-            mw = np.where(j % 2 == 1, m_next, m_after)
+    for side, first, mass in pipe.mu.tail_lattices(spacing):
+        for start in range(0, terms // 2, chunk // 2):
+            t = side * (first + 2.0 * spacing * np.arange(start, start + chunk // 2))
             sv = np.sin(s * t) / t
             cv = (np.cos(s * t) - 1.0) / t
-            sine += float(np.sum(mw * sv * sv))
-            cosine += float(np.sum(mw * cv * cv))
-            cross += float(np.sum(mw * sv * cv))
-        rest = 0.5 * (m_next + m_after) / (spacing * (anchor + spacing * terms))
+            sine += mass * float(np.sum(sv * sv))
+            cosine += mass * float(np.sum(cv * cv))
+            cross += mass * float(np.sum(sv * cv))
+        rest = 0.5 * mass / (spacing * (first + spacing * (terms - 1)))
         sine += 0.5 * rest
         cosine += 1.5 * rest
         bound += 2.5 * rest  # (cos - 1)^2 in [0, 4] against its mean 3/2

@@ -15,7 +15,6 @@ from canspec.model import (
     dumps_measure,
     loads_hamiltonian,
     loads_measure,
-    merge_close_atoms,
     normalize_trace,
 )
 
@@ -137,12 +136,12 @@ class TestSpectralMeasureInvariants:
         _, mu, _ = free_pi
         assert mu.lattice_type() == pytest.approx(np.pi, rel=1e-14)
 
-    def test_merge_close_atoms(self):
-        pos = np.array([0.0, 1.0, 1.0 + 1e-12, 2.0])
-        mass = np.array([1.0, 0.5, 0.25, 1.0])
-        p, m = merge_close_atoms(pos, mass)
-        assert p.size == 3
-        assert m[1] == pytest.approx(0.75)
+    def test_tail_lattices_anchor_at_outermost_atoms(self):
+        mu = SpectralMeasure(np.array([-3.0, -1.0, 0.0, 2.0]), np.ones(4), 5.0)
+        lattices = mu.tail_lattices(0.5)
+        assert [(side, first) for side, first, _ in lattices] == [
+            (1.0, 2.5), (1.0, 3.0), (-1.0, 3.5), (-1.0, 4.0)
+        ]
 
 
 class TestNormalizeTrace:

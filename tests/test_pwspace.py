@@ -6,7 +6,6 @@ from canspec.pwspace import (
     PWBasis,
     apply_inverse,
     build_operator,
-    evaluate_pw,
     frame_bounds,
     sinc_kernel,
     sinc_kernel_dt,
@@ -140,7 +139,7 @@ class TestBuildOperator:
     def test_parseval_windowed(self, step_measure_small):
         # atomwise norm equals the windowed quadratic form exactly
         mu = step_measure_small
-        op = build_operator(mu, 1.5, 16, tail_completion=False)
+        op = build_operator(mu, 1.5, 16)
         rng = np.random.default_rng(3)
         c = rng.standard_normal(op.basis.size)
         vals = op.atom_matrix.T @ c
@@ -216,7 +215,7 @@ class TestEvaluate:
         c = np.zeros(basis.size)
         c[basis.center + 3] = 1.0
         xs = np.linspace(-2, 2, 7)
-        got = evaluate_pw(c, basis, xs)
+        got = basis.functions_at(xs).T @ c
         want = np.sqrt(np.pi / 1.3) * sinc_kernel(1.3, xs, basis.nodes[basis.center + 3])
         # at x = 0 the function vanishes exactly; atol covers the kernel's roundoff there
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
@@ -225,7 +224,7 @@ class TestEvaluate:
         basis = PWBasis(2.0, 8)
         rng = np.random.default_rng(11)
         c = rng.standard_normal(basis.size)
-        got = evaluate_pw(c, basis, basis.nodes[5])
+        (got,) = basis.functions_at(basis.nodes[5]).T @ c
         assert got == pytest.approx(c[5] * np.sqrt(2.0 / np.pi), rel=1e-12)
 
     def test_shifted_kernel_expansion_converges(self):
@@ -234,11 +233,6 @@ class TestEvaluate:
             basis = PWBasis(s, half)
             c = basis.kernel_coefficients(t0)
             xs = np.linspace(-3, 3, 11)
-            got = evaluate_pw(c, basis, xs)
+            got = basis.functions_at(xs).T @ c
             want = sinc_kernel(s, xs, t0)
             assert np.max(np.abs(got - want)) < tol
-
-    def test_coefficient_size_guard(self):
-        basis = PWBasis(1.0, 4)
-        with pytest.raises(ValidationError):
-            evaluate_pw(np.ones(3), basis, 0.0)
