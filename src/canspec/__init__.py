@@ -24,7 +24,6 @@ from .forward import (
     propagate,
     spectral_measure,
     weyl_function,
-    weyl_titchmarsh,
 )
 from .pwspace import PWBasis, PWOperator, build_operator, frame_bounds, sinc_kernel
 from .inverse import RecoveryPipeline, reconstruct
@@ -60,5 +59,4 @@ __all__ = [
     "sinc_kernel",
     "spectral_measure",
     "weyl_function",
-    "weyl_titchmarsh",
 ]

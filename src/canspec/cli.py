@@ -121,10 +121,10 @@ def _check_gates(diagnostics: dict, tol_override: float | None) -> list[str]:
 def _grid_config(mu_or_a, opts: dict, window: float) -> GridConfig:
     return GridConfig.for_bandwidth(
         mu_or_a,
-        s_samples=opts.get("s_samples", 129),
-        pw_truncation=opts.get("pw_trunc", 256),
+        s_samples=opts["s_samples"],
+        pw_truncation=opts["pw_trunc"],
         measure_window=window,
-        r_samples=opts.get("r_samples", 257),
+        r_samples=opts["r_samples"],
     )
 
 
@@ -137,7 +137,7 @@ def _det_certificate(H: Hamiltonian, mu: SpectralMeasure) -> float:
 def _cmd_forward(manifest: RunManifest) -> list[str]:
     opts = manifest.options
     H = load_hamiltonian(manifest.inputs[0])
-    mu = forward.spectral_measure(H, opts["window"], opts.get("step"))
+    mu = forward.spectral_measure(H, opts["window"], opts["step"])
     _write(manifest.output("measure.json"), dumps_measure(mu))
     diagnostics = {
         "atoms": int(mu.positions.size),
@@ -148,7 +148,7 @@ def _cmd_forward(manifest: RunManifest) -> list[str]:
     }
     _write_json(manifest.output("diagnostics.json"), diagnostics)
     print(f"wrote {manifest.output('measure.json')} ({mu.positions.size} atoms)")
-    return _check_gates(diagnostics, opts.get("tol_override"))
+    return _check_gates(diagnostics, opts["tol_override"])
 
 
 def _reconstruction_outputs(manifest: RunManifest, result, prefix: str = "") -> None:
@@ -170,7 +170,7 @@ def _reconstruction_outputs(manifest: RunManifest, result, prefix: str = "") -> 
 def _cmd_inverse(manifest: RunManifest) -> list[str]:
     opts = manifest.options
     mu = load_measure(manifest.inputs[0])
-    c = opts.get("c")
+    c = opts["c"]
     if c is None:
         c = mu.herglotz_c
         if c == 0.0:
@@ -186,7 +186,7 @@ def _cmd_inverse(manifest: RunManifest) -> list[str]:
     diagnostics = dict(result.diagnostics)
     _write_json(manifest.output("diagnostics.json"), diagnostics)
     print(f"recovered weight on [0, {result.hamiltonian.ell:.6g}]")
-    return _check_gates(diagnostics, opts.get("tol_override"))
+    return _check_gates(diagnostics, opts["tol_override"])
 
 
 def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
@@ -195,9 +195,9 @@ def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
     report = oracles.roundtrip(
         H,
         window=opts["window"],
-        pw_truncation=opts.get("pw_trunc", 256),
-        s_samples=opts.get("s_samples", 129),
-        r_samples=opts.get("r_samples", 257),
+        pw_truncation=opts["pw_trunc"],
+        s_samples=opts["s_samples"],
+        r_samples=opts["r_samples"],
     )
     _write(manifest.output("normalized_input.json"), dumps_hamiltonian(report.normalized))
     _reconstruction_outputs(manifest, report.result, prefix="recovered_")
@@ -220,7 +220,7 @@ def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
         f"round trip: max relative L1 error {report.max_l1_relative:.3e}, "
         f"interior sup {float(np.max(report.sup_error_interior)):.3e}"
     )
-    return _check_gates(diagnostics, opts.get("tol_override"))
+    return _check_gates(diagnostics, opts["tol_override"])
 
 
 def _cmd_framebounds(manifest: RunManifest) -> list[str]:
@@ -228,7 +228,7 @@ def _cmd_framebounds(manifest: RunManifest) -> list[str]:
     mu = load_measure(manifest.inputs[0])
     s = mu.lattice_type() if opts["s"] is None else opts["s"]
     half = GridConfig.for_bandwidth(
-        s, pw_truncation=opts.get("pw_trunc", 256), measure_window=mu.window
+        s, pw_truncation=opts["pw_trunc"], measure_window=mu.window
     ).basis_half_size(s)
     lo, hi = frame_bounds(mu, s, half)
     doc = {"lambda_min": lo, "lambda_max": hi, "N": half, "s": s}
@@ -239,7 +239,7 @@ def _cmd_framebounds(manifest: RunManifest) -> list[str]:
 
 def _cmd_example_nonpw(manifest: RunManifest) -> list[str]:
     opts = manifest.options
-    report = oracles.nonpw_example(opts["h"], opts.get("kmax", 6))
+    report = oracles.nonpw_example(opts["h"], opts["kmax"])
     doc = {
         "h": report.h,
         "k": report.k_list,

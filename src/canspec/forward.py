@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.special
@@ -37,8 +36,6 @@ __all__ = [
     "spectral_measure",
     "weyl_function",
     "herglotz_constants",
-    "weyl_titchmarsh",
-    "quadrature_grid",
     "exponential_type",
     "type_inverse",
 ]
@@ -82,79 +79,50 @@ def _csd(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, s, d
 
 
-def _effective_lengths(H: Hamiltonian, r) -> np.ndarray:
-    """Segment lengths clipped to ``[0, r]``, shape ``r.shape + (nsegments,)``."""
-    r = np.asarray(r, dtype=float)
-    if not np.all((r >= -1e-15) & (r <= H.ell * (1 + 1e-12) + 1e-15)):
+def _effective_lengths(H: Hamiltonian, r: float) -> np.ndarray:
+    """Segment lengths clipped to ``[0, r]``."""
+    r = float(r)
+    if not -1e-15 <= r <= H.ell * (1 + 1e-12) + 1e-15:
         raise ValidationError(f"r={r!r} outside [0, {H.ell!r}]")
-    return np.clip(np.minimum(H.edges[1:], r[..., None]) - H.edges[:-1], 0.0, None)
-
-
-def _generators(H: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment ``K = -J H`` and ``det H``."""
-    h = H.matrices
-    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1).reshape(-1, 2, 2)
-    # determinants within PSD slack of zero behave as rank-one segments
-    return K, np.maximum(H.determinants(), 0.0)
-
-
-def _factor(z: np.ndarray, d, K: np.ndarray, det, derivative: bool):
-    """Exact segment factors ``exp(d A)`` at the points ``z`` and, on request, ``dF/dz``.
-
-    ``d`` and ``det`` are scalars or one per point; ``K`` is one generator or one per point.
-    """
-    eye = np.eye(2)
-    z2 = z**2
-    gamma = det * d * d
-    delta = z2 * gamma
-    if derivative:
-        c, s, dd = _csd(delta)
-    else:
-        c, s = _cs(delta)
-    F = c[:, None, None] * eye + (s * z * d)[:, None, None] * K
-    if not derivative:
-        return F, None
-    # dF/dz = -z*gamma*S*I + (z^2*gamma*D + S) * d * K
-    dF = (-z * gamma * s)[:, None, None] * eye + ((z2 * gamma * dd + s) * d)[:, None, None] * K
-    return F, dF
+    return np.clip(np.minimum(H.edges[1:], r) - H.edges[:-1], 0.0, None)
 
 
 def _propagate(
-    H: Hamiltonian, r, z, derivative: bool = False, running: bool = False
+    H: Hamiltonian, r: float, z, derivative: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Segment products ``M(r, z)`` and, on request, ``dM/dz``.
+    """Segment product ``M(r, z)`` and, on request, ``dM/dz``.
 
-    ``r`` and ``z`` broadcast together; every point multiplies the exact
-    segment factors over its own ``[0, r]``.  A segment the point does not
-    reach has length 0, whose factor is exactly the identity.  Returns
-    arrays of shape ``broadcast + (2, 2)`` (real for real ``z``) and
-    ``None`` for the derivative unless it is asked for.  ``running``
-    stacks the products at ``edges[:reached]`` and ``r`` on a leading axis.
+    Each segment of length ``d`` inside ``[0, r]`` contributes the exact
+    factor ``C I + S z d K`` with ``K = -J H`` and ``C``, ``S`` from
+    :func:`_cs` at ``delta = z**2 det(H) d**2``.  Returns arrays of shape
+    ``z.shape + (2, 2)`` (real for real ``z``) and ``None`` for the
+    derivative unless it is asked for.
     """
-    r = np.asarray(r, dtype=float)
     z = np.asarray(z)
-    shape = np.broadcast_shapes(r.shape, z.shape)
-    z = np.broadcast_to(z, shape).reshape(-1)
-    if r.ndim:
-        r = np.broadcast_to(r, shape).reshape(-1)
-    # per-segment lengths of each point, computed once: (nsegments,) or (nsegments, n)
-    steps = _effective_lengths(H, r).T
-    reached = int(np.count_nonzero(H.edges[:-1] < np.max(r, initial=0.0)))
-    K, dets = _generators(H)
-    M = np.broadcast_to(np.eye(2), (z.size, 2, 2)).astype(complex if np.iscomplexobj(z) else float)
+    shape = z.shape + (2, 2)
+    z = z.reshape(-1)
+    h = H.matrices
+    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1).reshape(-1, 2, 2)
+    # determinants within PSD slack of zero behave as rank-one segments
+    dets = np.maximum(H.determinants(), 0.0)
+    lengths = _effective_lengths(H, r)
+    eye = np.eye(2)
+    z2 = z**2
+    M = np.broadcast_to(eye, (z.size, 2, 2)).astype(complex if np.iscomplexobj(z) else float)
     dM = np.zeros_like(M) if derivative else None
-    trail = [M]
-    for d, Kj, detj in zip(steps[:reached], K, dets):
-        F, dF = _factor(z, d, Kj, detj, derivative)
+    # the segments reached by r are a prefix, each of positive length
+    for d, Kj, det in zip(lengths[lengths > 0], K, dets):
+        gamma = det * d * d
+        delta = z2 * gamma
+        c, s, dd = _csd(delta) if derivative else (*_cs(delta), None)
+        F = c[:, None, None] * eye + (s * z * d)[:, None, None] * Kj
         if derivative:
+            # dF/dz = -z*gamma*S*I + (z^2*gamma*D + S) * d * K
+            dk = (z2 * gamma * dd + s) * d
+            dF = (-z * gamma * s)[:, None, None] * eye + dk[:, None, None] * Kj
             dM = dF @ M + F @ dM
         M = F @ M
-        if running:
-            trail.append(M)
-    out = shape + (2, 2)
-    if running:
-        M, out = np.stack(trail), (len(trail),) + out
-    return M.reshape(out), None if dM is None else dM.reshape(shape + (2, 2))
+    return M.reshape(shape), None if dM is None else dM.reshape(shape)
 
 
 def transfer_entries(H: Hamiltonian, r: float, z: np.ndarray) -> np.ndarray:
@@ -252,11 +220,15 @@ def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.n
     |x|)`` the loop stops; after ``_REFINE_PASSES`` passes without that it
     raises :class:`NumericalError`.
     """
+    if not 0.0 < window < np.inf:
+        raise ValidationError(f"window={window!r} must be positive and finite")
     ell = H.ell
     lam = exponential_type(H, ell)
     max_step = np.pi / (2.0 * lam) if lam > 0 else window
     if step is None:
         step = 0.5 * max_step
+    if not 0.0 < step < np.inf:
+        raise ValidationError(f"scan step {step!r} must be positive and finite")
     if step > max_step * (1 + 1e-9):
         raise ValidationError(
             f"scan step {step!r} exceeds pi/(2*type)={max_step!r}; zeros could be skipped"
@@ -393,53 +365,3 @@ def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, floa
             "the measure window is too small"
         )
     return b, c
-
-
-# ---------------------------------------------------------------------------
-# Weyl-Titchmarsh transform by composite Gauss-Legendre quadrature
-# ---------------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def quadrature_grid(H: Hamiltonian, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 8-point Gauss-Legendre grid aligned with segments on ``[0, r]``."""
-    eff = _effective_lengths(H, r)
-    d = eff[eff > 0.0][:, None]
-    lo = H.edges[: d.shape[0], None]
-    return (lo + 0.5 * d * (_GL_NODES + 1.0)).ravel(), (0.5 * d * _GL_WEIGHTS).ravel()
-
-
-def weyl_titchmarsh(
-    H: Hamiltonian,
-    r: float,
-    X: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-    z: complex,
-) -> complex:
-    """Spectral transform of a vector function on ``[0, r]`` at ``z``.
-
-    Computes ``(1/sqrt(pi)) * integral_0^r <H(t) X(t), Theta(t, conj(z))> dt``
-    by segment-aligned Gauss-Legendre quadrature of order 8.  ``X`` is a
-    callable returning shape ``(n, 2)`` for an array of positions, or an
-    array of samples matching :func:`quadrature_grid` exactly.
-    """
-    nodes, weights = quadrature_grid(H, r)
-    if len(nodes) == 0:
-        return 0.0
-    xv = np.asarray(X(nodes) if callable(X) else X)
-    if xv.shape != (len(nodes), 2):
-        raise ValidationError(
-            f"sample grid misalignment: expected {(len(nodes), 2)} samples "
-            f"matching quadrature_grid, got {xv.shape}"
-        )
-    hmat = H.sample(nodes)
-    hx = np.einsum("nij,nj->ni", hmat, xv)
-    # <u, Theta(t, conj(z))> with real-coefficient entire Theta reduces to
-    # the bilinear pairing against Theta(t, z).  Each node continues the
-    # running product at its segment's left edge by one partial factor.
-    seg = np.searchsorted(H.edges, nodes, side="right") - 1
-    K, dets = _generators(H)
-    F = _factor(np.full(nodes.shape, z), nodes - H.edges[seg], K[seg], dets[seg], False)[0]
-    theta = (F @ _propagate(H, r, z, running=True)[0][seg])[:, :, 0]
-    integrand = hx[:, 0] * theta[:, 0] + hx[:, 1] * theta[:, 1]
-    return complex(np.sum(weights * integrand) / np.sqrt(np.pi))

@@ -197,6 +197,17 @@ class BandwidthSlice:
         return abs(2.0 * self.zeta - self.sine_at_zero - self.norm2_cosine / np.pi)
 
 
+def _top_eigenprojection(h11, h12, half_gap):
+    """``2 v v^T`` for the top eigenvector ``v`` of trace-2 cells.
+
+    A cell ``[[h11, h12], [h12, 2 - h11]]`` has eigenvalues ``1 +- g`` with
+    ``g = half_gap``, and ``(cell - I) / g`` is the reflection
+    ``v v^T - w w^T``, so the projection is ``I + (cell - I) / g``.
+    """
+    u = (h11 - 1.0) / half_gap
+    return 1.0 + u, h12 / half_gap, 1.0 - u
+
+
 class RecoveryPipeline:
     """Shared state for recovering one measure at many bandwidths.
 
@@ -207,6 +218,8 @@ class RecoveryPipeline:
     def __init__(self, mu: SpectralMeasure, c: float, cfg: GridConfig):
         self.mu = mu
         self.c = float(c)
+        if not np.isfinite(self.c):
+            raise ValidationError(f"additive Herglotz constant c={self.c!r} must be finite")
         self.cfg = cfg
         self.a = cfg.bandwidth
         if abs(mu.herglotz_b) > 1e-4:
@@ -380,12 +393,6 @@ class RecoveryPipeline:
         self._slices[s] = sl
         return sl
 
-    def zeta(self, s: float) -> float:
-        """Position of the chain point at bandwidth ``s`` (0 at 0)."""
-        if s == 0.0:
-            return 0.0
-        return self.slice_at(s).zeta
-
     # -- full recovery ----------------------------------------------------
 
     def run(self) -> ReconstructionResult:
@@ -419,23 +426,13 @@ class RecoveryPipeline:
         half_gap = np.sqrt(((h11 - h22) / 2.0) ** 2 + h12**2)
         lam_min = 1.0 - half_gap
         needs = lam_min < -0.25 * PSD_SLACK
-        projection = np.where(needs, np.maximum(-lam_min, 0.0), 0.0)
-        if np.any(needs):
-            idx = np.nonzero(needs)[0]
-            for i in idx:
-                m = np.array([[h11[i], h12[i]], [h12[i], h22[i]]])
-                evals, evecs = np.linalg.eigh(m)
-                v = evecs[:, 1]
-                proj = 2.0 * np.outer(v, v)
-                h11[i], h12[i], h22[i] = proj[0, 0], proj[0, 1], proj[1, 1]
+        projection = np.where(needs, -lam_min, 0.0)
+        h11[needs], h12[needs], h22[needs] = _top_eigenprojection(
+            h11[needs], h12[needs], half_gap[needs]
+        )
         bad_fraction = float(np.mean(projection > 1e-2))
 
-        mats = np.empty((len(h11), 2, 2))
-        mats[:, 0, 0] = h11
-        mats[:, 0, 1] = h12
-        mats[:, 1, 0] = h12
-        mats[:, 1, 1] = h22
-        ham = Hamiltonian(r_grid, mats)
+        ham = Hamiltonian(r_grid, np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2))
 
         dets = np.maximum(ham.determinants(), 0.0)
         krein = np.concatenate([[0.0], np.cumsum(np.sqrt(dets) * dr)])

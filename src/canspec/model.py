@@ -18,7 +18,7 @@ JSON formats (all floats written with 17 significant digits):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -377,14 +377,14 @@ class GridConfig:
     ``pw_truncation`` caps the half-size of the band-limited basis; the
     effective half-size at bandwidth ``s`` is additionally clamped so
     that all basis nodes stay inside the measure window (roughly
-    ``0.95 * window * s / pi``).  ``s_grid`` must be strictly increasing
-    with positive entries; its maximum is the recovery bandwidth.
+    ``0.95 * window * s / pi``).  ``s_grid`` must be finite, strictly
+    increasing and positive; its maximum is the recovery bandwidth.
     """
 
-    pw_truncation: int = 256
-    measure_window: float = 200.0
-    s_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, np.pi, 129)[1:])
-    r_samples: int = 257
+    pw_truncation: int
+    measure_window: float
+    s_grid: np.ndarray
+    r_samples: int
 
     def __post_init__(self):
         s = np.asarray(self.s_grid, dtype=float).copy()
@@ -392,8 +392,8 @@ class GridConfig:
             raise ValidationError("pw_truncation must be at least 8")
         if s.ndim != 1 or s.size < 2:
             raise ValidationError("s_grid must contain at least two points")
-        if s[0] <= 0 or np.any(np.diff(s) <= 0):
-            raise ValidationError("s_grid must be strictly increasing and positive")
+        if not np.all(np.isfinite(s)) or s[0] <= 0 or np.any(np.diff(s) <= 0):
+            raise ValidationError("s_grid must be finite, strictly increasing and positive")
         if self.r_samples < 9:
             raise ValidationError("r_samples too small")
         s.setflags(write=False)
@@ -413,6 +413,8 @@ class GridConfig:
         r_samples: int = 257,
     ) -> "GridConfig":
         """Uniform ``s`` grid on ``(0, a]`` with ``s_samples`` points incl. 0."""
+        if not np.isfinite(a):
+            raise ValidationError(f"bandwidth {a!r} must be finite")
         grid = np.linspace(0.0, a, s_samples)[1:]
         return cls(pw_truncation, measure_window, grid, r_samples)
 

@@ -366,14 +366,14 @@ def diag_necessary_condition(
         raise ValidationError("n must be at least 1")
     if n > 20:
         raise ValidationError("n > 20 is numerically unstable in the factorial scaling")
-    if s <= 0:
-        raise ValidationError("s must be positive")
+    if not 0.0 < s < np.inf:
+        raise ValidationError(f"s={s!r} must be positive and finite")
     t = np.linspace(0.0, s, num_points)
     wv = np.asarray(w(t), dtype=float) if callable(w) else np.asarray(w, dtype=float)
     if wv.shape != t.shape:
         raise ValidationError("w samples must match the quadrature grid")
-    if np.any(wv <= 0):
-        raise ValidationError("w must be strictly positive")
+    if not np.all((wv > 0) & (wv < np.inf)):
+        raise ValidationError("w must be strictly positive and finite")
     phi = np.log(wv)
 
     if rule == "simpson":

@@ -11,7 +11,7 @@ at the type estimated from the atom spacing (spacing and masses
 ``pi / L``): the full lattice sum is the identity by the sampling
 theorem, so the completion is ``I`` minus the in-window lattice Gram.
 The completion is exact on the free fixture and a controlled heuristic
-otherwise; the raw windowed matrix stays available for diagnostics.
+otherwise.
 """
 
 from __future__ import annotations
@@ -148,14 +148,12 @@ class PWBasis:
 class PWOperator:
     """Factorized finite section of the measure quadratic form.
 
-    ``gram`` is the (tail-completed) symmetric positive-definite matrix,
-    ``gram_window`` the raw windowed assembly; ``atom_matrix`` caches the
-    basis values at the atoms for fast pairings.
+    ``gram`` is the (tail-completed) symmetric positive-definite matrix;
+    ``atom_matrix`` caches the basis values at the atoms for fast pairings.
     """
 
     basis: PWBasis
     gram: np.ndarray
-    gram_window: np.ndarray
     atom_matrix: np.ndarray
     _cho: tuple = None
 
@@ -208,13 +206,7 @@ def build_operator(mu: SpectralMeasure, s: float, half_size: int) -> PWOperator:
             f"measure not comparable on the bandwidth-{s:g} space at truncation "
             f"{half_size}: factorization failed ({exc})"
         ) from exc
-    return PWOperator(
-        basis=basis,
-        gram=gram,
-        gram_window=gram_window,
-        atom_matrix=phi,
-        _cho=cho,
-    )
+    return PWOperator(basis=basis, gram=gram, atom_matrix=phi, _cho=cho)
 
 
 def apply_inverse(op: PWOperator, rhs: np.ndarray) -> np.ndarray:

@@ -260,17 +260,37 @@ class TestBadNumbersExit2:
         assert code == 2
 
 
-class TestZeroBandwidthExit2:
-    def test_inverse(self, free_mu_file, tmp_path):
-        code = main(["inverse", "--in", str(free_mu_file), "--c", "0", "--bandwidth", "0",
-                     "--pw-trunc", "16", "--s-samples", "9", "--r-samples", "17",
-                     "--out-dir", str(tmp_path)])
-        assert code == 2
+_INVERSE = ["--c", "0", "--pw-trunc", "16", "--s-samples", "9", "--r-samples", "17"]
 
-    def test_framebounds(self, free_mu_file, tmp_path):
-        code = main(["framebounds", "--in", str(free_mu_file), "--s", "0",
-                     "--pw-trunc", "16", "--out-dir", str(tmp_path)])
-        assert code == 2
+
+class TestBadOptionExit2:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["forward", "--window", "nan"], id="forward-window-nan"),
+            pytest.param(["forward", "--window", "-5"], id="forward-window-negative"),
+            pytest.param(["forward", "--step", "nan"], id="forward-step-nan"),
+            pytest.param(["forward", "--step", "0"], id="forward-step-zero"),
+            pytest.param(["forward", "--step", "-0.1"], id="forward-step-negative"),
+            pytest.param(["roundtrip", "--window", "inf"], id="roundtrip-window-inf"),
+            pytest.param(["inverse", *_INVERSE, "--bandwidth", "0"], id="inverse-bandwidth-zero"),
+            pytest.param(["inverse", *_INVERSE, "--bandwidth", "nan"], id="inverse-bandwidth-nan"),
+            pytest.param(["inverse", *_INVERSE, "--bandwidth", "inf"], id="inverse-bandwidth-inf"),
+            pytest.param(["inverse", *_INVERSE, "--c", "nan"], id="inverse-c-nan"),
+            pytest.param(["inverse", *_INVERSE, "--c", "inf"], id="inverse-c-inf"),
+            pytest.param(["framebounds", "--pw-trunc", "16", "--s", "0"], id="framebounds-s-zero"),
+            pytest.param(["framebounds", "--pw-trunc", "16", "--s", "nan"], id="framebounds-s-nan"),
+            pytest.param(["framebounds", "--pw-trunc", "16", "--s", "inf"], id="framebounds-s-inf"),
+            pytest.param(["check-diag", "--s", "nan"], id="check-diag-s-nan"),
+            pytest.param(["check-diag", "--s", "inf"], id="check-diag-s-inf"),
+        ],
+    )
+    def test_exits_2(self, free_h_file, free_mu_file, tmp_path, args):
+        # a later repeat of an option overrides the earlier one
+        inputs = {"forward": free_h_file, "roundtrip": free_h_file,
+                  "inverse": free_mu_file, "framebounds": free_mu_file}
+        extra = ["--in", str(inputs[args[0]])] if args[0] in inputs else []
+        assert main(args + extra + ["--out-dir", str(tmp_path)]) == 2
 
 
 class TestCheckDiagProfileRows:
@@ -289,7 +309,9 @@ class TestCheckDiagProfileRows:
         assert self._ratio(tmp_path, "1e-3 5.0" + rest) == plain
         assert self._ratio(tmp_path, "t w\n0.001 5.0" + rest) == plain
 
-    @pytest.mark.parametrize("bad_row", ["0.5 1.0 2.0", "0.5 abc"], ids=["3-columns", "text"])
+    @pytest.mark.parametrize(
+        "bad_row", ["0.5 1.0 2.0", "0.5 abc", "0.5 nan"], ids=["3-columns", "text", "nan"]
+    )
     def test_bad_row_exits_2(self, tmp_path, bad_row):
         prof = tmp_path / "w.txt"
         prof.write_text(f"t w\n0.0 1.0\n{bad_row}\n1.0 1.0\n")

@@ -139,16 +139,6 @@ class TestSegmentKernel:
         want = scipy.linalg.expm(-z * r1 * J @ H.matrices[0])
         np.testing.assert_allclose(got, want, atol=1e-13 * max(1.0, np.abs(want).max()))
 
-    def test_positions_broadcast_against_parameters(self, step_hamiltonian):
-        # each point stops at its own r; a shared r gives the same products
-        H = step_hamiltonian
-        rs = np.array([0.0, 0.4, float(H.edges[1]), 1.7, H.ell])
-        z = np.array([0.9, 2.5 + 0.3j])
-        M = forward._propagate(H, rs[:, None], z[None, :])[0]
-        assert M.shape == (5, 2, 2, 2)
-        for i, r in enumerate(rs):
-            assert np.array_equal(M[i], forward.transfer_entries(H, r, z))
-
 
 class TestThetaDerivative:
     def test_free_closed_form(self):
@@ -333,92 +323,6 @@ class TestHerglotzConstants:
         # the step fixture's outer masses alternate; a plain band mean misses b
         mu = forward.spectral_measure(step_hamiltonian, window)
         assert abs(mu.herglotz_b) <= 1e-12
-
-
-class TestWeylTitchmarsh:
-    @pytest.mark.parametrize("z", [0.9, 2.7, 1.1 + 0.4j])
-    def test_constant_first_basis_vector(self, step_hamiltonian, z):
-        # transform of (1,0) equals -theta_minus/(z*sqrt(pi)) for any weight
-        H = step_hamiltonian
-        got = forward.weyl_titchmarsh(H, H.ell, lambda t: np.tile([1.0, 0.0], (len(t), 1)), z)
-        tm = forward.propagate(H, H.ell, z).theta_minus
-        assert got == pytest.approx(-tm / (z * np.sqrt(np.pi)), abs=1e-13)
-
-    @pytest.mark.parametrize("z", [0.9, 2.7])
-    def test_constant_second_basis_vector(self, step_hamiltonian, z):
-        H = step_hamiltonian
-        got = forward.weyl_titchmarsh(H, H.ell, lambda t: np.tile([0.0, 1.0], (len(t), 1)), z)
-        tp = forward.propagate(H, H.ell, z).theta_plus
-        assert got == pytest.approx((tp - 1.0) / (z * np.sqrt(np.pi)), abs=1e-13)
-
-    def test_free_closed_forms(self):
-        H = Hamiltonian.identity(np.pi)
-        r, z = 2.0, 1.3
-        got = forward.weyl_titchmarsh(H, r, lambda t: np.tile([1.0, 0.0], (len(t), 1)), z)
-        assert got == pytest.approx(np.sin(r * z) / (z * np.sqrt(np.pi)), abs=1e-14)
-        got = forward.weyl_titchmarsh(H, r, lambda t: np.tile([0.0, 1.0], (len(t), 1)), z)
-        assert got == pytest.approx((np.cos(r * z) - 1) / (z * np.sqrt(np.pi)), abs=1e-14)
-
-    @pytest.mark.parametrize("w", [0.5, 1.5 + 0.3j])
-    def test_solution_maps_to_kernel(self, step_hamiltonian, w):
-        # transforming the solution itself yields sqrt(pi) times the kernel
-        H = step_hamiltonian
-        r = H.ell
-        wbar = np.conj(w)
-
-        def X(ts):
-            out = np.empty((len(ts), 2), dtype=complex)
-            for i, t in enumerate(ts):
-                M = forward.transfer_entries(H, float(t), np.asarray(wbar))
-                out[i] = M[:, 0]
-            return out
-
-        for z in [0.7, 2.2]:
-            got = forward.weyl_titchmarsh(H, r, X, z)
-            want = np.sqrt(np.pi) * oracles._debranges_kernel(
-                H, r, w, np.asarray([z], dtype=float)
-            )[0]
-            assert got == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("z", [0.9, 1.1 + 0.4j])
-    def test_profile_matches_per_node_propagation(self, step_hamiltonian, z):
-        H = step_hamiltonian
-        r = 1.5
-        nodes, weights = forward.quadrature_grid(H, r)
-        X = np.column_stack([np.cos(nodes), 1.0 + nodes**2])
-        theta = np.array([forward.transfer_entries(H, t, np.asarray(z))[:, 0] for t in nodes])
-        hx = np.einsum("nij,nj->ni", H.sample(nodes), X)
-        want = np.sum(weights * np.sum(hx * theta, axis=1)) / np.sqrt(np.pi)
-        assert abs(forward.weyl_titchmarsh(H, r, X, z) - want) <= 1e-14 * max(1.0, abs(want))
-
-    def test_work_linear_in_segments(self, monkeypatch):
-        # count the spectral parameters that pass through the segment factors
-        seen = []
-        cs = forward._cs
-
-        def counted(delta):
-            seen.append(np.size(delta))
-            return cs(delta)
-
-        monkeypatch.setattr(forward, "_cs", counted)
-        X = lambda t: np.column_stack([np.cos(t), 1.0 + t**2])
-        work = {}
-        for n in (100, 400):
-            seen.clear()
-            H = smooth_weight(6, n)
-            forward.weyl_titchmarsh(H, H.ell, X, 1.3 + 0.2j)
-            work[n] = sum(seen)
-        assert work[400] <= 4 * work[100]
-
-    def test_grid_misalignment_rejected(self, step_hamiltonian):
-        H = step_hamiltonian
-        with pytest.raises(ValidationError, match="misalignment"):
-            forward.weyl_titchmarsh(H, H.ell, np.zeros((5, 2)), 1.0)
-
-    def test_empty_interval(self, step_hamiltonian):
-        H = step_hamiltonian
-        got = forward.weyl_titchmarsh(H, 0.0, lambda t: np.zeros((len(t), 2)), 1.0)
-        assert got == 0.0
 
 
 class TestTypeFunctions:

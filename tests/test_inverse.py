@@ -6,6 +6,7 @@ import pytest
 from canspec import forward
 from canspec.inverse import (
     RecoveryPipeline,
+    _top_eigenprojection,
     boundary_cosine_values,
     recentering_moment,
     reconstruct,
@@ -189,21 +190,18 @@ class TestChainPosition:
     def test_free_identity_map(self, free_pipeline):
         pipe = free_pipeline
         for s in pipe.cfg.s_grid:
-            assert abs(pipe.zeta(s) - s) < 1e-4
-
-    def test_zero_at_zero(self, free_pipeline):
-        assert free_pipeline.zeta(0.0) == 0.0
+            assert abs(pipe.slice_at(s).zeta - s) < 1e-4
 
     def test_strictly_increasing_on_fixtures(self, free_pipeline, step_pipeline):
         for pipe in (free_pipeline, step_pipeline):
-            zs = [pipe.zeta(s) for s in pipe.cfg.s_grid]
+            zs = [pipe.slice_at(s).zeta for s in pipe.cfg.s_grid]
             assert np.all(np.diff(zs) > 0)
 
     def test_step_matches_type_inverse(self, step_pipeline, step_hamiltonian):
         pipe = step_pipeline
         for s in pipe.cfg.s_grid[::4]:
             xi = forward.type_inverse(step_hamiltonian, s)
-            assert abs(pipe.zeta(s) - xi) < 2e-3
+            assert abs(pipe.slice_at(s).zeta - xi) < 2e-3
 
     def test_sine_norm_identity_free(self, free_pipeline):
         # reproducing identity at the stated tolerance where the tail
@@ -297,6 +295,22 @@ class TestReconstruct:
         )
         with pytest.warns(RuntimeWarning, match="Herglotz"):
             RecoveryPipeline(noisy, c=0.0, cfg=cfg)
+
+    def test_psd_projection_matches_eigh(self):
+        # trace-2 cells with a negative eigenvalue become 2 v v^T of the top eigenvector
+        rng = np.random.default_rng(7)
+        h11, h12 = rng.uniform(-2.0, 4.0, 10_000), rng.uniform(-2.0, 2.0, 10_000)
+        h22 = 2.0 - h11
+        half_gap = np.sqrt(((h11 - h22) / 2.0) ** 2 + h12**2)
+        neg = half_gap > 1.0
+        h11, h12, h22, half_gap = h11[neg], h12[neg], h22[neg], half_gap[neg]
+        cells = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
+        v = np.linalg.eigh(cells)[1][:, :, 1]
+        want = 2.0 * v[:, :, None] * v[:, None, :]
+        got = _top_eigenprojection(h11, h12, half_gap)
+        assert neg.sum() > 5000
+        for value, (i, j) in zip(got, [(0, 0), (0, 1), (1, 1)]):
+            assert np.max(np.abs(value - want[:, i, j])) <= 4e-15
 
 
 class TestBandMassPair:

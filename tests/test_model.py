@@ -191,11 +191,17 @@ class TestNormalizeTrace:
 class TestGridConfig:
     def test_small_truncation_rejected(self):
         with pytest.raises(ValidationError):
-            GridConfig(pw_truncation=4)
+            GridConfig.for_bandwidth(np.pi, pw_truncation=4)
 
     def test_s_grid_must_increase(self):
+        # a negative bandwidth gives a decreasing grid of negative points
         with pytest.raises(ValidationError):
-            GridConfig(s_grid=np.array([1.0, 0.5]))
+            GridConfig.for_bandwidth(-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_s_grid_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            GridConfig(256, 200.0, np.array([0.5, 1.0, bad]), 257)
 
     def test_basis_half_size_clamps_to_window(self):
         cfg = GridConfig.for_bandwidth(np.pi, measure_window=200.0, pw_truncation=256)
