@@ -263,7 +263,18 @@ class TestBadNumbersExit2:
 _INVERSE = ["--c", "0", "--pw-trunc", "16", "--s-samples", "9", "--r-samples", "17"]
 
 
-class TestBadOptionExit2:
+class TestZeroBandwidthExit2:
+    def test_inverse(self, free_mu_file, tmp_path):
+        code = main(["inverse", "--in", str(free_mu_file), "--c", "0", "--bandwidth", "0",
+                     "--pw-trunc", "16", "--s-samples", "9", "--r-samples", "17",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+
+    def test_framebounds(self, free_mu_file, tmp_path):
+        code = main(["framebounds", "--in", str(free_mu_file), "--s", "0",
+                     "--pw-trunc", "16", "--out-dir", str(tmp_path)])
+        assert code == 2
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -273,12 +284,10 @@ class TestBadOptionExit2:
             pytest.param(["forward", "--step", "0"], id="forward-step-zero"),
             pytest.param(["forward", "--step", "-0.1"], id="forward-step-negative"),
             pytest.param(["roundtrip", "--window", "inf"], id="roundtrip-window-inf"),
-            pytest.param(["inverse", *_INVERSE, "--bandwidth", "0"], id="inverse-bandwidth-zero"),
             pytest.param(["inverse", *_INVERSE, "--bandwidth", "nan"], id="inverse-bandwidth-nan"),
             pytest.param(["inverse", *_INVERSE, "--bandwidth", "inf"], id="inverse-bandwidth-inf"),
             pytest.param(["inverse", *_INVERSE, "--c", "nan"], id="inverse-c-nan"),
             pytest.param(["inverse", *_INVERSE, "--c", "inf"], id="inverse-c-inf"),
-            pytest.param(["framebounds", "--pw-trunc", "16", "--s", "0"], id="framebounds-s-zero"),
             pytest.param(["framebounds", "--pw-trunc", "16", "--s", "nan"], id="framebounds-s-nan"),
             pytest.param(["framebounds", "--pw-trunc", "16", "--s", "inf"], id="framebounds-s-inf"),
             pytest.param(["check-diag", "--s", "nan"], id="check-diag-s-nan"),

@@ -325,6 +325,126 @@ class TestHerglotzConstants:
         assert abs(mu.herglotz_b) <= 1e-12
 
 
+def quadrature_grid(H, r):
+    """Composite 8-point Gauss-Legendre grid aligned with the segments inside ``[0, r]``."""
+    eff = forward._effective_lengths(H, r)
+    d = eff[eff > 0.0][:, None]
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
+    lo = H.edges[: d.shape[0], None]
+    return (lo + 0.5 * d * (gl_nodes + 1.0)).ravel(), (0.5 * d * gl_weights).ravel()
+
+
+def weyl_titchmarsh(H, r, X, z):
+    """Reference transform ``(1/sqrt(pi)) int_0^r <H(t) X(t), Theta(t, z)> dt``.
+
+    :func:`quadrature_grid` quadrature; ``Theta`` at each node comes from
+    its own propagation.
+    """
+    nodes, weights = quadrature_grid(H, r)
+    if len(nodes) == 0:
+        return 0.0
+    theta = np.array([forward.transfer_entries(H, t, np.asarray(z))[:, 0] for t in nodes])
+    hx = np.einsum("nij,nj->ni", H.sample(nodes), X(nodes))
+    return complex(np.sum(weights * np.sum(hx * theta, axis=1)) / np.sqrt(np.pi))
+
+
+class TestWeylTitchmarsh:
+    """Integral identities of the solution ``Theta(t, z)`` along ``[0, r]``."""
+
+    @pytest.mark.parametrize("z", [0.9, 2.7, 1.1 + 0.4j])
+    def test_constant_first_basis_vector(self, step_hamiltonian, z):
+        # transform of (1,0) equals -theta_minus/(z*sqrt(pi)) for any weight
+        H = step_hamiltonian
+        got = weyl_titchmarsh(H, H.ell, lambda t: np.tile([1.0, 0.0], (len(t), 1)), z)
+        tm = forward.propagate(H, H.ell, z).theta_minus
+        assert got == pytest.approx(-tm / (z * np.sqrt(np.pi)), abs=1e-13)
+
+    @pytest.mark.parametrize("z", [0.9, 2.7])
+    def test_constant_second_basis_vector(self, step_hamiltonian, z):
+        H = step_hamiltonian
+        got = weyl_titchmarsh(H, H.ell, lambda t: np.tile([0.0, 1.0], (len(t), 1)), z)
+        tp = forward.propagate(H, H.ell, z).theta_plus
+        assert got == pytest.approx((tp - 1.0) / (z * np.sqrt(np.pi)), abs=1e-13)
+
+    def test_free_closed_forms(self):
+        H = Hamiltonian.identity(np.pi)
+        r, z = 2.0, 1.3
+        got = weyl_titchmarsh(H, r, lambda t: np.tile([1.0, 0.0], (len(t), 1)), z)
+        assert got == pytest.approx(np.sin(r * z) / (z * np.sqrt(np.pi)), abs=1e-14)
+        got = weyl_titchmarsh(H, r, lambda t: np.tile([0.0, 1.0], (len(t), 1)), z)
+        assert got == pytest.approx((np.cos(r * z) - 1) / (z * np.sqrt(np.pi)), abs=1e-14)
+
+    @pytest.mark.parametrize("w", [0.5, 1.5 + 0.3j])
+    def test_solution_maps_to_kernel(self, step_hamiltonian, w):
+        # transforming the solution itself yields sqrt(pi) times the kernel
+        H = step_hamiltonian
+        r = H.ell
+        wbar = np.conj(w)
+
+        def X(ts):
+            out = np.empty((len(ts), 2), dtype=complex)
+            for i, t in enumerate(ts):
+                M = forward.transfer_entries(H, float(t), np.asarray(wbar))
+                out[i] = M[:, 0]
+            return out
+
+        for z in [0.7, 2.2]:
+            got = weyl_titchmarsh(H, r, X, z)
+            want = np.sqrt(np.pi) * oracles._debranges_kernel(
+                H, r, w, np.asarray([z], dtype=float)
+            )[0]
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [0.9, 1.1 + 0.4j])
+    def test_profile_matches_per_node_propagation(self, step_hamiltonian, z):
+        # continuing M(edge, z) from each node's segment edge by one partial
+        # segment gives the same profile as propagating to every node
+        H = step_hamiltonian
+        r = 1.5
+        nodes, weights = quadrature_grid(H, r)
+        seg = np.searchsorted(H.edges, nodes, side="right") - 1
+        theta = []
+        for t, k in zip(nodes, seg):
+            part = Hamiltonian.from_lengths([t - H.edges[k]], H.matrices[k : k + 1])
+            M = forward.transfer_entries(part, part.ell, np.asarray(z)) @ forward.transfer_entries(
+                H, float(H.edges[k]), np.asarray(z)
+            )
+            theta.append(M[:, 0])
+        X = lambda t: np.column_stack([np.cos(t), 1.0 + t**2])
+        hx = np.einsum("nij,nj->ni", H.sample(nodes), X(nodes))
+        got = np.sum(weights * np.sum(hx * np.array(theta), axis=1)) / np.sqrt(np.pi)
+        want = weyl_titchmarsh(H, r, X, z)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_work_linear_in_segments(self, monkeypatch):
+        # count the spectral parameters that pass through the segment factors
+        seen = []
+        cs = forward._cs
+
+        def counted(delta):
+            seen.append(np.size(delta))
+            return cs(delta)
+
+        monkeypatch.setattr(forward, "_cs", counted)
+        z = np.array([1.3 + 0.2j, 0.7, 2.1])
+        work = {}
+        for n in (100, 400):
+            seen.clear()
+            H = smooth_weight(6, n)
+            forward.transfer_entries(H, H.ell, z)
+            forward.theta_and_derivative(H, H.ell, z)
+            work[n] = sum(seen)
+        assert work[400] <= 4 * work[100]
+
+    def test_empty_interval(self, step_hamiltonian):
+        # no segment lies in [0, 0]: the solution starts at (1, 0), the transform is 0
+        H = step_hamiltonian
+        z = np.array([1.0, 0.9 + 0.3j])
+        assert np.array_equal(forward.transfer_entries(H, 0.0, z), np.broadcast_to(np.eye(2), (2, 2, 2)))
+        got = weyl_titchmarsh(H, 0.0, lambda t: np.zeros((len(t), 2)), 1.0)
+        assert got == 0.0
+
+
 class TestTypeFunctions:
     def test_exponential_type_free(self):
         assert forward.exponential_type(Hamiltonian.identity(np.pi)) == pytest.approx(np.pi)

@@ -192,6 +192,10 @@ class TestChainPosition:
         for s in pipe.cfg.s_grid:
             assert abs(pipe.slice_at(s).zeta - s) < 1e-4
 
+    def test_zero_at_zero(self, free_pipeline):
+        # the chain table starts at the origin: zeta(0) = 0
+        assert tuple(free_pipeline.run().zeta_table[0]) == (0.0, 0.0)
+
     def test_strictly_increasing_on_fixtures(self, free_pipeline, step_pipeline):
         for pipe in (free_pipeline, step_pipeline):
             zs = [pipe.slice_at(s).zeta for s in pipe.cfg.s_grid]
