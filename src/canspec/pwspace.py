@@ -12,6 +12,15 @@ at the type estimated from the atom spacing (spacing and masses
 theorem, so the completion is ``I`` minus the in-window lattice Gram.
 The completion is exact on the free fixture and a controlled heuristic
 otherwise.
+
+The completed Gram matrix is assembled in Loewner form (Cauchy-like
+displacement structure; Gohberg, Kailath & Olshevsky, Math. Comp. 64,
+1995).  With ``phi_j(t) = c_j sin(st)/(t - x_j)``, partial fractions make
+each off-diagonal entry the divided difference ``c_j c_k (v_j - v_k) /
+(x_j - x_k)`` of one vector ``v``: a single matrix-vector product over the
+atoms (signed weight: the mass) and the completion lattice (``-pi/L``).
+Node gaps are at least ``pi/s``, so no digits are lost to small
+denominators, and the O(nN) product replaces two O(n^2 N) ones.
 """
 
 from __future__ import annotations
@@ -104,6 +113,12 @@ class PWBasis:
         k = np.arange(-self.half_size, self.half_size + 1)
         return np.pi * k / self.s
 
+    @property
+    def _node_factors(self) -> np.ndarray:
+        """``c_k = (-1)^k sqrt(pi/s)/pi``, so ``phi_k(x) = c_k sin(sx)/(x - pi k/s)``."""
+        k = np.arange(-self.half_size, self.half_size + 1)
+        return np.where(k % 2 == 0, 1.0, -1.0) * (np.sqrt(np.pi / self.s) / np.pi)
+
     def functions_at(self, points: np.ndarray) -> np.ndarray:
         """Matrix ``phi_k(points)``, shape ``(size, len(points))``.
 
@@ -117,11 +132,10 @@ class PWBasis:
         points = np.atleast_1d(np.asarray(points, dtype=float))
         s, half, nodes = self.s, self.half_size, self.nodes
         scale = np.sqrt(np.pi / s)
-        sign = np.where(np.arange(-half, half + 1) % 2 == 0, scale / np.pi, -scale / np.pi)
         out = points[None, :] - nodes[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):  # exact hits are redone below
             np.divide(np.sin(s * points), out, out=out)
-        out *= sign[:, None]
+        out *= self._node_factors[:, None]
         row = np.clip(np.rint(s * points / np.pi), -half, half).astype(int) + half
         near = np.abs(s * (points - nodes[row])) < 1.0
         row = row[near]
@@ -169,13 +183,13 @@ def lattice_points(extent: float, lattice_type: float) -> tuple[np.ndarray, np.n
     return k, np.pi * k / lattice_type
 
 
-def build_operator(mu: SpectralMeasure, s: float, half_size: int) -> PWOperator:
-    """Assemble and factorize the sectioned quadratic form at bandwidth ``s``.
+def _weighted_sums(phi: np.ndarray, s: float, points: np.ndarray, weights: np.ndarray):
+    """``phi @ (w sin(st))`` and ``phi^2 @ w`` over one point set."""
+    return phi @ (weights * np.sin(s * points)), np.square(phi) @ weights
 
-    The basis nodes must fall inside the measure window.  Factorization
-    failure means the discretized form is not boundedly invertible (the
-    measure is not comparable on this band at this truncation).
-    """
+
+def _section(mu: SpectralMeasure, s: float, half_size: int):
+    """Basis, tail-completed Gram matrix and atom matrix (see ``build_operator``)."""
     basis = PWBasis(float(s), int(half_size))
     n = basis.size
     if n > _DENSE_LIMIT:
@@ -188,17 +202,50 @@ def build_operator(mu: SpectralMeasure, s: float, half_size: int) -> PWOperator:
             f"basis node {outer_node:.6g} falls outside the measure window {mu.window:.6g}"
         )
     phi = basis.functions_at(mu.positions)
-    gram_window = (phi * mu.masses[None, :]) @ phi.T
-    gram_window = 0.5 * (gram_window + gram_window.T)
+    v, diag = _weighted_sums(phi, basis.s, mu.positions, mu.masses)
     if mu.positions.size > 1:
         lam = mu.lattice_type()
         _, lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
-        phi_lat = basis.functions_at(lattice)
-        gram_lat = (np.pi / lam) * (phi_lat @ phi_lat.T)
-        # both Gram terms are exactly symmetric, and so is their sum with I
-        gram = gram_window + np.eye(n) - 0.5 * (gram_lat + gram_lat.T)
-    else:
-        gram = gram_window
+        # the lattice sinc matrix is freed before the n-by-n arrays are made;
+        # held until the end, it fragments the heap (+20 MiB peak RSS, free round trip)
+        v_lat, diag_lat = _weighted_sums(
+            basis.functions_at(lattice), basis.s, lattice, np.full(lattice.size, -np.pi / lam)
+        )
+        v += v_lat
+        # window plus lattice first: exactly 0 where the atoms are the lattice
+        diag = 1.0 + (diag + diag_lat)
+    nodes, c = basis.nodes, basis._node_factors
+    v /= c
+    gram = np.subtract.outer(v, v)
+    with np.errstate(invalid="ignore"):  # 0/0 on the diagonal, set below
+        gram /= np.subtract.outer(nodes, nodes)
+    gram *= np.multiply.outer(c, c)
+    np.fill_diagonal(gram, diag)
+    return basis, gram, phi
+
+
+def build_operator(mu: SpectralMeasure, s: float, half_size: int) -> PWOperator:
+    """Assemble and factorize the sectioned quadratic form at bandwidth ``s``.
+
+    The form is ``sum m phi_j phi_k`` over the atoms plus the completion
+    ``I - (pi/L) sum phi_j phi_k`` over the lattice (no completion for a
+    lone atom).  Give each point the signed weight ``w`` (its mass, or
+    ``-pi/L`` on the lattice) and set ``v = (phi @ (w sin(st))) / c``;
+    then, by partial fractions, for ``j != k``::
+
+        G_jk = c_j c_k (v_j - v_k) / (x_j - x_k),
+
+    and ``G_jj`` is the weighted sum of ``phi_j^2`` plus the completion's
+    ``1``.  Node gaps are at least ``pi/s``, so the divided difference
+    loses no digits to small denominators.  Each entry is built from
+    antisymmetric differences and a commutative product, so ``gram`` is
+    exactly symmetric.
+
+    The basis nodes must fall inside the measure window.  Factorization
+    failure means the discretized form is not boundedly invertible (the
+    measure is not comparable on this band at this truncation).
+    """
+    basis, gram, phi = _section(mu, s, half_size)
     try:
         cho = scipy.linalg.cho_factor(gram)
     except scipy.linalg.LinAlgError as exc:
@@ -242,8 +289,10 @@ def frame_bounds(mu: SpectralMeasure, s: float, half_size: int) -> tuple[float, 
     They bound the ratio of the measure norm to the line norm over the
     truncated band-limited section; stability of the lower bound under
     refinement is the practical substitute for the density condition.
+    The section is not factorized, so one that is not positive definite
+    reports ``lambda_min <= 0`` instead of raising ``ComparabilityError``.
     """
-    gram = build_operator(mu, s, half_size).gram
+    _, gram, _ = _section(mu, s, half_size)
     if gram.shape[0] <= _DIRECT_EIG_LIMIT:
         # the full spectrum: LAPACK's index-subset drivers fail to
         # converge on sections that equal the identity to roundoff

@@ -7,6 +7,7 @@ from canspec import oracles
 from canspec.cli import main
 from canspec.model import (
     Hamiltonian,
+    SpectralMeasure,
     dumps_hamiltonian,
     dumps_measure,
     load_hamiltonian,
@@ -152,6 +153,23 @@ class TestFrameboundsCommand:
         doc = json.loads((tmp_path / "framebounds.json").read_text())
         assert doc["lambda_min"] == pytest.approx(1.0, abs=1e-8)
         assert doc["lambda_max"] == pytest.approx(1.0, abs=1e-8)
+        assert doc["N"] == 40
+
+    def test_section_that_is_not_positive_definite(self, tmp_path):
+        # a gap of 24 atoms: lambda_min ~ 0 is reported, not a factorization error
+        k = np.arange(-60, 61)
+        k = k[(k == 0) | (np.abs(k) > 12)]
+        path = tmp_path / "gap.json"
+        path.write_text(dumps_measure(SpectralMeasure(k.astype(float), np.ones(k.size), 60.5)))
+        code = main(
+            [
+                "framebounds", "--in", str(path), "--s", str(np.pi),
+                "--pw-trunc", "40", "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "framebounds.json").read_text())
+        assert doc["lambda_min"] <= 1e-12
         assert doc["N"] == 40
 
 

@@ -1,15 +1,61 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from canspec.model import SpectralMeasure, ValidationError
+from canspec import pwspace
+from canspec.model import ComparabilityError, SpectralMeasure, ValidationError
 from canspec.pwspace import (
     PWBasis,
     apply_inverse,
     build_operator,
     frame_bounds,
+    lattice_points,
     sinc_kernel,
     sinc_kernel_dt,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def explicit_gram(mu, basis):
+    """``(phi m) phi^T + I - (pi/L) phi_lat phi_lat^T`` as matrix products."""
+    phi = basis.functions_at(mu.positions)
+    gram = (phi * mu.masses) @ phi.T
+    if mu.positions.size > 1:
+        lam = mu.lattice_type()
+        _, lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
+        phi_lat = basis.functions_at(lattice)
+        gram += np.eye(basis.size) - (np.pi / lam) * (phi_lat @ phi_lat.T)
+    return gram
+
+
+@pytest.fixture(scope="module")
+def free_measure(free_pi):
+    return free_pi[1]
+
+
+@pytest.fixture(scope="module")
+def near_node_measure():
+    """Unit masses on the integers, three atoms moved off their node by at most 1e-6."""
+    positions = np.arange(-40, 41).astype(float)
+    positions[[45, 23, 70]] += [1e-6, -4e-7, 3e-9]
+    return SpectralMeasure(positions, np.ones(positions.size), 40.5)
+
+
+@pytest.fixture(scope="module")
+def wide_measure():
+    """The wide-roundtrip benchmark measure, seed 0, instance 0 (about 800 atoms)."""
+    from canspec import forward
+
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    H = workloads.smooth_weight(0, 0, workloads.WIDE_SEGMENTS)
+    return forward.spectral_measure(H, workloads.WIDE_SETTINGS["window"])
 
 
 class TestSincKernel:
@@ -109,11 +155,34 @@ class TestBuildOperator:
         assert np.array_equal(op.gram, op.gram.T)
 
     def test_gram_psd(self, step_measure_small):
-        # the raw windowed Gram, before the lattice-tail completion
+        # the tail-completed Gram: Loewner entries equal the matrix products
         op = build_operator(step_measure_small, 2.0, 30)
-        phi = op.atom_matrix
-        evals = np.linalg.eigvalsh((phi * step_measure_small.masses) @ phi.T)
-        assert evals.min() > -1e-12
+        want = explicit_gram(step_measure_small, op.basis)
+        assert np.max(np.abs(op.gram - want)) <= 1e-13 * np.max(np.abs(op.gram))
+        assert np.linalg.eigvalsh(op.gram).min() > 0.0
+
+    @pytest.mark.parametrize(
+        "measure,s,half",
+        [
+            pytest.param("wide_measure", np.pi, 256, id="wide-seed0"),
+            pytest.param("free_measure", np.pi, 190, id="on-nodes-pi"),
+            pytest.param("free_measure", np.pi / 2, 95, id="on-nodes-half-pi"),
+            pytest.param("near_node_measure", np.pi, 30, id="near-nodes"),
+        ],
+    )
+    def test_loewner_entries_match_matrix_products(self, request, measure, s, half):
+        mu = request.getfixturevalue(measure)
+        op = build_operator(mu, s, half)
+        want = explicit_gram(mu, op.basis)
+        assert np.max(np.abs(op.gram - want)) <= 1e-13 * np.max(np.abs(op.gram))
+
+    def test_single_atom_has_no_completion(self):
+        # one atom: the rank-one form m phi phi^T, not positive definite for n > 1
+        mu = SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0)
+        basis, gram, phi = pwspace._section(mu, 1.3, 3)
+        want = 2.0 * np.outer(phi[:, 0], phi[:, 0])
+        assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(gram))
+        assert build_operator(mu, 1.3, 0).gram == pytest.approx(2.0 * 1.3 / np.pi, rel=1e-15)
 
     def test_rank_one_mass_update(self):
         # doubling the origin mass adds a rank-one block to the free Gram
@@ -139,16 +208,19 @@ class TestBuildOperator:
             build_operator(mu, np.pi, 1000)
 
     def test_parseval_windowed(self, step_measure_small):
-        # atomwise norm equals the windowed quadratic form exactly
+        # the quadratic form of op.gram equals the atomwise and latticewise sums
         mu = step_measure_small
         op = build_operator(mu, 1.5, 16)
         rng = np.random.default_rng(3)
         c = rng.standard_normal(op.basis.size)
-        vals = op.atom_matrix.T @ c
-        atomwise = np.sum(mu.masses * vals**2)
-        phi = op.atom_matrix
-        quad = c @ ((phi * mu.masses) @ phi.T) @ c
-        assert atomwise == pytest.approx(quad, rel=1e-12)
+        lam = mu.lattice_type()
+        _, lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
+        pointwise = (
+            np.sum(mu.masses * (op.atom_matrix.T @ c) ** 2)
+            + c @ c
+            - (np.pi / lam) * np.sum((op.basis.functions_at(lattice).T @ c) ** 2)
+        )
+        assert pointwise == pytest.approx(c @ op.gram @ c, rel=1e-12)
 
 
 class TestApplyInverse:
@@ -199,6 +271,18 @@ class TestFrameBounds:
         lo_del, _ = frame_bounds(mu_del, s, 19)
         assert lo_full > 0.95
         assert lo_del < lo_full - 0.05
+
+    def test_reports_a_section_that_is_not_positive_definite(self):
+        # no atoms at 1 <= |k| <= 12: the section at s = pi has a null vector,
+        # which the certificate reports where the factorization fails
+        k = np.arange(-60, 61)
+        k = k[(k == 0) | (np.abs(k) > 12)]
+        mu = SpectralMeasure(k.astype(float), np.ones(k.size), 60.5)
+        lo, hi = frame_bounds(mu, np.pi, 40)
+        assert lo <= 1e-12
+        assert hi == pytest.approx(1.0, abs=1e-8)
+        with pytest.raises(ComparabilityError):
+            build_operator(mu, np.pi, 40)
 
     def test_kadec_style_stability(self):
         # perturbed integer-pi lattice keeps a healthy lower frame bound
