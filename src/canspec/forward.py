@@ -49,14 +49,12 @@ __all__ = [
 def _cs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entire functions ``cos(sqrt(delta))`` and ``sin(sqrt(delta))/sqrt(delta)``.
 
-    For real nonnegative ``delta`` (real spectral parameter) both stay in
+    A real ``delta`` (real spectral parameter) is nonnegative, since the
+    propagation clamps determinants at 0, and both functions stay in
     ``[-1, 1]``; only the removable singularity at 0 needs a series.
     """
     delta = np.asarray(delta)
-    if np.iscomplexobj(delta):
-        w = np.sqrt(delta.astype(complex))
-    else:
-        w = np.sqrt(np.maximum(delta, 0.0)) if np.all(delta >= 0) else np.sqrt(delta.astype(complex))
+    w = np.sqrt(delta)
     small = np.abs(delta) < 1e-12
     w_safe = np.where(small, 1.0, w)
     c = np.cos(w)

@@ -133,17 +133,16 @@ def recentering_moment(mu: SpectralMeasure) -> float:
 def boundary_cosine_values(
     positions: np.ndarray,
     masses: np.ndarray,
-    mass_at_zero: float,
     c: float,
     moment: float,
     slope_values: np.ndarray,
-    slope_at_zero: float,
 ) -> np.ndarray:
     """Cosine-type component at the full bandwidth on the given atoms.
 
     Away from the origin the value is
     ``(1/t) * (pi / (t * mass * slope) - 1)``; at the origin it is
-    ``pi * (moment + c) / mass0 - slope0 * mass0 / pi``.  The pi factors
+    ``pi * (moment + c) / mass0 - slope0 * mass0 / pi`` with the origin
+    entries of ``masses`` and ``slope_values``.  The pi factors
     keep the origin branch consistent with masses normalized as
     reciprocal squared kernel norms (Laurent expansion of the Weyl
     function at its origin pole).  A vanishing slope at a nonzero atom
@@ -160,10 +159,21 @@ def boundary_cosine_values(
         )
     t = positions[~zero]
     vals[~zero] = (np.pi / (t * masses[~zero] * slope_values[~zero]) - 1.0) / t
-    vals[zero] = (
-        np.pi * (moment + c) / mass_at_zero - slope_at_zero * mass_at_zero / np.pi
-    )
+    m0 = masses[zero]
+    vals[zero] = np.pi * (moment + c) / m0 - slope_values[zero] * m0 / np.pi
     return vals
+
+
+def _free_model(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Free-model components ``sin(st)/t`` and ``(cos(st) - 1)/t``, ``s`` and ``0`` at ``t = 0``.
+
+    On a lattice ``pi k / s`` the cosine component is ``((-1)^k - 1) / t``
+    exactly: ``cos`` rounds to ``+-1`` there.
+    """
+    t_safe = np.where(t == 0.0, 1.0, t)
+    sine = np.where(t == 0.0, s, np.sin(s * t) / t_safe)
+    cosine = np.where(t == 0.0, 0.0, (np.cos(s * t) - 1.0) / t_safe)
+    return sine, cosine
 
 
 @dataclass
@@ -193,7 +203,12 @@ class BandwidthSlice:
 
     @property
     def definitional_residual(self) -> float:
-        """Residual of ``2 zeta = sine(0) + (1/pi) ||cosine||^2``."""
+        """Residual of ``2 zeta = sine(0) + (1/pi) ||cosine||^2``.
+
+        ``zeta`` is assembled from the same two numbers, so this checks that
+        arithmetic and is roundoff by construction; it does not certify the
+        chain map ``s -> zeta(s)``.
+        """
         return abs(2.0 * self.zeta - self.sine_at_zero - self.norm2_cosine / np.pi)
 
 
@@ -209,10 +224,12 @@ def _top_eigenprojection(h11, h12, half_gap):
 
 
 class RecoveryPipeline:
-    """Shared state for recovering one measure at many bandwidths.
+    """Recovery of one measure, one bandwidth slice at a time.
 
-    Builds the full-bandwidth machinery once (slope data, boundary
-    cosine values, pairing extensions) and serves per-bandwidth slices.
+    ``__init__`` builds the full-bandwidth boundary data (slope data,
+    boundary cosine values, the in-core model lattice); each slice builds
+    and solves its own section from it.  Nothing else is kept, so a
+    pipeline does not change after ``__init__``.
     """
 
     def __init__(self, mu: SpectralMeasure, c: float, cfg: GridConfig):
@@ -234,45 +251,31 @@ class RecoveryPipeline:
         self.r_eff = float(np.max(np.abs(mu.positions)))
 
         half_a = cfg.basis_half_size(self.a)
-        self.a_op = build_operator(mu, self.a, half_a)
-        rhs = np.zeros(self.a_op.basis.size)
-        rhs[self.a_op.basis.center] = np.sqrt(np.pi * self.a)
-        self.a_coeffs = apply_inverse(self.a_op, rhs)
+        a_op = build_operator(mu, self.a, half_a)
+        rhs = np.zeros(a_op.basis.size)
+        rhs[a_op.basis.center] = np.sqrt(np.pi * self.a)
+        a_coeffs = apply_inverse(a_op, rhs)
 
         self.a_edge = np.pi * half_a / self.a
         spacing = np.pi / self.lattice
+        # the core always holds the origin atom, so its slope is an entry here
         self.core_mask = np.abs(mu.positions) <= self.a_edge + 0.5 * spacing
 
         pts = mu.positions[self.core_mask]
-        self.slope_values = self.a_op.basis.derivatives_at(pts).T @ self.a_coeffs
-        self.slope_at_zero = float(
-            (self.a_op.basis.derivatives_at(np.array([0.0])).T @ self.a_coeffs)[0]
-        )
+        self.slope_values = a_op.basis.derivatives_at(pts).T @ a_coeffs
         self.moment = recentering_moment(mu)
         self.boundary_cosine = boundary_cosine_values(
-            pts,
-            mu.masses[self.core_mask],
-            mu.mass_at_zero,
-            self.c,
-            self.moment,
-            self.slope_values,
-            self.slope_at_zero,
+            pts, mu.masses[self.core_mask], self.c, self.moment, self.slope_values
         )
 
         # model lattice covering the same range as the trusted core.  The
         # full-lattice pairing of the model cosine data has closed-form
-        # coefficients (atom parity fixes the sign pattern: consecutive
-        # zeros alternate the sign of the cosine-type solution component),
-        # so pairings are completed as [core atoms] + [closed form] -
-        # [in-core lattice], mirroring the Gram completion.
-        m, t_lat = lattice_points(self.a_edge, self.lattice)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(m % 2 == 0, 0.0, -2.0) / t_lat
-        vals[m == 0] = 0.0
-        self.core_lattice_points = t_lat
-        self.core_lattice_values = vals
+        # coefficients (the model at the basis nodes), so pairings are
+        # completed as [core atoms] + [closed form] - [in-core lattice],
+        # mirroring the Gram completion.
+        self.core_lattice_points = lattice_points(self.a_edge, self.lattice)
+        self.core_lattice_values = _free_model(self.lattice, self.core_lattice_points)[1]
         self.lattice_weight = np.pi / self.lattice
-        self._slices: dict[float, BandwidthSlice] = {}
 
     # -- tails ----------------------------------------------------------
 
@@ -294,42 +297,24 @@ class RecoveryPipeline:
             cross += side * mass * cross_sum
         return sine, cosine, cross
 
-    def _model_coefficients(self, basis) -> np.ndarray:
-        """Closed-form full-lattice pairing of the model cosine data.
-
-        Over the free lattice the pairing reproduces the sampled values of
-        the band-limited projection at the basis nodes, which are
-        ``((-1)^k - 1) / node`` independently of the bandwidth.
-        """
-        k = np.arange(-basis.half_size, basis.half_size + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(k % 2 == 0, 0.0, -2.0) / basis.nodes
-        c[k == 0] = 0.0
-        return np.sqrt(np.pi / basis.s) * c
-
     # -- slices ----------------------------------------------------------
 
     def slice_at(self, s: float) -> BandwidthSlice:
         s = float(s)
-        if s in self._slices:
-            return self._slices[s]
         if not 0.0 < s <= self.a * (1 + 1e-12):
             raise ValidationError(f"bandwidth s={s!r} outside (0, {self.a!r}]")
-        half = self.cfg.basis_half_size(s)
-        if abs(s - self.a) <= 1e-15 * self.a:
-            op = self.a_op
-        else:
-            op = build_operator(self.mu, s, half)
+        op = build_operator(self.mu, s, self.cfg.basis_half_size(s))
         rhs = np.zeros(op.basis.size)
         rhs[op.basis.center] = np.sqrt(np.pi * s)
-        coeffs = self.a_coeffs if op is self.a_op else apply_inverse(op, rhs)
+        coeffs = apply_inverse(op, rhs)
         sine_at_zero = float(np.sqrt(s / np.pi) * coeffs[op.basis.center])
 
         # pairing of the boundary cosine data against the inverted kernels,
-        # tail-completed: real atoms in the core plus the closed-form
-        # full-lattice model coefficients minus the in-core lattice pairing
+        # tail-completed: real atoms in the core plus the full-lattice model
+        # coefficients (over the free lattice the pairing reproduces the
+        # model sampled at the basis nodes) minus the in-core lattice pairing
         core = self.core_mask
-        c_model = self._model_coefficients(op.basis)
+        c_model = np.sqrt(np.pi / s) * _free_model(s, op.basis.nodes)[1]
         y = op.atom_matrix[:, core] @ (self.mu.masses[core] * self.boundary_cosine)
         y = y + c_model
         y = y - op.basis.functions_at(self.core_lattice_points) @ (
@@ -342,10 +327,8 @@ class RecoveryPipeline:
         # The model's full sampling series sums exactly (no basis-tail
         # truncation); the deviation decays fast and lives in the section.
         t = self.mu.positions
-        t_safe = np.where(t == 0.0, 1.0, t)
         phi = op.atom_matrix
-        sine_model = np.where(t == 0.0, s, np.sin(s * t) / t_safe)
-        cosine_model = np.where(t == 0.0, 0.0, (np.cos(s * t) - 1.0) / t_safe)
+        sine_model, cosine_model = _free_model(s, t)
         sine_vals = sine_model + phi.T @ (coeffs - rhs)
         cosine_vals = cosine_model + phi.T @ (beta - c_model)
 
@@ -359,8 +342,7 @@ class RecoveryPipeline:
         edge = np.pi * op.basis.half_size / s
         band = (np.abs(t) > 0.5 * self.r_eff) & (np.abs(t) <= edge)
         if np.any(band):
-            t_hi = edge
-            weight = (1.0 / self.r_eff) / (2.0 / self.r_eff - 1.0 / t_hi)
+            weight = (1.0 / self.r_eff) / (2.0 / self.r_eff - 1.0 / edge)
             mb = masses[band]
             ds = float(np.sum(mb * (sine_vals[band] ** 2 - sine_model[band] ** 2)))
             dc = float(np.sum(mb * (cosine_vals[band] ** 2 - cosine_model[band] ** 2)))
@@ -381,7 +363,7 @@ class RecoveryPipeline:
         norm2_cosine = float(np.sum(masses * cosine_vals**2)) + tail_cosine
         cross = float(np.sum(masses * sine_vals * cosine_vals)) + tail_cross
 
-        sl = BandwidthSlice(
+        return BandwidthSlice(
             s=s,
             sine_at_zero=sine_at_zero,
             sine_values=sine_vals,
@@ -390,8 +372,6 @@ class RecoveryPipeline:
             norm2_cosine=norm2_cosine,
             cross=cross,
         )
-        self._slices[s] = sl
-        return sl
 
     # -- full recovery ----------------------------------------------------
 

@@ -296,10 +296,6 @@ class SpectralMeasure:
     def zero_index(self) -> int:
         return int(np.nonzero(self.positions == 0.0)[0][0])
 
-    @property
-    def mass_at_zero(self) -> float:
-        return float(self.masses[self.zero_index])
-
     def lattice_type(self) -> float:
         """Asymptotic exponential type implied by the atom spacing.
 

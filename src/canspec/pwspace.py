@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 4097  # largest direct factorization; beyond is out of desk scale
-_DIRECT_EIG_LIMIT = 2049  # larger sections estimate extremes iteratively
 
 
 def sinc_kernel(s: float, x, t=0.0):
@@ -172,15 +171,14 @@ class PWOperator:
     _cho: tuple = None
 
 
-def lattice_points(extent: float, lattice_type: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices ``k`` and points ``pi k / L`` of the free-model lattice.
+def lattice_points(extent: float, lattice_type: float) -> np.ndarray:
+    """Points ``pi k / L`` of the free-model lattice.
 
     The lattice covers ``[-extent, extent]`` plus half a spacing on each
     side.
     """
     kmax = int(np.floor((extent + 0.5 * np.pi / lattice_type) * lattice_type / np.pi))
-    k = np.arange(-kmax, kmax + 1)
-    return k, np.pi * k / lattice_type
+    return np.pi * np.arange(-kmax, kmax + 1) / lattice_type
 
 
 def _weighted_sums(phi: np.ndarray, s: float, points: np.ndarray, weights: np.ndarray):
@@ -205,7 +203,7 @@ def _section(mu: SpectralMeasure, s: float, half_size: int):
     v, diag = _weighted_sums(phi, basis.s, mu.positions, mu.masses)
     if mu.positions.size > 1:
         lam = mu.lattice_type()
-        _, lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
+        lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
         # the lattice sinc matrix is freed before the n-by-n arrays are made;
         # held until the end, it fragments the heap (+20 MiB peak RSS, free round trip)
         v_lat, diag_lat = _weighted_sums(
@@ -293,13 +291,7 @@ def frame_bounds(mu: SpectralMeasure, s: float, half_size: int) -> tuple[float, 
     reports ``lambda_min <= 0`` instead of raising ``ComparabilityError``.
     """
     _, gram, _ = _section(mu, s, half_size)
-    if gram.shape[0] <= _DIRECT_EIG_LIMIT:
-        # the full spectrum: LAPACK's index-subset drivers fail to
-        # converge on sections that equal the identity to roundoff
-        evals = scipy.linalg.eigvalsh(gram)
-        return float(evals[0]), float(evals[-1])
-    from scipy.sparse.linalg import eigsh
-
-    lo = eigsh(gram, k=1, which="SA", tol=1e-8)[0][0]
-    hi = eigsh(gram, k=1, which="LA", tol=1e-8)[0][0]
-    return float(lo), float(hi)
+    # the full spectrum: LAPACK's index-subset drivers fail to
+    # converge on sections that equal the identity to roundoff
+    evals = scipy.linalg.eigvalsh(gram)
+    return float(evals[0]), float(evals[-1])

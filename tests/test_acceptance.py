@@ -121,20 +121,19 @@ def test_criterion_05_herglotz_constants():
 
 
 def test_criterion_06_chain_position(free_roundtrip, step_measure, step_hamiltonian):
-    pipe, _, _ = free_roundtrip
-    zeta_err = max(abs(pipe.slice_at(s).zeta - s) for s in pipe.cfg.s_grid)
-    consistency = max(pipe.slice_at(s).definitional_residual for s in pipe.cfg.s_grid)
-    increasing = True
-    for p in (pipe, _step_pipe(step_hamiltonian, step_measure)):
-        zs = np.array([p.slice_at(s).zeta for s in p.cfg.s_grid])
-        if np.any(np.diff(zs) <= 0):
-            increasing = False
+    _, result, _ = free_roundtrip
+    s_grid, zetas = result.zeta_table[1:, 0], result.zeta_table[1:, 1]
+    zeta_err = float(np.max(np.abs(zetas - s_grid)))
+    consistency = result.diagnostics["definitional_residual_max"]
+    step = _step_pipe(step_hamiltonian, step_measure)
+    step_zetas = np.array([step.slice_at(s).zeta for s in step.cfg.s_grid])
+    increasing = bool(np.all(np.diff(zetas) > 0) and np.all(np.diff(step_zetas) > 0))
     ok = zeta_err <= 1e-4 and consistency <= 1e-6 and increasing
     _report(
         6,
         ok,
         f"chain position: free |zeta(s)-s| {zeta_err:.2e} (<=1e-4) over "
-        f"{pipe.cfg.s_grid.size} samples, definitional residual {consistency:.2e} "
+        f"{s_grid.size} samples, definitional residual {consistency:.2e} "
         f"(<=1e-6), strictly increasing on fixtures: {increasing}",
     )
 

@@ -30,6 +30,23 @@ def free_mu_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def gap_mu_file(tmp_path):
+    """Unit atoms at ``k`` in [-60, 60] without ``1 <= |k| <= 12``: a 24-atom gap."""
+    k = np.arange(-60, 61)
+    k = k[(k == 0) | (np.abs(k) > 12)]
+    path = tmp_path / "gap.json"
+    path.write_text(dumps_measure(SpectralMeasure(k.astype(float), np.ones(k.size), 60.5)))
+    return path
+
+
+@pytest.fixture()
+def step_h_file(tmp_path):
+    path = tmp_path / "step.json"
+    path.write_text(dumps_hamiltonian(oracles.step_fixture(1.2, trace_normalized=False)))
+    return path
+
+
 class TestForwardCommand:
     def test_bit_reproducible_outputs(self, free_h_file, tmp_path):
         outs = []
@@ -101,6 +118,18 @@ class TestInverseCommand:
         )
         assert code == 2
 
+    def test_section_that_is_not_positive_definite_exits_3(self, gap_mu_file, tmp_path, capsys):
+        code = main(
+            [
+                "inverse", "--in", str(gap_mu_file), "--c", "0", "--bandwidth", str(np.pi),
+                "--pw-trunc", "40", "--out-dir", str(tmp_path / "rec"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure [inverse]: ")
+        assert "factorization failed" in err
+
 
 class TestRoundtripCommand:
     def test_free_roundtrip_artifacts(self, free_h_file, tmp_path):
@@ -121,24 +150,27 @@ class TestRoundtripCommand:
 
 
 class TestInvariantGate:
-    def test_short_window_roundtrip_exits_4(self, tmp_path):
+    ARGS = ["--window", "60", "--pw-trunc", "64", "--s-samples", "17", "--r-samples", "33"]
+
+    def test_short_window_roundtrip_exits_4(self, step_h_file, tmp_path):
         # a perturbed weight at a short window breaches the reproducing
         # identity gate: results are still written, exit code flags it
-        from canspec.model import dumps_hamiltonian as dumps
-        from canspec.oracles import step_fixture
-
-        path = tmp_path / "step.json"
-        path.write_text(dumps(step_fixture(1.2, trace_normalized=False)))
         out = tmp_path / "rt"
-        code = main(
-            [
-                "roundtrip", "--in", str(path), "--window", "60",
-                "--pw-trunc", "64", "--s-samples", "17", "--r-samples", "33",
-                "--out-dir", str(out),
-            ]
-        )
+        code = main(["roundtrip", "--in", str(step_h_file), *self.ARGS, "--out-dir", str(out)])
         assert code == 4
         assert (out / "roundtrip.json").exists()
+
+    def test_tol_override_reports_but_never_loosens(self, step_h_file, tmp_path, capsys):
+        code = main(
+            ["roundtrip", "--in", str(step_h_file), *self.ARGS, "--tol-override", "1",
+             "--out-dir", str(tmp_path / "rt")]
+        )
+        assert code == 4
+        out, err = capsys.readouterr()
+        line = next(s for s in out.splitlines() if "sine_norm_residual_max" in s)
+        assert line.startswith("[tol-override] sine_norm_residual_max: ")
+        assert "vs override 1.0e+00 -> pass" in line
+        assert "invariant breach: sine_norm_residual_max=" in err
 
 
 class TestFrameboundsCommand:
@@ -155,15 +187,11 @@ class TestFrameboundsCommand:
         assert doc["lambda_max"] == pytest.approx(1.0, abs=1e-8)
         assert doc["N"] == 40
 
-    def test_section_that_is_not_positive_definite(self, tmp_path):
+    def test_section_that_is_not_positive_definite(self, gap_mu_file, tmp_path):
         # a gap of 24 atoms: lambda_min ~ 0 is reported, not a factorization error
-        k = np.arange(-60, 61)
-        k = k[(k == 0) | (np.abs(k) > 12)]
-        path = tmp_path / "gap.json"
-        path.write_text(dumps_measure(SpectralMeasure(k.astype(float), np.ones(k.size), 60.5)))
         code = main(
             [
-                "framebounds", "--in", str(path), "--s", str(np.pi),
+                "framebounds", "--in", str(gap_mu_file), "--s", str(np.pi),
                 "--pw-trunc", "40", "--out-dir", str(tmp_path),
             ]
         )

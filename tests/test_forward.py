@@ -266,7 +266,7 @@ class TestSpectralMeasure:
 
     def test_step_masses_positive(self, step_measure):
         assert np.all(step_measure.masses > 0)
-        assert step_measure.mass_at_zero > 0
+        assert step_measure.masses[step_measure.zero_index] > 0
 
     def test_incompatible_weight_rejected(self):
         H = Hamiltonian.from_segments(

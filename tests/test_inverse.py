@@ -85,8 +85,8 @@ class TestSineComponent:
     def test_free_slope_pattern(self, free_pipeline):
         # value derivative of the sine component at the lattice: (-1)^k a/t
         pipe = free_pipeline
-        assert abs(pipe.slope_at_zero) < 1e-10
         t = pipe.mu.positions[pipe.core_mask]
+        assert abs(pipe.slope_values[t == 0.0][0]) < 1e-10
         nz = t != 0.0
         want = np.cos(np.pi * t[nz]) * np.pi / t[nz]
         np.testing.assert_allclose(pipe.slope_values[nz], want, atol=1e-8)
@@ -120,11 +120,9 @@ class TestBoundaryCosine:
             boundary_cosine_values(
                 np.array([0.0, 1.0]),
                 np.array([1.0, 1.0]),
-                1.0,
                 0.0,
                 0.0,
-                np.array([0.1, 0.0]),
-                0.0,
+                np.array([0.0, 0.0]),
             )
 
 
@@ -232,6 +230,24 @@ class TestChainPosition:
             for s in step_pipeline.cfg.s_grid[::5]
         )
         assert res_400 < 0.7 * res_200
+
+
+class TestPipelineState:
+    def test_slices_and_run_leave_state_alone(self, free_pipeline):
+        # each slice builds its own section: nothing is stored or replaced
+        pipe = free_pipeline
+        before = dict(vars(pipe))
+        contents = {k: v.copy() for k, v in before.items() if hasattr(v, "copy")}
+        pipe.slice_at(pipe.a)
+        pipe.run()
+        after = vars(pipe)
+        assert after.keys() == before.keys()
+        assert all(after[k] is v for k, v in before.items())
+        for k, v in contents.items():
+            if isinstance(v, np.ndarray):
+                np.testing.assert_array_equal(after[k], v)
+            else:
+                assert after[k] == v, k
 
 
 class TestReconstruct:

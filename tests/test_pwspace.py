@@ -25,7 +25,7 @@ def explicit_gram(mu, basis):
     gram = (phi * mu.masses) @ phi.T
     if mu.positions.size > 1:
         lam = mu.lattice_type()
-        _, lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
+        lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
         phi_lat = basis.functions_at(lattice)
         gram += np.eye(basis.size) - (np.pi / lam) * (phi_lat @ phi_lat.T)
     return gram
@@ -214,7 +214,7 @@ class TestBuildOperator:
         rng = np.random.default_rng(3)
         c = rng.standard_normal(op.basis.size)
         lam = mu.lattice_type()
-        _, lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
+        lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
         pointwise = (
             np.sum(mu.masses * (op.atom_matrix.T @ c) ** 2)
             + c @ c
