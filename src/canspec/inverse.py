@@ -1,13 +1,12 @@
 """Recovery of the system weight from an admissible spectral measure.
 
 The pipeline inverts the sectioned quadratic form at a family of
-bandwidths ``s``.  At each ``s`` it recovers two families of values on
-the support of the measure: a sine-type component whose value at the
-origin equals the integrated top-left weight entry, and a cosine-type
-component whose measure norm supplies the rest of the trace.  The
-strictly increasing map ``s -> position`` is inverted on a uniform
-position grid, and the weight entries appear as derivatives of three
-absolutely continuous functions of position.
+bandwidths ``s``.  At each ``s`` one two-column solve recovers a
+sine-type and a cosine-type component on the support of the measure;
+their 2x2 measure Gram over pi is the integrated weight up to the
+position of type ``s``.  The strictly increasing map ``s -> position``
+is inverted on a uniform position grid, and the weight entries appear as
+derivatives of three absolutely continuous functions of position.
 
 Windowed measures lose slowly decaying tails in every measure sum.  All
 sums here are completed with the free lattice model at the estimated
@@ -56,6 +55,10 @@ __all__ = [
 _LATTICE_TERMS = 64
 _EM_ORDER = 25
 _EM_WEIGHTS = scipy.special.bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
+#: Orders ``n``, ``n!`` and ``(-1)^n (n + 1)``: ``(q + x)^-2 = sum (-1)^n (n + 1) x^n / q^(n + 2)``.
+_EM_POWERS = np.arange(2 * _EM_ORDER)
+_EM_FACTORIALS = scipy.special.factorial(_EM_POWERS)
+_EM_SIGNS = (-1.0) ** _EM_POWERS * (_EM_POWERS + 1)
 
 
 def _lerch_remainder(theta: float, q: float) -> complex:
@@ -75,10 +78,8 @@ def _lerch_remainder(theta: float, q: float) -> complex:
     if x > 0:
         si, ci = scipy.special.sici(x)
         integral += 1j * a * np.exp(-1j * x) * (-ci + 1j * (0.5 * np.pi - si))
-    n = np.arange(2 * _EM_ORDER)
-    taylor = np.convolve(
-        (1j * a) ** n / scipy.special.factorial(n), (-1.0) ** n * (n + 1) / q ** (n + 2)
-    )
+    n = _EM_POWERS
+    taylor = np.convolve((1j * a) ** n / _EM_FACTORIALS, _EM_SIGNS / q ** (n + 2))
     value = integral + 0.5 / q**2 - taylor[1 : n.size : 2] @ _EM_WEIGHTS
     return complex(np.conj(value) if theta < 0 else value)
 
@@ -180,26 +181,24 @@ def _free_model(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BandwidthSlice:
     """Everything the pipeline computes at one bandwidth ``s``.
 
-    Component values are indexed like the measure atoms; the measure
-    sums combine them with the lattice-model tails beyond the window.
+    Component values are indexed like the measure atoms.  ``norms`` is their
+    tail-completed 2x2 measure Gram; ``norms / pi`` is ``int_0^zeta H``.
     """
 
     s: float
     sine_at_zero: float
     sine_values: np.ndarray
     cosine_values: np.ndarray
-    norm2_sine: float
-    norm2_cosine: float
-    cross: float
+    norms: np.ndarray
 
     @property
     def zeta(self) -> float:
-        return 0.5 * self.sine_at_zero + self.norm2_cosine / (2.0 * np.pi)
+        return 0.5 * self.sine_at_zero + self.norms[1, 1] / (2.0 * np.pi)
 
     @property
     def sine_norm_residual(self) -> float:
         """Residual of ``(1/pi) ||sine||^2 = sine(0)`` (reproducing identity)."""
-        return abs(self.norm2_sine / np.pi - self.sine_at_zero)
+        return abs(self.norms[0, 0] / np.pi - self.sine_at_zero)
 
     @property
     def definitional_residual(self) -> float:
@@ -209,7 +208,7 @@ class BandwidthSlice:
         arithmetic and is roundoff by construction; it does not certify the
         chain map ``s -> zeta(s)``.
         """
-        return abs(2.0 * self.zeta - self.sine_at_zero - self.norm2_cosine / np.pi)
+        return abs(2.0 * self.zeta - self.sine_at_zero - self.norms[1, 1] / np.pi)
 
 
 def _top_eigenprojection(h11, h12, half_gap):
@@ -268,34 +267,33 @@ class RecoveryPipeline:
             pts, mu.masses[self.core_mask], self.c, self.moment, self.slope_values
         )
 
-        # model lattice covering the same range as the trusted core.  The
-        # full-lattice pairing of the model cosine data has closed-form
-        # coefficients (the model at the basis nodes), so pairings are
-        # completed as [core atoms] + [closed form] - [in-core lattice],
-        # mirroring the Gram completion.
+        # model lattice covering the same range as the trusted core, with
+        # its mass times the model cosine data.  The full-lattice pairing of
+        # that data has closed-form coefficients (the model at the basis
+        # nodes), so pairings are completed as [core atoms] + [closed form]
+        # - [in-core lattice], mirroring the Gram completion.
         self.core_lattice_points = lattice_points(self.a_edge, self.lattice)
-        self.core_lattice_values = _free_model(self.lattice, self.core_lattice_points)[1]
-        self.lattice_weight = np.pi / self.lattice
+        self.core_lattice_cosine = (np.pi / self.lattice) * _free_model(
+            self.lattice, self.core_lattice_points
+        )[1]
 
     # -- tails ----------------------------------------------------------
 
-    def _model_tails(self, s: float) -> tuple[float, float, float]:
-        """Lattice-model tails of the measure sums beyond the window.
+    def _model_tails(self, s: float) -> np.ndarray:
+        """Lattice-model tail of the 2x2 measure Gram beyond the window.
 
         The model continues the atoms to infinity over
         :meth:`~canspec.model.SpectralMeasure.tail_lattices` (alternating
         masses correlate with the alternating component values), each
-        lattice summed by :func:`lattice_tail_sums`.  Returns tails for the
-        squared sine sum, the squared cosine sum and their cross sum.
+        lattice summed by :func:`lattice_tail_sums`.  The diagonal holds the
+        squared sine and cosine sums, the off-diagonal their cross sum.
         """
         spacing = np.pi / self.lattice
-        sine = cosine = cross = 0.0
+        tails = np.zeros((2, 2))
         for side, first, mass in self.mu.tail_lattices(spacing):
-            sine2, cosine2, cross_sum = lattice_tail_sums(s, first, 2.0 * spacing)
-            sine += mass * sine2
-            cosine += mass * cosine2
-            cross += side * mass * cross_sum
-        return sine, cosine, cross
+            sine2, cosine2, cross = lattice_tail_sums(s, first, 2.0 * spacing)
+            tails += mass * np.array([[sine2, side * cross], [side * cross, cosine2]])
+        return tails
 
     # -- slices ----------------------------------------------------------
 
@@ -304,36 +302,32 @@ class RecoveryPipeline:
         if not 0.0 < s <= self.a * (1 + 1e-12):
             raise ValidationError(f"bandwidth s={s!r} outside (0, {self.a!r}]")
         op = build_operator(self.mu, s, self.cfg.basis_half_size(s))
-        rhs = np.zeros(op.basis.size)
-        rhs[op.basis.center] = np.sqrt(np.pi * s)
-        coeffs = apply_inverse(op, rhs)
-        sine_at_zero = float(np.sqrt(s / np.pi) * coeffs[op.basis.center])
+        phi = op.atom_matrix
 
-        # pairing of the boundary cosine data against the inverted kernels,
-        # tail-completed: real atoms in the core plus the full-lattice model
-        # coefficients (over the free lattice the pairing reproduces the
-        # model sampled at the basis nodes) minus the in-core lattice pairing
+        # Two columns, one solve; ``model`` holds their free-model coefficients.
+        # Sine: the kernel at the origin.  Cosine: the boundary cosine data
+        # paired with the inverted kernels, tail-completed as core atoms plus
+        # the full-lattice model coefficients (the model at the basis nodes)
+        # minus the in-core lattice pairing.
         core = self.core_mask
-        c_model = np.sqrt(np.pi / s) * _free_model(s, op.basis.nodes)[1]
-        y = op.atom_matrix[:, core] @ (self.mu.masses[core] * self.boundary_cosine)
-        y = y + c_model
-        y = y - op.basis.functions_at(self.core_lattice_points) @ (
-            self.lattice_weight * self.core_lattice_values
-        )
-        beta = apply_inverse(op, y)
+        model = np.zeros((op.basis.size, 2))
+        model[op.basis.center, 0] = np.sqrt(np.pi * s)
+        model[:, 1] = np.sqrt(np.pi / s) * _free_model(s, op.basis.nodes)[1]
+        rhs = model.copy()
+        rhs[:, 1] += phi[:, core] @ (self.mu.masses[core] * self.boundary_cosine)
+        rhs[:, 1] -= op.basis.functions_at(self.core_lattice_points) @ self.core_lattice_cosine
+        coeffs = apply_inverse(op, rhs)
+        sine_at_zero = float(np.sqrt(s / np.pi) * coeffs[op.basis.center, 0])
 
         # Values on the support are the free-model closed forms plus the
         # sectioned evaluation of the coefficient deviation from the model.
         # The model's full sampling series sums exactly (no basis-tail
         # truncation); the deviation decays fast and lives in the section.
         t = self.mu.positions
-        phi = op.atom_matrix
-        sine_model, cosine_model = _free_model(s, t)
-        sine_vals = sine_model + phi.T @ (coeffs - rhs)
-        cosine_vals = cosine_model + phi.T @ (beta - c_model)
-
-        masses = self.mu.masses
-        tail_sine, tail_cosine, tail_cross = self._model_tails(s)
+        masses = self.mu.masses[:, None]
+        free = np.column_stack(_free_model(s, t))
+        values = free + phi.T @ (coeffs - model)
+        norms = values.T @ (masses * values) + self._model_tails(s)
 
         # data-driven amplitude correction of the model tails: the measured
         # difference between computed values and the free-model pattern in
@@ -343,35 +337,10 @@ class RecoveryPipeline:
         band = (np.abs(t) > 0.5 * self.r_eff) & (np.abs(t) <= edge)
         if np.any(band):
             weight = (1.0 / self.r_eff) / (2.0 / self.r_eff - 1.0 / edge)
-            mb = masses[band]
-            ds = float(np.sum(mb * (sine_vals[band] ** 2 - sine_model[band] ** 2)))
-            dc = float(np.sum(mb * (cosine_vals[band] ** 2 - cosine_model[band] ** 2)))
-            dx = float(
-                np.sum(
-                    mb
-                    * (
-                        sine_vals[band] * cosine_vals[band]
-                        - sine_model[band] * cosine_model[band]
-                    )
-                )
-            )
-            tail_sine += weight * ds
-            tail_cosine += weight * dc
-            tail_cross += weight * dx
+            vb, fb, mb = values[band], free[band], masses[band]
+            norms += weight * (vb.T @ (mb * vb) - fb.T @ (mb * fb))
 
-        norm2_sine = float(np.sum(masses * sine_vals**2)) + tail_sine
-        norm2_cosine = float(np.sum(masses * cosine_vals**2)) + tail_cosine
-        cross = float(np.sum(masses * sine_vals * cosine_vals)) + tail_cross
-
-        return BandwidthSlice(
-            s=s,
-            sine_at_zero=sine_at_zero,
-            sine_values=sine_vals,
-            cosine_values=cosine_vals,
-            norm2_sine=norm2_sine,
-            norm2_cosine=norm2_cosine,
-            cross=cross,
-        )
+        return BandwidthSlice(s, sine_at_zero, values[:, 0], values[:, 1], norms)
 
     # -- full recovery ----------------------------------------------------
 
@@ -381,7 +350,7 @@ class RecoveryPipeline:
         slices = [self.slice_at(s) for s in cfg.s_grid]
         zetas = np.concatenate([[0.0], [sl.zeta for sl in slices]])
         h11_int = np.concatenate([[0.0], [sl.sine_at_zero for sl in slices]])
-        offdiag_int = np.concatenate([[0.0], [sl.cross / np.pi for sl in slices]])
+        offdiag_int = np.concatenate([[0.0], [sl.norms[0, 1] / np.pi for sl in slices]])
 
         if np.any(np.diff(zetas) <= 0):
             raise NumericalError(

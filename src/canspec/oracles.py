@@ -98,6 +98,7 @@ class RoundtripReport:
     measure: SpectralMeasure
     c: float
     result: ReconstructionResult
+    cell_error: np.ndarray  # |recovered - input| per recovered cell, shape (cells, 2, 2)
     sup_error: np.ndarray
     sup_error_interior: np.ndarray
     l1_relative: np.ndarray
@@ -169,7 +170,7 @@ def roundtrip(
     diagnostics = dict(result.diagnostics)
     diagnostics["herglotz_b"] = mu.herglotz_b
     diagnostics["ell_error"] = abs(Hr.ell - Ht.ell)
-    return RoundtripReport(Ht, mu, mu.herglotz_c, result, sup, sup_inner, l1, diagnostics)
+    return RoundtripReport(Ht, mu, mu.herglotz_c, result, err, sup, sup_inner, l1, diagnostics)
 
 
 # ---------------------------------------------------------------------------

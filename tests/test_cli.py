@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from canspec import oracles
+from canspec import cli, oracles
 from canspec.cli import main
 from canspec.model import (
     Hamiltonian,
@@ -159,6 +159,25 @@ class TestInvariantGate:
         code = main(["roundtrip", "--in", str(step_h_file), *self.ARGS, "--out-dir", str(out)])
         assert code == 4
         assert (out / "roundtrip.json").exists()
+
+    def test_residuals_csv_is_the_per_cell_error(self, step_h_file, tmp_path):
+        # written from RoundtripReport.cell_error, residuals.csv is byte for byte
+        # the file recomputed from the recovered and the normalized input weight
+        out = tmp_path / "rt"
+        main(["roundtrip", "--in", str(step_h_file), *self.ARGS, "--out-dir", str(out)])
+        report = oracles.roundtrip(
+            load_hamiltonian(step_h_file), window=60.0, pw_truncation=64, s_samples=17,
+            r_samples=33,
+        )
+        Hr, Ht = report.result.hamiltonian, report.normalized
+        mids = 0.5 * (Hr.edges[:-1] + Hr.edges[1:])
+        resid = np.abs(Hr.matrices - Ht.sample(np.minimum(mids, Ht.ell * (1 - 1e-15))))
+        cli._write_csv(
+            tmp_path / "want.csv",
+            ["r", "d_h11", "d_h12", "d_h22"],
+            [mids, resid[:, 0, 0], resid[:, 0, 1], resid[:, 1, 1]],
+        )
+        assert (out / "residuals.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_tol_override_reports_but_never_loosens(self, step_h_file, tmp_path, capsys):
         code = main(

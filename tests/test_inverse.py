@@ -205,6 +205,14 @@ class TestChainPosition:
             xi = forward.type_inverse(step_hamiltonian, s)
             assert abs(pipe.slice_at(s).zeta - xi) < 2e-3
 
+    def test_free_norms_are_integrated_weight(self, free_pipeline):
+        # the 2x2 measure Gram over pi is int_0^zeta H = s I on the free weight:
+        # pins the cosine norm and the cross term, not only the sine norm
+        for s in free_pipeline.cfg.s_grid:
+            norms = free_pipeline.slice_at(s).norms
+            assert norms.shape == (2, 2)
+            np.testing.assert_allclose(norms / np.pi, s * np.eye(2), rtol=0, atol=1e-13)
+
     def test_sine_norm_identity_free(self, free_pipeline):
         # reproducing identity at the stated tolerance where the tail
         # completion is exact
@@ -380,7 +388,7 @@ class TestModelTails:
     def test_free_full_bandwidth_exact(self, free_pipeline):
         # sin(pi n) = 0 on the free lattice: the sine tail vanishes and the
         # reproducing identity holds to roundoff
-        assert abs(free_pipeline._model_tails(np.pi)[0]) <= 1e-15
+        assert abs(free_pipeline._model_tails(np.pi)[0, 0]) <= 1e-15
         assert free_pipeline.slice_at(np.pi).sine_norm_residual <= 1e-12
 
     @pytest.mark.parametrize("fixture", ["free_pipeline", "smooth_pipeline"])
@@ -389,7 +397,8 @@ class TestModelTails:
         pipe = request.getfixturevalue(fixture)
         s = frac * pipe.a
         want, bound = _brute_force_tails(pipe, s)
-        got = np.array(pipe._model_tails(s))
+        tails = pipe._model_tails(s)
+        got = np.array([tails[0, 0], tails[1, 1], tails[0, 1]])
         # at (near-)resonant s the brute force's own 1/T remainder limits it
         tol = 1e-12 if frac == 0.77 else bound
         assert np.max(np.abs(got - want)) <= tol
@@ -416,6 +425,6 @@ class TestModelTails:
         plain, one, two = mp.zeta(2, q), osc(ms), osc(2 * ms)
         sine = 2 * 0.5 * (plain - mp.re(two))
         cosine = 2 * (1.5 * plain + 0.5 * mp.re(two) - 2 * mp.re(one))
-        assert got[0] == pytest.approx(float(sine), abs=1e-15)
-        assert got[1] == pytest.approx(float(cosine), abs=1e-15)
-        assert abs(got[2]) <= 1e-15
+        assert got[0, 0] == pytest.approx(float(sine), abs=1e-15)
+        assert got[1, 1] == pytest.approx(float(cosine), abs=1e-15)
+        assert abs(got[0, 1]) <= 1e-15

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from canspec import pwspace
 from canspec.model import ComparabilityError, SpectralMeasure, ValidationError
@@ -243,6 +244,46 @@ class TestApplyInverse:
         rhs = np.linspace(-1, 1, op.basis.size) + 1j * np.ones(op.basis.size)
         x = apply_inverse(op, rhs)
         np.testing.assert_allclose(op.gram @ x, rhs, atol=1e-10)
+
+    def test_block_equals_column_solves(self, step_measure_small):
+        op = build_operator(step_measure_small, 1.8, 20)
+        rng = np.random.default_rng(7)
+        rhs = rng.standard_normal((op.basis.size, 2))
+        x = apply_inverse(op, rhs)
+        assert x.shape == rhs.shape
+        for k in range(2):
+            col = apply_inverse(op, rhs[:, k])
+            np.testing.assert_allclose(x[:, k], col, rtol=0, atol=1e-14 * np.max(np.abs(col)))
+
+    def test_zero_column_returns_zeros(self, step_measure_small):
+        op = build_operator(step_measure_small, 1.8, 20)
+        rhs = np.zeros((op.basis.size, 2))
+        rhs[:, 1] = np.linspace(-1, 1, op.basis.size)
+        x = apply_inverse(op, rhs)
+        assert np.all(x[:, 0] == 0.0)
+        np.testing.assert_allclose(op.gram @ x[:, 1], rhs[:, 1], atol=1e-10)
+
+    @staticmethod
+    def _misfactored(mu, scale):
+        """Operator whose Cholesky factor is that of ``scale * gram``."""
+        op = build_operator(mu, 1.8, 20)
+        cho = scipy.linalg.cho_factor(scale * op.gram)
+        return pwspace.PWOperator(op.basis, op.gram, op.atom_matrix, cho)
+
+    def test_refinement_repairs_a_slightly_wrong_factor(self, step_measure_small):
+        op = self._misfactored(step_measure_small, 1 + 1e-9)
+        rhs = np.zeros((op.basis.size, 2))
+        rhs[:, 1] = np.linspace(-1, 1, op.basis.size)
+        x = apply_inverse(op, rhs)
+        # one refinement step on the failing column; the zero column is untouched
+        assert np.all(x[:, 0] == 0.0)
+        res = np.linalg.norm(op.gram @ x[:, 1] - rhs[:, 1]) / np.linalg.norm(rhs[:, 1])
+        assert res <= 1e-12
+
+    def test_refinement_failure_raises(self, step_measure_small):
+        op = self._misfactored(step_measure_small, 1 + 1e-3)
+        with pytest.raises(ComparabilityError, match="inverse application failed"):
+            apply_inverse(op, np.linspace(-1, 1, op.basis.size))
 
     def test_size_mismatch(self, step_measure_small):
         op = build_operator(step_measure_small, 1.8, 20)
