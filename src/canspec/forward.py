@@ -52,13 +52,14 @@ def _cs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A real ``delta`` (real spectral parameter) is nonnegative, since the
     propagation clamps determinants at 0, and both functions stay in
     ``[-1, 1]``; only the removable singularity at 0 needs a series.
+    ``delta`` is an array of at least one dimension.
     """
-    delta = np.asarray(delta)
     w = np.sqrt(delta)
-    small = np.abs(delta) < 1e-12
-    w_safe = np.where(small, 1.0, w)
     c = np.cos(w)
-    s = np.where(small, 1.0 - delta / 6.0, np.sin(w_safe) / w_safe)
+    small = np.abs(delta) < 1e-12
+    w[small] = 1.0
+    s = np.sin(w) / w
+    s[small] = 1.0 - delta[small] / 6.0
     return c, s
 
 
@@ -68,12 +69,11 @@ def _csd(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``C - S`` cancels to ``O(delta)`` near 0, so a short series takes over
     below ``|delta| = 1e-4``.
     """
-    delta = np.asarray(delta)
     c, s = _cs(delta)
     small = np.abs(delta) < 1e-4
-    delta_safe = np.where(small, 1.0, delta)
-    series = -1.0 / 3.0 + delta / 30.0 - delta**2 / 840.0 + delta**3 / 45360.0
-    d = np.where(small, series, (c - s) / delta_safe)
+    d = (c - s) / np.where(small, 1.0, delta)
+    x = delta[small]
+    d[small] = -1.0 / 3.0 + x / 30.0 - x**2 / 840.0 + x**3 / 45360.0
     return c, s, d
 
 
@@ -85,42 +85,94 @@ def _effective_lengths(H: Hamiltonian, r: float) -> np.ndarray:
     return np.clip(np.minimum(H.edges[1:], r) - H.edges[:-1], 0.0, None)
 
 
+def _factor_columns(diagonal, scale, K):
+    """Columns of ``diagonal I + scale K`` for a block of segments.
+
+    ``diagonal`` and ``scale`` are ``(segments, points)`` arrays and ``K``
+    is ``(segments, 2, 2, 1)``.  Returns the two columns, each of shape
+    ``(segments, 2, 1, points)``: row ``j`` is the column of segment ``j``
+    in the layout that :func:`_propagate` carries.
+    """
+    F = scale[:, None, None] * K
+    F[:, 0, 0] += diagonal
+    F[:, 1, 1] += diagonal
+    return F[:, :, 0, None], F[:, :, 1, None]
+
+
+#: Segment-point pairs whose factors :func:`_propagate` evaluates at once.
+_BLOCK_PAIRS = 4096
+
+
 def _propagate(
-    H: Hamiltonian, r: float, z, derivative: bool = False
+    H: Hamiltonian, r: float, z, derivative: bool = False, columns: int = 2
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Segment product ``M(r, z)`` and, on request, ``dM/dz``.
 
     Each segment of length ``d`` inside ``[0, r]`` contributes the exact
-    factor ``C I + S z d K`` with ``K = -J H`` and ``C``, ``S`` from
-    :func:`_cs` at ``delta = z**2 det(H) d**2``.  Returns arrays of shape
-    ``z.shape + (2, 2)`` (real for real ``z``) and ``None`` for the
+    factor ``F = C I + S z d K`` with ``K = -J H`` and ``C``, ``S`` from
+    :func:`_cs` at ``delta = z**2 det(H) d**2``; its z-derivative is
+    ``dF = -z gamma S I + (z**2 gamma D + S) d K`` with ``gamma = det(H)
+    d**2`` and ``D`` from :func:`_csd`.
+
+    Block evaluation: the reached segments are cut into blocks of at most
+    ``_BLOCK_PAIRS`` segment-point pairs (at least one segment), and the
+    scalar functions and the entries of ``F`` (and ``dF``) are evaluated
+    for a whole block in a few array operations.  Column recurrence: the
+    sequential loop over the block's segments carries the entries of the
+    first ``columns`` columns of ``M`` (and of ``dM``) as arrays over the
+    points, and updates them with the 2x2 product written out entry by
+    entry, so no 2x2 factor is formed per segment.  The cap is a constant
+    rather than "all segments" because it bounds memory: the block arrays
+    grow with segments times points, and evaluating every segment at once
+    raised the peak memory of a 1000-segment spectral measure from 86 to
+    196 MiB and made it slower, since the arrays no longer stay in cache.
+    At a few thousand pairs the per-block overhead is already small
+    against the sequential loop.
+
+    ``columns`` is 2 for the whole matrix or 1 for its first column, the
+    only part :func:`theta_and_derivative` reads.  Returns arrays of shape
+    ``z.shape + (2, columns)`` (real for real ``z``) and ``None`` for the
     derivative unless it is asked for.
     """
     z = np.asarray(z)
-    shape = z.shape + (2, 2)
+    shape = z.shape + (2, columns)
+    dtype = complex if np.iscomplexobj(z) else float
     z = z.reshape(-1)
-    h = H.matrices
-    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1).reshape(-1, 2, 2)
-    # determinants within PSD slack of zero behave as rank-one segments
-    dets = np.maximum(H.determinants(), 0.0)
-    lengths = _effective_lengths(H, r)
-    eye = np.eye(2)
     z2 = z**2
-    M = np.broadcast_to(eye, (z.size, 2, 2)).astype(complex if np.iscomplexobj(z) else float)
-    dM = np.zeros_like(M) if derivative else None
+    lengths = _effective_lengths(H, r)
     # the segments reached by r are a prefix, each of positive length
-    for d, Kj, det in zip(lengths[lengths > 0], K, dets):
-        gamma = det * d * d
-        delta = z2 * gamma
+    n = int(np.count_nonzero(lengths > 0))
+    d = lengths[:n, None]
+    # determinants within PSD slack of zero behave as rank-one segments
+    gamma = np.maximum(H.determinants()[:n, None], 0.0) * d * d
+    h = H.matrices[:n]
+    # K = -J H per segment, with a trailing axis for the points
+    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1)
+    K = K.reshape(-1, 2, 2, 1)
+    # M[i, k] is entry (i, k) as an array over the points
+    M = np.eye(2)[:, :columns, None]
+    dM = np.zeros_like(M)
+    rows = max(1, _BLOCK_PAIRS // max(z.size, 1))
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        delta = z2 * gamma[block]
         c, s, dd = _csd(delta) if derivative else (*_cs(delta), None)
-        F = c[:, None, None] * eye + (s * z * d)[:, None, None] * Kj
+        F = _factor_columns(c, s * z * d[block], K[block])
+        dF = ()
         if derivative:
-            # dF/dz = -z*gamma*S*I + (z^2*gamma*D + S) * d * K
-            dk = (z2 * gamma * dd + s) * d
-            dF = (-z * gamma * s)[:, None, None] * eye + dk[:, None, None] * Kj
-            dM = dF @ M + F @ dM
-        M = F @ M
-    return M.reshape(shape), None if dM is None else dM.reshape(shape)
+            dk = (z2 * gamma[block] * dd + s) * d[block]
+            dF = _factor_columns(-z * gamma[block] * s, dk, K[block])
+        # f0, f1: one segment's factor columns, each (2, 1, points); g: its derivative's
+        for f0, f1, *g in zip(*F, *dF):
+            if g:
+                dM = g[0] * M[0] + g[1] * M[1] + (f0 * dM[0] + f1 * dM[1])
+            M = f0 * M[0] + f1 * M[1]
+
+    def points_first(A):
+        A = np.broadcast_to(A, (2, columns, z.size))
+        return np.moveaxis(A, -1, 0).astype(dtype, order="C").reshape(shape)
+
+    return points_first(M), points_first(dM) if derivative else None
 
 
 def transfer_entries(H: Hamiltonian, r: float, z: np.ndarray) -> np.ndarray:
@@ -151,9 +203,9 @@ def theta_and_derivative(
     closed form of the variational system), which keeps it accurate
     enough for Newton refinement and residue-based masses.  Returns
     ``(theta_plus, theta_minus, dtheta_plus, dtheta_minus)`` with the
-    shape of ``z``.
+    shape of ``z``.  Only the first column is propagated.
     """
-    M, dM = _propagate(H, r, z, derivative=True)
+    M, dM = _propagate(H, r, z, derivative=True, columns=1)
     # [()] turns the 0-d results of a scalar z into scalars
     return M[..., 0, 0][()], M[..., 1, 0][()], dM[..., 0, 0][()], dM[..., 1, 0][()]
 

@@ -319,12 +319,14 @@ def nonpw_example(h: float, k_max: int) -> NonPWReport:
     for k in ks:
         lam = np.pi * 3.0**k / 2.0
         r_k = float(H.edges[k])
-        M = forward.transfer_entries(H, r_k, np.asarray(lam))
+        # a small h overflows the products; the finiteness check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = forward.transfer_entries(H, r_k, np.asarray(lam))
+            Mfull = forward.transfer_entries(H, H.ell, np.asarray(lam))
+        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(Mfull))):
+            raise NumericalError("transfer matrix overflowed; reduce k_max or raise h")
         target = np.diag([h ** (-k / 2.0), h ** (k / 2.0)])
         prod_errs.append(float(np.max(np.abs(M - target)) / np.max(np.abs(target))))
-        Mfull = forward.transfer_entries(H, H.ell, np.asarray(lam))
-        if not np.all(np.isfinite(Mfull)):
-            raise NumericalError("transfer matrix overflowed; reduce k_max or raise h")
         evals.append(float(np.hypot(Mfull[0, 0], Mfull[1, 0])))
         tails.append(float(np.exp(lam / h * 3.0**-j_max / 2.0)))
     evals = np.array(evals)

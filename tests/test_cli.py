@@ -235,6 +235,13 @@ class TestNonPwCommand:
         assert all(v >= 0.1 for v in doc["E_scaled"])
         assert (tmp_path / "nonpw.csv").exists()
 
+    def test_overflow_exits_3_without_numpy_warnings(self, tmp_path, capsys):
+        code = main(["example-nonpw", "--h", "1e-62", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "transfer matrix overflowed" in err
+        assert "RuntimeWarning" not in err
+
 
 class TestCheckDiagCommand:
     def test_default_unit_weight(self, tmp_path):

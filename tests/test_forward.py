@@ -58,6 +58,16 @@ def bisection_zeros(H, window, step=None, passes=60):
     return np.unique(zeros)
 
 
+def expm_product(H, r, z):
+    """Ordered product of the segment exponentials ``expm(-z d_j J H_j)`` over ``[0, r]``."""
+    M = np.broadcast_to(np.eye(2, dtype=complex), z.shape + (2, 2))
+    for lo, hi, h in zip(H.edges[:-1], H.edges[1:], H.matrices):
+        if lo >= r:
+            break
+        M = scipy.linalg.expm(-(z * (min(hi, r) - lo))[:, None, None] * (J @ h)) @ M
+    return M
+
+
 class TestPropagate:
     @pytest.mark.parametrize("z", [0.7, -4.0, 2.3 + 1.1j, 120.0])
     @pytest.mark.parametrize("r", [0.3, 1.0, np.pi])
@@ -138,6 +148,26 @@ class TestSegmentKernel:
         # J X' = z H X on one constant segment: X(r) = exp(-z r J H) X(0)
         want = scipy.linalg.expm(-z * r1 * J @ H.matrices[0])
         np.testing.assert_allclose(got, want, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("inside", [False, True])
+    @pytest.mark.parametrize("z", [np.linspace(-30.0, 30.0, 37), np.linspace(-30.0, 30.0, 37) + 0.4j])
+    def test_blocks_against_expm_product(self, inside, z):
+        H = smooth_weight(8, 300)
+        k = 256
+        r = 0.5 * float(H.edges[k] + H.edges[k + 1]) if inside else float(H.edges[k])
+        # the reached segments fill two blocks and part of a third
+        rows = forward._BLOCK_PAIRS // z.size
+        assert 2 * rows < k < 3 * rows
+        M, dM = forward._propagate(H, r, z, derivative=True)
+        want = expm_product(H, r, z)
+        np.testing.assert_allclose(M, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        h = 1e-6
+        fd = (expm_product(H, r, z + h) - expm_product(H, r, z - h)) / (2 * h)
+        np.testing.assert_allclose(dM, fd, rtol=0, atol=1e-8 * np.abs(fd).max())
+        # the one-column pass of theta_and_derivative carries the same numbers
+        tp, tm, dp, dm = forward.theta_and_derivative(H, r, z)
+        for got, col in zip((tp, tm, dp, dm), (M[:, 0, 0], M[:, 1, 0], dM[:, 0, 0], dM[:, 1, 0])):
+            assert np.array_equal(got, col)
 
 
 class TestThetaDerivative:
@@ -426,14 +456,20 @@ class TestWeylTitchmarsh:
             return cs(delta)
 
         monkeypatch.setattr(forward, "_cs", counted)
-        z = np.array([1.3 + 0.2j, 0.7, 2.1])
+        z = np.concatenate([np.linspace(-3.0, 3.0, 47), [1.3 + 0.2j, 0.7, 2.1]])
         work = {}
         for n in (100, 400):
-            seen.clear()
             H = smooth_weight(6, n)
-            forward.transfer_entries(H, H.ell, z)
-            forward.theta_and_derivative(H, H.ell, z)
-            work[n] = sum(seen)
+            work[n] = 0
+            # r at the end and inside segment n // 3, which reaches n // 3 + 1 segments
+            for r, reached in ((H.ell, n), (float(H.edges[n // 3]) + 1e-9, n // 3 + 1)):
+                for kernel in (forward.transfer_entries, forward.theta_and_derivative):
+                    seen.clear()
+                    kernel(H, r, z)
+                    # each reached segment meets each point once, in capped blocks
+                    assert sum(seen) == reached * z.size
+                    assert max(seen) <= forward._BLOCK_PAIRS
+                    work[n] += sum(seen)
         assert work[400] <= 4 * work[100]
 
     def test_empty_interval(self, step_hamiltonian):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from canspec import forward, oracles
-from canspec.model import Hamiltonian, ValidationError
+from canspec.model import Hamiltonian, NumericalError, ValidationError
 
 
 class TestFreeFixture:
@@ -129,6 +129,11 @@ class TestNonPwExample:
             oracles.nonpw_example(0.2, 6)
         with pytest.raises(ValidationError, match="1/9"):
             oracles.nonpw_example(1.0 / 9.0, 6)
+
+    def test_overflow_is_a_numerical_error(self):
+        # raw overflow warnings would surface here as RuntimeWarning errors
+        with pytest.raises(NumericalError, match="overflowed"):
+            oracles.nonpw_example(1e-62, 10)
 
     def test_kmax_must_be_small_even(self):
         with pytest.raises(ValidationError):
