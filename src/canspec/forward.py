@@ -269,12 +269,19 @@ def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.n
     ``x +- step``.  Once every Newton correction is below ``1e-14 (1 +
     |x|)`` the loop stops; after ``_REFINE_PASSES`` passes without that it
     raises :class:`NumericalError`.
+
+    A weight of type 0 (every segment rank one) makes ``theta_minus`` a
+    polynomial in ``z`` whose zeros no scan step is known to separate, and
+    a window too wide for a finite scan grid at ``step`` is rejected too;
+    both raise :class:`ValidationError`.
     """
     if not 0.0 < window < np.inf:
         raise ValidationError(f"window={window!r} must be positive and finite")
     ell = H.ell
     lam = exponential_type(H, ell)
-    max_step = np.pi / (2.0 * lam) if lam > 0 else window
+    if not lam > 0.0:
+        raise ValidationError("weight has exponential type 0 (every segment is rank one)")
+    max_step = np.pi / (2.0 * lam)
     if step is None:
         step = 0.5 * max_step
     if not 0.0 < step < np.inf:
@@ -284,7 +291,10 @@ def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.n
             f"scan step {step!r} exceeds pi/(2*type)={max_step!r}; zeros could be skipped"
         )
 
-    n = int(np.ceil(2 * window / step)) + 1
+    count = np.ceil(2 * window / step)
+    if not np.isfinite(count):
+        raise ValidationError(f"window={window!r} over step={step!r} is not a finite scan")
+    n = int(count) + 1
     grid = np.linspace(-window, window, n)
     vals = transfer_entries(H, ell, grid)[..., 1, 0].real
 
@@ -324,7 +334,7 @@ def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.n
     pos = np.unique(x[np.abs(x) <= window * (1 + 1e-12)])
 
     gaps = np.diff(pos)
-    if lam > 0 and gaps.size and np.max(gaps) > 1.5 * np.pi / lam:
+    if gaps.size and np.max(gaps) > 1.5 * np.pi / lam:
         warnings.warn(
             "consecutive zeros further apart than 1.5*pi/type; scan step may be too coarse",
             RuntimeWarning,
@@ -395,12 +405,16 @@ def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, floa
     the spacing ``h = pi / type`` of the system's exponential type.  Each
     of its lattices ``first + 2h j`` is summed in closed form,
     ``sum_{j >= 0} 1/(1 + (first + 2h j)^2) = Im psi((first + i)/(2h)) /
-    (2h)`` with the digamma function ``psi``.
+    (2h)`` with the digamma function ``psi``.  A weight of type 0 has no
+    such lattice and raises :class:`ValidationError`.
     """
+    lam = exponential_type(H)
+    if not lam > 0.0:
+        raise ValidationError("weight has exponential type 0: no lattice continues the atoms")
     m_i = weyl_function(H, 1j).m
     c = float(m_i.real)
     window_sum = float(np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi)
-    spacing = np.pi / exponential_type(H)
+    spacing = np.pi / lam
     step = 2.0 * spacing
     tail = 0.0
     for _, first, mass in mu.tail_lattices(spacing):

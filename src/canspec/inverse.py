@@ -4,9 +4,9 @@ The pipeline inverts the sectioned quadratic form at a family of
 bandwidths ``s``.  At each ``s`` one two-column solve recovers a
 sine-type and a cosine-type component on the support of the measure;
 their 2x2 measure Gram over pi is the integrated weight up to the
-position of type ``s``.  The strictly increasing map ``s -> position``
-is inverted on a uniform position grid, and the weight entries appear as
-derivatives of three absolutely continuous functions of position.
+position of type ``s``, the chain point.  One interpolant of the
+integrated weight over the chain points, differenced on a uniform
+position grid, gives the weight as its derivative in position.
 
 Windowed measures lose slowly decaying tails in every measure sum.  All
 sums here are completed with the free lattice model at the estimated
@@ -359,15 +359,9 @@ class RecoveryPipeline:
             )
         ell = float(zetas[-1])
         r_grid = np.linspace(0.0, ell, cfg.r_samples)
-        tau = PchipInterpolator(zetas, s_grid)(r_grid)
-        tau[0], tau[-1] = 0.0, self.a
-
-        g1 = PchipInterpolator(s_grid, h11_int)(tau)
-        g = PchipInterpolator(s_grid, offdiag_int)(tau)
-
         dr = r_grid[1] - r_grid[0]
-        h11 = np.diff(g1) / dr
-        h12 = np.diff(g) / dr
+        integrated = PchipInterpolator(zetas, np.column_stack([h11_int, offdiag_int]))(r_grid)
+        h11, h12 = np.diff(integrated, axis=0).T / dr
         h22 = 2.0 - h11
 
         # eigenvalue clamping onto the PSD cone, trace pinned at 2; the
@@ -384,8 +378,9 @@ class RecoveryPipeline:
         ham = Hamiltonian(r_grid, np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2))
 
         dets = np.maximum(ham.determinants(), 0.0)
+        # type of the recovered weight at the chain points (exact: the cells are constant)
         krein = np.concatenate([[0.0], np.cumsum(np.sqrt(dets) * dr)])
-        krein_err = float(np.max(np.abs(krein - tau))) / self.a
+        krein_err = float(np.max(np.abs(np.interp(zetas, r_grid, krein) - s_grid))) / self.a
 
         diagnostics = {
             "sine_norm_residual_max": max(sl.sine_norm_residual for sl in slices),
@@ -403,9 +398,7 @@ class RecoveryPipeline:
                 f"reconstruction rejected (diagnostics: {diagnostics})"
             )
 
-        zeta_table = np.column_stack([s_grid, zetas])
-        tau_table = np.column_stack([r_grid, tau])
-        return ReconstructionResult(ham, zeta_table, tau_table, diagnostics)
+        return ReconstructionResult(ham, np.column_stack([s_grid, zetas]), diagnostics)
 
 
 def reconstruct(mu: SpectralMeasure, c: float, cfg: GridConfig) -> ReconstructionResult:

@@ -411,6 +411,8 @@ class GridConfig:
         """Uniform ``s`` grid on ``(0, a]`` with ``s_samples`` points incl. 0."""
         if not np.isfinite(a):
             raise ValidationError(f"bandwidth {a!r} must be finite")
+        if s_samples < 3:
+            raise ValidationError(f"s_samples={s_samples!r} must be at least 3 (two bandwidths)")
         grid = np.linspace(0.0, a, s_samples)[1:]
         return cls(pw_truncation, measure_window, grid, r_samples)
 
@@ -429,14 +431,12 @@ class ReconstructionResult:
     """Output of the inverse pipeline.
 
     ``hamiltonian`` is trace-2 piecewise constant on the recovered
-    interval; ``zeta_table`` holds ``(s, position(s))`` rows,
-    ``tau_table`` holds ``(r, bandwidth(r))`` rows of the inverse map,
-    and ``diagnostics`` carries every residual computed along the way.
+    interval; ``zeta_table`` holds the chain points as ``(s, position(s))``
+    rows, and ``diagnostics`` carries every residual computed along the way.
     """
 
     hamiltonian: Hamiltonian
     zeta_table: np.ndarray
-    tau_table: np.ndarray
     diagnostics: dict
 
 

@@ -358,7 +358,10 @@ def diag_necessary_condition(
     cumulative quadrature (innermost weight ``exp(+phi)``, alternating
     outward).  For admissible diagonal weights the ratio stays bounded
     between positive constants uniformly in ``n`` and ``s``; for
-    ``w == 1`` it equals ``n / (2n + 1)`` exactly.
+    ``w == 1`` it equals ``n / (2n + 1)`` exactly.  The quadrature runs in
+    ``u = t / s`` on ``[0, 1]``: ``I_n`` carries ``s^n`` and the outer
+    integral one more ``s``, so the ratio is ``n (n!)^2`` times the
+    integral in ``u`` and no power of ``s`` is formed.
 
     ``w`` is a positive callable on ``[0, s]`` or an array of samples on
     the uniform grid of ``num_points`` points.  ``rule`` selects the
@@ -371,9 +374,9 @@ def diag_necessary_condition(
         raise ValidationError("n > 20 is numerically unstable in the factorial scaling")
     if not 0.0 < s < np.inf:
         raise ValidationError(f"s={s!r} must be positive and finite")
-    t = np.linspace(0.0, s, num_points)
-    wv = np.asarray(w(t), dtype=float) if callable(w) else np.asarray(w, dtype=float)
-    if wv.shape != t.shape:
+    u = np.linspace(0.0, 1.0, num_points)
+    wv = np.asarray(w(s * u), dtype=float) if callable(w) else np.asarray(w, dtype=float)
+    if wv.shape != u.shape:
         raise ValidationError("w samples must match the quadrature grid")
     if not np.all((wv > 0) & (wv < np.inf)):
         raise ValidationError("w must be strictly positive and finite")
@@ -381,18 +384,17 @@ def diag_necessary_condition(
 
     if rule == "simpson":
         def cumint(f):
-            return cumulative_simpson(f, x=t, initial=0.0)
+            return cumulative_simpson(f, x=u, initial=0.0)
     elif rule == "trapezoid":
         def cumint(f):
-            return cumulative_trapezoid(f, x=t, initial=0.0)
+            return cumulative_trapezoid(f, x=u, initial=0.0)
     else:
         raise ValidationError(f"unknown quadrature rule {rule!r}")
 
-    inner = np.ones_like(t)
+    inner = np.ones_like(u)
     for m in range(1, n + 1):
         sign = 1.0 if m % 2 == 1 else -1.0
         inner = cumint(np.exp(sign * phi) * inner)
     outer_sign = 1.0 if n % 2 == 0 else -1.0
     total = cumint(np.exp(outer_sign * phi) * inner**2)[-1]
-    a_n = s ** (2 * n + 1) / (n * math.factorial(n) ** 2)
-    return float(total / a_n)
+    return float(n * math.factorial(n) ** 2 * total)

@@ -268,6 +268,12 @@ class TestCheckDiagCommand:
         doc = json.loads((tmp_path / "checkdiag.json").read_text())
         assert doc[0]["oracle_delta"] < 1e-6
 
+    def test_large_bandwidth(self, tmp_path):
+        for n, s in (("20", "1e8"), ("1", "1e200")):
+            assert main(["check-diag", "--n", n, "--s", s, "--out-dir", str(tmp_path)]) == 0
+            ratio = json.loads((tmp_path / "checkdiag.json").read_text())[0]["ratio"]
+            assert ratio == pytest.approx(int(n) / (2 * int(n) + 1), rel=1e-9)
+
 
 class TestCanonicalJsonOutputs:
     def test_measure_json_has_17_digits(self, free_h_file, tmp_path):
@@ -364,6 +370,9 @@ class TestZeroBandwidthExit2:
             pytest.param(["framebounds", "--pw-trunc", "16", "--s", "inf"], id="framebounds-s-inf"),
             pytest.param(["check-diag", "--s", "nan"], id="check-diag-s-nan"),
             pytest.param(["check-diag", "--s", "inf"], id="check-diag-s-inf"),
+            pytest.param(["inverse", *_INVERSE, "--s-samples", "-1"], id="inverse-s-samples-negative"),
+            pytest.param(["roundtrip", "--s-samples", "-3"], id="roundtrip-s-samples-negative"),
+            pytest.param(["forward", "--window", "1e308"], id="forward-window-no-finite-scan"),
         ],
     )
     def test_exits_2(self, free_h_file, free_mu_file, tmp_path, args):
@@ -372,6 +381,13 @@ class TestZeroBandwidthExit2:
                   "inverse": free_mu_file, "framebounds": free_mu_file}
         extra = ["--in", str(inputs[args[0]])] if args[0] in inputs else []
         assert main(args + extra + ["--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["forward", "roundtrip"])
+    def test_zero_type_weight(self, tmp_path, command):
+        # diag(2, 0) is rank one: the weight has exponential type 0
+        path = tmp_path / "rank_one.json"
+        path.write_text(dumps_hamiltonian(Hamiltonian.from_segments([(0.0, 1.0, 2.0, 0.0, 0.0)])))
+        assert main([command, "--in", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
 
 class TestCheckDiagProfileRows:

@@ -8,6 +8,7 @@ from canspec.model import (
     Hamiltonian,
     InvariantViolation,
     NumericalError,
+    SpectralMeasure,
     TransferMatrix,
     ValidationError,
     normalize_trace,
@@ -223,6 +224,23 @@ class TestFindZeros:
         H = Hamiltonian.identity(np.pi)
         with pytest.raises(ValidationError, match="step"):
             forward.find_zeros(H, 5.0, 2.0)
+
+    def test_zero_type_rejected(self):
+        # every segment is rank one: theta_minus is a polynomial with five
+        # zeros in [-5, 5] that no type-based scan step separates
+        H = Hamiltonian.from_segments(
+            [(0, 1, 1, 0, 0), (1, 2, 1, 1, 1), (2, 3, 1, 0, 0), (3, 4, 0.5, -0.5, 0.5),
+             (4, 5, 1, 0, 0)]
+        )
+        assert H.is_compatible() and forward.exponential_type(H) == 0.0
+        assert bisection_zeros(H, 5.0, step=1e-3, passes=50).size == 5
+        with pytest.raises(ValidationError, match="type 0"):
+            forward.find_zeros(H, 5.0)
+        with pytest.raises(ValidationError, match="type 0"):
+            forward.spectral_measure(H, 5.0)
+        mu = SpectralMeasure(np.array([0.0]), np.array([1.0]), 5.0)
+        with pytest.raises(ValidationError, match="type 0"):
+            forward.herglotz_constants(H, mu)
 
     def test_zero_always_included(self, step_hamiltonian):
         zeros = forward.find_zeros(step_hamiltonian, 3.0)

@@ -258,6 +258,37 @@ class TestPipelineState:
                 assert after[k] == v, k
 
 
+class TestAssembly:
+    def test_step_weight_integrates_to_slice_data(self, step_pipeline):
+        # the recovered cells integrate back to int_0^zeta H of each slice at
+        # its chain point; N11 is off by the interpolant's curvature inside a
+        # cell of the r grid, N12 vanishes on the diagonal fixture
+        res = step_pipeline.run()
+        H = res.hamiltonian
+        cum = np.cumsum(H.matrices[:, 0, :] * H.lengths[:, None], axis=0)
+        cum = np.vstack([[0.0, 0.0], cum])
+        zetas = res.zeta_table[1:, 1]
+        got = np.column_stack([np.interp(zetas, H.edges, cum[:, j]) for j in range(2)])
+        slices = [step_pipeline.slice_at(s) for s in step_pipeline.cfg.s_grid]
+        want = np.array([[sl.sine_at_zero, sl.norms[0, 1] / np.pi] for sl in slices])
+        assert np.max(np.abs(got[:, 0] - want[:, 0])) < 3e-5
+        assert np.max(np.abs(got[:, 1] - want[:, 1])) < 1e-15
+
+    def test_krein_error_at_the_chain_points(self, free_pipeline, step_pipeline):
+        # max_k |int_0^zeta_k sqrt(det H_rec) - s_k| / a, the type read off
+        # the recovered weight by the forward solver
+        errors = []
+        for pipe in (free_pipeline, step_pipeline):
+            res = pipe.run()
+            want = max(
+                abs(forward.exponential_type(res.hamiltonian, zeta) - s)
+                for s, zeta in res.zeta_table
+            ) / pipe.a
+            errors.append(res.diagnostics["krein_relative_error"])
+            assert errors[-1] == pytest.approx(want, rel=1e-9, abs=1e-14)
+        assert errors[0] <= 1e-13
+
+
 class TestReconstruct:
     def test_free_recovers_identity(self, free_pi):
         _, mu, _ = free_pi
@@ -291,7 +322,7 @@ class TestReconstruct:
         assert d["sine_norm_residual_max"] <= 1e-4
         assert d["krein_relative_error"] <= 1e-2
         assert res.zeta_table[0, 1] == 0.0
-        assert res.tau_table[-1, 1] == pytest.approx(np.pi)
+        assert res.zeta_table[-1, 0] == pytest.approx(np.pi)
 
     def test_bandwidth_estimated_when_missing(self, free_pi):
         _, mu, _ = free_pi

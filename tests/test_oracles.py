@@ -168,6 +168,12 @@ class TestDiagNecessaryCondition:
         )
         assert abs(got - oracle) < 1e-6
 
+    @pytest.mark.parametrize("n, s", [(20, 1e8), (1, 1e200)])
+    def test_large_bandwidth_closed_form(self, n, s):
+        # the powers of s cancel: s^(2n+1) itself overflows here
+        got = oracles.diag_necessary_condition(lambda t: np.ones_like(t), n, s)
+        assert got == pytest.approx(n / (2 * n + 1), rel=1e-9)
+
     def test_depth_guard(self):
         with pytest.raises(ValidationError):
             oracles.diag_necessary_condition(lambda t: np.ones_like(t), 21, 1.0)
