@@ -8,7 +8,7 @@ chain position map is the identity on the bandwidth interval.
 
 import numpy as np
 
-from canspec import GridConfig, reconstruct
+from canspec import GridConfig, RecoveryPipeline
 from canspec.oracles import free_fixture
 
 H_true, mu, c = free_fixture(np.pi, window=200.0)
@@ -17,7 +17,7 @@ print(f"input: {mu.positions.size} atoms at the integers, masses 1, c = {c}")
 cfg = GridConfig.for_bandwidth(
     np.pi, s_samples=33, pw_truncation=128, measure_window=200.0, r_samples=65
 )
-res = reconstruct(mu, c=c, cfg=cfg)
+res = RecoveryPipeline(mu, c=c, cfg=cfg).run()
 H = res.hamiltonian
 print(f"recovered interval [0, {H.ell:.12f}] (true pi = {np.pi:.12f})")
 

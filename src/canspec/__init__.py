@@ -26,7 +26,7 @@ from .forward import (
     weyl_function,
 )
 from .pwspace import PWBasis, PWOperator, build_operator, frame_bounds, sinc_kernel
-from .inverse import RecoveryPipeline, reconstruct
+from .inverse import RecoveryPipeline
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "load_measure",
     "normalize_trace",
     "propagate",
-    "reconstruct",
     "save_hamiltonian",
     "save_measure",
     "sinc_kernel",

@@ -2,8 +2,11 @@
 
 One command per process, machine-readable outputs (JSON results, CSV
 tables), deterministic by construction: no seeds, fixed iteration
-orders.  Exit codes: 0 success, 2 validation error, 3 numerical
-failure, 4 invariant breach beyond tolerance.
+orders.  :func:`main` is the only layer: it parses the arguments, checks
+that the inputs exist, runs the command and maps its exceptions and gate
+breaches to exit codes: 0 success, 2 validation error, 3 numerical
+failure, 4 invariant breach beyond tolerance.  Grid flags left unset
+take the defaults of :meth:`~canspec.model.GridConfig.for_bandwidth`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,6 @@ import numpy as np
 from . import forward, oracles
 from .inverse import RecoveryPipeline
 from .model import (
-    ComparabilityError,
     GridConfig,
     Hamiltonian,
     InvariantViolation,
@@ -34,7 +36,10 @@ from .model import (
 )
 from .pwspace import frame_bounds
 
-__all__ = ["RunManifest", "run", "main"]
+__all__ = ["main"]
+
+#: ``out(name)`` is the path of output ``name``; it refuses to overwrite an input
+Output = Callable[[str], Path]
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -46,30 +51,6 @@ _GATES = {
     "definitional_residual_max": 1e-6,
     "max_det_residual": 1e-10,
 }
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved description of one batch run."""
-
-    command: str
-    inputs: tuple[Path, ...]
-    out_dir: Path
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for p in self.inputs:
-            if not p.exists():
-                raise ValidationError(f"input file not found: {p}")
-        resolved_inputs = {p.resolve() for p in self.inputs}
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "_resolved_inputs", resolved_inputs)
-
-    def output(self, name: str) -> Path:
-        path = self.out_dir / name
-        if path.resolve() in self._resolved_inputs:
-            raise ValidationError(f"output {path} would overwrite an input file")
-        return path
 
 
 def _write(path: Path, text: str) -> None:
@@ -118,14 +99,9 @@ def _check_gates(diagnostics: dict, tol_override: float | None) -> list[str]:
     return breaches
 
 
-def _grid_config(mu_or_a, opts: dict, window: float) -> GridConfig:
-    return GridConfig.for_bandwidth(
-        mu_or_a,
-        s_samples=opts["s_samples"],
-        pw_truncation=opts["pw_trunc"],
-        measure_window=window,
-        r_samples=opts["r_samples"],
-    )
+def _grid(opts: dict) -> dict:
+    """The grid flags given on the command line, for ``GridConfig.for_bandwidth``."""
+    return {k: opts[k] for k in ("pw_truncation", "s_samples", "r_samples") if k in opts}
 
 
 def _det_certificate(H: Hamiltonian, mu: SpectralMeasure) -> float:
@@ -134,11 +110,10 @@ def _det_certificate(H: Hamiltonian, mu: SpectralMeasure) -> float:
     return max(forward.det_residual(H, real), forward.det_residual(H, 1j))
 
 
-def _cmd_forward(manifest: RunManifest) -> list[str]:
-    opts = manifest.options
-    H = load_hamiltonian(manifest.inputs[0])
+def _cmd_forward(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    H = load_hamiltonian(inputs[0])
     mu = forward.spectral_measure(H, opts["window"], opts["step"])
-    _write(manifest.output("measure.json"), dumps_measure(mu))
+    _write(out("measure.json"), dumps_measure(mu))
     diagnostics = {
         "atoms": int(mu.positions.size),
         "herglotz_b": mu.herglotz_b,
@@ -146,30 +121,29 @@ def _cmd_forward(manifest: RunManifest) -> list[str]:
         "exponential_type": forward.exponential_type(H),
         "max_det_residual": _det_certificate(H, mu),
     }
-    _write_json(manifest.output("diagnostics.json"), diagnostics)
-    print(f"wrote {manifest.output('measure.json')} ({mu.positions.size} atoms)")
+    _write_json(out("diagnostics.json"), diagnostics)
+    print(f"wrote {out('measure.json')} ({mu.positions.size} atoms)")
     return _check_gates(diagnostics, opts["tol_override"])
 
 
-def _reconstruction_outputs(manifest: RunManifest, result, prefix: str = "") -> None:
+def _reconstruction_outputs(out: Output, result, prefix: str = "") -> None:
     H = result.hamiltonian
-    _write(manifest.output(f"{prefix}hamiltonian.json"), dumps_hamiltonian(H))
+    _write(out(f"{prefix}hamiltonian.json"), dumps_hamiltonian(H))
     mids = 0.5 * (H.edges[:-1] + H.edges[1:])
     _write_csv(
-        manifest.output(f"{prefix}hamiltonian.csv"),
+        out(f"{prefix}hamiltonian.csv"),
         ["r", "h11", "h12", "h22"],
         [mids, H.matrices[:, 0, 0], H.matrices[:, 0, 1], H.matrices[:, 1, 1]],
     )
     _write_csv(
-        manifest.output(f"{prefix}chain.csv"),
+        out(f"{prefix}chain.csv"),
         ["s", "position"],
         [result.zeta_table[:, 0], result.zeta_table[:, 1]],
     )
 
 
-def _cmd_inverse(manifest: RunManifest) -> list[str]:
-    opts = manifest.options
-    mu = load_measure(manifest.inputs[0])
+def _cmd_inverse(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    mu = load_measure(inputs[0])
     c = opts["c"]
     if c is None:
         c = mu.herglotz_c
@@ -180,37 +154,32 @@ def _cmd_inverse(manifest: RunManifest) -> list[str]:
                 file=sys.stderr,
             )
     a = opts["bandwidth"]
-    cfg = _grid_config(mu.lattice_type() if a is None else a, opts, mu.window)
+    cfg = GridConfig.for_bandwidth(
+        mu.lattice_type() if a is None else a, measure_window=mu.window, **_grid(opts)
+    )
     result = RecoveryPipeline(mu, c=c, cfg=cfg).run()
-    _reconstruction_outputs(manifest, result)
+    _reconstruction_outputs(out, result)
     diagnostics = dict(result.diagnostics)
-    _write_json(manifest.output("diagnostics.json"), diagnostics)
+    _write_json(out("diagnostics.json"), diagnostics)
     print(f"recovered weight on [0, {result.hamiltonian.ell:.6g}]")
     return _check_gates(diagnostics, opts["tol_override"])
 
 
-def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
-    opts = manifest.options
-    H = load_hamiltonian(manifest.inputs[0])
-    report = oracles.roundtrip(
-        H,
-        window=opts["window"],
-        pw_truncation=opts["pw_trunc"],
-        s_samples=opts["s_samples"],
-        r_samples=opts["r_samples"],
-    )
-    _write(manifest.output("normalized_input.json"), dumps_hamiltonian(report.normalized))
-    _reconstruction_outputs(manifest, report.result, prefix="recovered_")
+def _cmd_roundtrip(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    H = load_hamiltonian(inputs[0])
+    report = oracles.roundtrip(H, window=opts["window"], **_grid(opts))
+    _write(out("normalized_input.json"), dumps_hamiltonian(report.normalized))
+    _reconstruction_outputs(out, report.result, prefix="recovered_")
     diagnostics = dict(report.diagnostics)
     diagnostics["max_det_residual"] = _det_certificate(report.normalized, report.measure)
     diagnostics["sup_error"] = report.sup_error
     diagnostics["sup_error_interior"] = report.sup_error_interior
     diagnostics["l1_relative"] = report.l1_relative
-    _write_json(manifest.output("roundtrip.json"), diagnostics)
+    _write_json(out("roundtrip.json"), diagnostics)
     edges = report.result.hamiltonian.edges
     resid = report.cell_error
     _write_csv(
-        manifest.output("residuals.csv"),
+        out("residuals.csv"),
         ["r", "d_h11", "d_h12", "d_h22"],
         [0.5 * (edges[:-1] + edges[1:]), resid[:, 0, 0], resid[:, 0, 1], resid[:, 1, 1]],
     )
@@ -221,22 +190,18 @@ def _cmd_roundtrip(manifest: RunManifest) -> list[str]:
     return _check_gates(diagnostics, opts["tol_override"])
 
 
-def _cmd_framebounds(manifest: RunManifest) -> list[str]:
-    opts = manifest.options
-    mu = load_measure(manifest.inputs[0])
+def _cmd_framebounds(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    mu = load_measure(inputs[0])
     s = mu.lattice_type() if opts["s"] is None else opts["s"]
-    half = GridConfig.for_bandwidth(
-        s, pw_truncation=opts["pw_trunc"], measure_window=mu.window
-    ).basis_half_size(s)
+    half = GridConfig.for_bandwidth(s, measure_window=mu.window, **_grid(opts)).basis_half_size(s)
     lo, hi = frame_bounds(mu, s, half)
     doc = {"lambda_min": lo, "lambda_max": hi, "N": half, "s": s}
-    _write_json(manifest.output("framebounds.json"), doc)
+    _write_json(out("framebounds.json"), doc)
     print(json.dumps(doc))
     return []
 
 
-def _cmd_example_nonpw(manifest: RunManifest) -> list[str]:
-    opts = manifest.options
+def _cmd_example_nonpw(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
     report = oracles.nonpw_example(opts["h"], opts["kmax"])
     doc = {
         "h": report.h,
@@ -247,9 +212,9 @@ def _cmd_example_nonpw(manifest: RunManifest) -> list[str]:
         "partial_product_errors": report.partial_product_errors,
         "tail_factor_bounds": report.tail_factor_bounds,
     }
-    _write_json(manifest.output("nonpw.json"), doc)
+    _write_json(out("nonpw.json"), doc)
     _write_csv(
-        manifest.output("nonpw.csv"),
+        out("nonpw.csv"),
         ["k", "E", "E_scaled", "E_over_lambda"],
         [report.k_list.astype(float), report.E_values, report.ratios, report.lambda_over],
     )
@@ -263,7 +228,7 @@ def _cmd_example_nonpw(manifest: RunManifest) -> list[str]:
 
 
 def _load_profile(path: Path | None):
-    """Two-column ``t w`` samples; a first row that is not two numbers is a header."""
+    """Two-column ``t w`` samples, increasing in ``t``; a non-numeric first row is a header."""
     if path is None:
         return lambda t: np.ones_like(t)
     data = []
@@ -278,12 +243,13 @@ def _load_profile(path: Path | None):
     if not data:
         raise ValidationError(f"{path}: no profile samples")
     data = np.array(data)
+    if not np.all(np.diff(data[:, 0]) > 0):
+        raise ValidationError(f"{path}: the t column is not strictly increasing")
     return lambda t: np.interp(t, data[:, 0], data[:, 1])
 
 
-def _cmd_check_diag(manifest: RunManifest) -> list[str]:
-    opts = manifest.options
-    w = _load_profile(manifest.inputs[0] if manifest.inputs else None)
+def _cmd_check_diag(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    w = _load_profile(inputs[0] if inputs else None)
     results = []
     for n in opts["n_list"]:
         for s in opts["s_list"]:
@@ -294,9 +260,9 @@ def _cmd_check_diag(manifest: RunManifest) -> list[str]:
             results.append(
                 {"n": n, "s": s, "ratio": ratio, "oracle_delta": abs(ratio - oracle)}
             )
-    _write_json(manifest.output("checkdiag.json"), results)
+    _write_json(out("checkdiag.json"), results)
     _write_csv(
-        manifest.output("checkdiag.csv"),
+        out("checkdiag.csv"),
         ["n", "s", "ratio", "oracle_delta"],
         [
             np.array([float(r["n"]) for r in results]),
@@ -321,26 +287,6 @@ _COMMANDS = {
 }
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute one manifest; returns the process exit code."""
-    try:
-        breaches = _COMMANDS[manifest.command](manifest)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except (ComparabilityError, NumericalError) as exc:
-        if isinstance(exc, InvariantViolation):
-            print(f"invariant breach: {exc}", file=sys.stderr)
-            return _EXIT_INVARIANT
-        print(f"numerical failure [{manifest.command}]: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    if breaches:
-        for b in breaches:
-            print(f"invariant breach: {b}", file=sys.stderr)
-        return _EXIT_INVARIANT
-    return 0
-
-
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
@@ -356,39 +302,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_in=True):
+    def common(p, needs_in=True, gated=False):
         if needs_in:
             p.add_argument("--in", dest="input", required=True, help="input JSON file")
         else:
             p.set_defaults(input=None)
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--tol-override", type=float, default=None,
-                       help="report deltas against this tolerance (diagnostics only)")
+        if gated:
+            p.add_argument("--tol-override", type=float, default=None,
+                           help="report deltas against this tolerance (diagnostics only)")
+
+    def grid(p, samples=True):
+        # an unset flag stays out of the options: GridConfig.for_bandwidth holds the defaults
+        p.add_argument("--pw-trunc", dest="pw_truncation", type=int, default=argparse.SUPPRESS)
+        if samples:
+            p.add_argument("--s-samples", type=int, default=argparse.SUPPRESS)
+            p.add_argument("--r-samples", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("forward", help="spectral measure of a weight")
-    common(p)
+    common(p, gated=True)
     p.add_argument("--window", type=float, default=200.0)
     p.add_argument("--step", type=float, default=None, help="zero-scan step")
 
     p = sub.add_parser("inverse", help="recover a weight from a measure")
-    common(p)
+    common(p, gated=True)
     p.add_argument("--c", type=float, default=None, help="additive Herglotz constant")
     p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--pw-trunc", type=int, default=256)
-    p.add_argument("--s-samples", type=int, default=129)
-    p.add_argument("--r-samples", type=int, default=257)
+    grid(p)
 
     p = sub.add_parser("roundtrip", help="forward then inverse with error report")
-    common(p)
+    common(p, gated=True)
     p.add_argument("--window", type=float, default=200.0)
-    p.add_argument("--pw-trunc", type=int, default=256)
-    p.add_argument("--s-samples", type=int, default=129)
-    p.add_argument("--r-samples", type=int, default=257)
+    grid(p)
 
     p = sub.add_parser("framebounds", help="comparability certificate of a measure")
     common(p)
     p.add_argument("--s", type=float, default=None, help="bandwidth (default: from spacing)")
-    p.add_argument("--pw-trunc", type=int, default=256)
+    grid(p, samples=False)
 
     p = sub.add_parser("example-nonpw", help="lacunary growth certificate")
     common(p, needs_in=False)
@@ -411,12 +361,32 @@ def main(argv=None) -> int:
     command = opts.pop("command")
     path = opts.pop("input")
     inputs = (Path(path),) if path else ()
+    out_dir = Path(opts.pop("out_dir"))
+    resolved_inputs = {p.resolve() for p in inputs}
+
+    def out(name: str) -> Path:
+        target = out_dir / name
+        if target.resolve() in resolved_inputs:
+            raise ValidationError(f"output {target} would overwrite an input file")
+        return target
+
     try:
-        manifest = RunManifest(command, inputs, Path(opts.pop("out_dir")), opts)
+        for p in inputs:
+            if not p.exists():
+                raise ValidationError(f"input file not found: {p}")
+        breaches = _COMMANDS[command](opts, inputs, out)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
-    return run(manifest)
+    except InvariantViolation as exc:
+        print(f"invariant breach: {exc}", file=sys.stderr)
+        return _EXIT_INVARIANT
+    except NumericalError as exc:
+        print(f"numerical failure [{command}]: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
+    for b in breaches:
+        print(f"invariant breach: {b}", file=sys.stderr)
+    return _EXIT_INVARIANT if breaches else 0
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ __all__ = [
     "recentering_moment",
     "boundary_cosine_values",
     "lattice_tail_sums",
-    "reconstruct",
 ]
 
 
@@ -225,6 +224,10 @@ def _top_eigenprojection(h11, h12, half_gap):
 class RecoveryPipeline:
     """Recovery of one measure, one bandwidth slice at a time.
 
+    ``RecoveryPipeline(mu, c, cfg).run()`` recovers the trace-2 weight whose
+    spectral measure is ``mu``.  ``c`` is the additive Herglotz constant of
+    the Weyl function; round trips obtain it from the forward solver, raw
+    measures must supply it (the measure alone does not determine it).
     ``__init__`` builds the full-bandwidth boundary data (slope data,
     boundary cosine values, the in-core model lattice); each slice builds
     and solves its own section from it.  Nothing else is kept, so a
@@ -260,12 +263,21 @@ class RecoveryPipeline:
         # the core always holds the origin atom, so its slope is an entry here
         self.core_mask = np.abs(mu.positions) <= self.a_edge + 0.5 * spacing
 
-        pts = mu.positions[self.core_mask]
-        self.slope_values = a_op.basis.derivatives_at(pts).T @ a_coeffs
+        pts, masses = mu.positions[self.core_mask], mu.masses[self.core_mask]
         self.moment = recentering_moment(mu)
-        self.boundary_cosine = boundary_cosine_values(
-            pts, mu.masses[self.core_mask], self.c, self.moment, self.slope_values
-        )
+        # a finite c or bandwidth far beyond the measure's scale overflows
+        # here; the masses are positive, so a finite measure norm of the
+        # cosine data also means finite values
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.slope_values = a_op.basis.derivatives_at(pts).T @ a_coeffs
+            self.boundary_cosine = boundary_cosine_values(
+                pts, masses, self.c, self.moment, self.slope_values
+            )
+            norm = np.sum(masses * self.boundary_cosine**2)
+        if not np.isfinite(norm):
+            raise NumericalError(
+                f"boundary cosine data overflowed at c={self.c!r}, bandwidth {self.a!r}"
+            )
 
         # model lattice covering the same range as the trusted core, with
         # its mass times the model cosine data.  The full-lattice pairing of
@@ -400,12 +412,3 @@ class RecoveryPipeline:
 
         return ReconstructionResult(ham, np.column_stack([s_grid, zetas]), diagnostics)
 
-
-def reconstruct(mu: SpectralMeasure, c: float, cfg: GridConfig) -> ReconstructionResult:
-    """Recover the trace-2 weight whose spectral measure is ``mu``.
-
-    ``c`` is the additive Herglotz constant of the Weyl function; round
-    trips obtain it from the forward solver, raw measures must supply it
-    (the measure alone does not determine it).
-    """
-    return RecoveryPipeline(mu, c=c, cfg=cfg).run()

@@ -96,7 +96,6 @@ class RoundtripReport:
 
     normalized: Hamiltonian
     measure: SpectralMeasure
-    c: float
     result: ReconstructionResult
     cell_error: np.ndarray  # |recovered - input| per recovered cell, shape (cells, 2, 2)
     sup_error: np.ndarray
@@ -131,31 +130,21 @@ def _piecewise_l1(Ha: Hamiltonian, Hb: Hamiltonian) -> np.ndarray:
 _INTERIOR = 0.02
 
 
-def roundtrip(
-    H: Hamiltonian,
-    window: float = 200.0,
-    pw_truncation: int = 256,
-    s_samples: int = 129,
-    r_samples: int = 257,
-) -> RoundtripReport:
+def roundtrip(H: Hamiltonian, window: float = 200.0, **grid) -> RoundtripReport:
     """Full forward-then-inverse pass with error accounting.
 
     Normalizes the trace, computes the spectral measure and its Herglotz
     constants, recovers the weight, and compares against the normalized
     input: exact entrywise relative L1 and sup errors over cell midpoints
     (the interior sup drops 2% of the interval at both ends, where
-    one-sided effects dominate).
+    one-sided effects dominate).  ``window`` is the measure window; the
+    ``grid`` keywords (``pw_truncation``, ``s_samples``, ``r_samples``) go to
+    :meth:`~canspec.model.GridConfig.for_bandwidth` at the weight's type,
+    which supplies the ones left out.
     """
     Ht, _ = normalize_trace(H)
     mu = forward.spectral_measure(Ht, window)
-    a = forward.exponential_type(Ht)
-    cfg = GridConfig.for_bandwidth(
-        a,
-        s_samples=s_samples,
-        pw_truncation=pw_truncation,
-        measure_window=window,
-        r_samples=r_samples,
-    )
+    cfg = GridConfig.for_bandwidth(forward.exponential_type(Ht), measure_window=window, **grid)
     result = RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg).run()
     Hr = result.hamiltonian
 
@@ -170,7 +159,7 @@ def roundtrip(
     diagnostics = dict(result.diagnostics)
     diagnostics["herglotz_b"] = mu.herglotz_b
     diagnostics["ell_error"] = abs(Hr.ell - Ht.ell)
-    return RoundtripReport(Ht, mu, mu.herglotz_c, result, err, sup, sup_inner, l1, diagnostics)
+    return RoundtripReport(Ht, mu, result, err, sup, sup_inner, l1, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,8 @@ def sinc_kernel_dt(s: float, x, t):
     small = np.abs(u) < 1e-4
     w = s * u
     u_safe = np.where(small, 1.0, u)
-    series = (s**3 * u / (3.0 * np.pi)) * (1.0 - w**2 / 10.0 + w**4 / 280.0)
+    # a numpy power overflows to inf for a huge bandwidth, where Python's raises
+    series = (np.float64(s) ** 3 * u / (3.0 * np.pi)) * (1.0 - w**2 / 10.0 + w**4 / 280.0)
     out = np.where(small, series, (np.sin(w) - w * np.cos(w)) / (np.pi * u_safe**2))
     return float(out[0]) if scalar else out
 

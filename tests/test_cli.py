@@ -130,6 +130,20 @@ class TestInverseCommand:
         assert err.startswith("numerical failure [inverse]: ")
         assert "factorization failed" in err
 
+    def test_missing_c_on_symmetric_measure_warns(self, free_mu_file, tmp_path, capsys):
+        code = main(["inverse", "--in", str(free_mu_file), "--pw-trunc", "16", "--s-samples", "9",
+                     "--r-samples", "17", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err.startswith(
+            "warning: no additive Herglotz constant supplied"
+        )
+
+    def test_invariant_violation_in_command_exits_4(self, free_mu_file, tmp_path, capsys):
+        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--bandwidth", "1e6",
+                     "--out-dir", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("invariant breach: PSD projection exceeded")
+
 
 class TestRoundtripCommand:
     def test_free_roundtrip_artifacts(self, free_h_file, tmp_path):
@@ -190,6 +204,14 @@ class TestInvariantGate:
         assert line.startswith("[tol-override] sine_norm_residual_max: ")
         assert "vs override 1.0e+00 -> pass" in line
         assert "invariant breach: sine_norm_residual_max=" in err
+
+    @pytest.mark.parametrize("command", ["framebounds", "example-nonpw", "check-diag"])
+    def test_tol_override_only_on_gated_commands(self, free_mu_file, tmp_path, command):
+        required = {"framebounds": ["--in", str(free_mu_file)], "example-nonpw": ["--h", "0.1"]}
+        args = [command, *required.get(command, []), "--tol-override", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestFrameboundsCommand:
@@ -390,6 +412,27 @@ class TestZeroBandwidthExit2:
         assert main([command, "--in", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
 
+class TestHugeFiniteNumbersExit3:
+    @pytest.mark.parametrize(
+        "extra",
+        [["--c", "1e308"], ["--c", "1e200"], ["--bandwidth", "1e300"]],
+        ids=["c-1e308", "c-1e200", "bandwidth-1e300"],
+    )
+    def test_inverse(self, free_mu_file, tmp_path, capsys, extra):
+        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, *extra,
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "boundary cosine data overflowed" in capsys.readouterr().err
+
+    def test_large_c_recovers(self, free_mu_file, tmp_path):
+        # the recovered length pi (2 + c^2) / 2 is huge but finite
+        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--c", "1e20",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        ell = load_hamiltonian(tmp_path / "hamiltonian.json").ell
+        assert ell == pytest.approx(np.pi * (2 + 1e40) / 2, rel=1e-6)
+
+
 class TestCheckDiagProfileRows:
     def _ratio(self, tmp_path, text):
         prof = tmp_path / "w.txt"
@@ -412,6 +455,15 @@ class TestCheckDiagProfileRows:
     def test_bad_row_exits_2(self, tmp_path, bad_row):
         prof = tmp_path / "w.txt"
         prof.write_text(f"t w\n0.0 1.0\n{bad_row}\n1.0 1.0\n")
+        code = main(["check-diag", "--in", str(prof), "--n", "2", "--s", "1.0",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+
+    def test_t_not_increasing_exits_2(self, tmp_path):
+        rows = ["1.0 1.0", "0.0 5.0", "0.5 1.0"]
+        assert self._ratio(tmp_path, "\n".join(sorted(rows))) == pytest.approx(1.9246, abs=1e-4)
+        prof = tmp_path / "w.txt"
+        prof.write_text("\n".join(rows))
         code = main(["check-diag", "--in", str(prof), "--n", "2", "--s", "1.0",
                      "--out-dir", str(tmp_path)])
         assert code == 2

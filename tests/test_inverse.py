@@ -3,13 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from canspec import forward
+from canspec import forward, oracles
 from canspec.inverse import (
     RecoveryPipeline,
     _top_eigenprojection,
     boundary_cosine_values,
     recentering_moment,
-    reconstruct,
 )
 from canspec.model import GridConfig, Hamiltonian, NumericalError, SpectralMeasure, normalize_trace
 
@@ -295,7 +294,7 @@ class TestReconstruct:
         cfg = GridConfig.for_bandwidth(
             np.pi, s_samples=33, pw_truncation=128, measure_window=200.0, r_samples=65
         )
-        res = reconstruct(mu, c=0.0, cfg=cfg)
+        res = RecoveryPipeline(mu, c=0.0, cfg=cfg).run()
         H = res.hamiltonian
         assert H.ell == pytest.approx(np.pi, abs=1e-4)
         mids = 0.5 * (H.edges[:-1] + H.edges[1:])
@@ -307,7 +306,7 @@ class TestReconstruct:
         cfg = GridConfig.for_bandwidth(
             np.pi, s_samples=17, pw_truncation=64, measure_window=200.0, r_samples=33
         )
-        res = reconstruct(mu, c=0.0, cfg=cfg)
+        res = RecoveryPipeline(mu, c=0.0, cfg=cfg).run()
         traces = res.hamiltonian.traces()
         np.testing.assert_allclose(traces, 2.0, rtol=1e-14)
 
@@ -316,7 +315,7 @@ class TestReconstruct:
         cfg = GridConfig.for_bandwidth(
             np.pi, s_samples=17, pw_truncation=64, measure_window=200.0, r_samples=33
         )
-        res = reconstruct(mu, c=0.0, cfg=cfg)
+        res = RecoveryPipeline(mu, c=0.0, cfg=cfg).run()
         d = res.diagnostics
         assert d["definitional_residual_max"] <= 1e-6
         assert d["sine_norm_residual_max"] <= 1e-4
@@ -331,8 +330,15 @@ class TestReconstruct:
             sub.lattice_type(), s_samples=17, pw_truncation=64,
             measure_window=sub.window, r_samples=33,
         )
-        res = reconstruct(sub, c=0.0, cfg=cfg)
+        res = RecoveryPipeline(sub, c=0.0, cfg=cfg).run()
         assert res.hamiltonian.ell == pytest.approx(np.pi, abs=1e-3)
+
+    @pytest.mark.parametrize("c,a", [(1e308, np.pi), (1e200, np.pi), (0.0, 1e300)])
+    def test_overflowing_boundary_data_rejected(self, c, a):
+        _, mu, _ = oracles.free_fixture(np.pi, 50.0)
+        cfg = GridConfig.for_bandwidth(a, s_samples=9, pw_truncation=16, measure_window=50.0)
+        with pytest.raises(NumericalError, match="boundary cosine data overflowed"):
+            RecoveryPipeline(mu, c=c, cfg=cfg)
 
     def test_degenerate_measure_rejected(self):
         # starving most atoms of mass breaks bounded invertibility

@@ -51,7 +51,7 @@ class TestRoundtrip:
         rep = oracles.roundtrip(
             H, window=100.0, pw_truncation=128, s_samples=33, r_samples=65
         )
-        assert abs(rep.c) > 0.01  # genuinely asymmetric
+        assert abs(rep.measure.herglotz_c) > 0.01  # genuinely asymmetric
         assert rep.max_l1_relative < 0.02
 
     def test_near_free_error_scales_linearly(self):
