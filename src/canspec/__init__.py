@@ -1,5 +1,7 @@
 """Direct and inverse spectral computations for 2x2 canonical systems."""
 
+import importlib
+
 from .model import (
     ComparabilityError,
     GridConfig,
@@ -25,10 +27,19 @@ from .forward import (
     spectral_measure,
     weyl_function,
 )
-from .pwspace import PWBasis, PWOperator, build_operator, frame_bounds, sinc_kernel
-from .inverse import RecoveryPipeline
 
 __version__ = "0.1.0"
+
+#: names that load SciPy, imported on first use (PEP 562) so that the
+#: forward side starts with NumPy alone
+_LAZY = {
+    "PWBasis": "pwspace",
+    "PWOperator": "pwspace",
+    "build_operator": "pwspace",
+    "frame_bounds": "pwspace",
+    "sinc_kernel": "pwspace",
+    "RecoveryPipeline": "inverse",
+}
 
 __all__ = [
     "ComparabilityError",
@@ -59,3 +70,15 @@ __all__ = [
     "spectral_measure",
     "weyl_function",
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

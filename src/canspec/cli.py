@@ -7,6 +7,8 @@ that the inputs exist, runs the command and maps its exceptions and gate
 breaches to exit codes: 0 success, 2 validation error, 3 numerical
 failure, 4 invariant breach beyond tolerance.  Grid flags left unset
 take the defaults of :meth:`~canspec.model.GridConfig.for_bandwidth`.
+Each command imports the modules it runs, so ``canspec forward`` starts
+without SciPy.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import forward, oracles
-from .inverse import RecoveryPipeline
+from . import forward
 from .model import (
     GridConfig,
     Hamiltonian,
@@ -34,7 +35,6 @@ from .model import (
     load_hamiltonian,
     load_measure,
 )
-from .pwspace import frame_bounds
 
 __all__ = ["main"]
 
@@ -143,6 +143,8 @@ def _reconstruction_outputs(out: Output, result, prefix: str = "") -> None:
 
 
 def _cmd_inverse(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    from .inverse import RecoveryPipeline
+
     mu = load_measure(inputs[0])
     c = opts["c"]
     if c is None:
@@ -166,6 +168,8 @@ def _cmd_inverse(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]
 
 
 def _cmd_roundtrip(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    from . import oracles
+
     H = load_hamiltonian(inputs[0])
     report = oracles.roundtrip(H, window=opts["window"], **_grid(opts))
     _write(out("normalized_input.json"), dumps_hamiltonian(report.normalized))
@@ -191,6 +195,8 @@ def _cmd_roundtrip(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[st
 
 
 def _cmd_framebounds(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    from .pwspace import frame_bounds
+
     mu = load_measure(inputs[0])
     s = mu.lattice_type() if opts["s"] is None else opts["s"]
     half = GridConfig.for_bandwidth(s, measure_window=mu.window, **_grid(opts)).basis_half_size(s)
@@ -202,6 +208,8 @@ def _cmd_framebounds(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[
 
 
 def _cmd_example_nonpw(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    from . import oracles
+
     report = oracles.nonpw_example(opts["h"], opts["kmax"])
     doc = {
         "h": report.h,
@@ -249,6 +257,8 @@ def _load_profile(path: Path | None):
 
 
 def _cmd_check_diag(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
+    from . import oracles
+
     w = _load_profile(inputs[0] if inputs else None)
     results = []
     for n in opts["n_list"]:
@@ -357,7 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    opts = vars(_build_parser().parse_args(argv))
+    try:
+        opts = vars(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # --help (0) or a malformed flag (2)
+        return exc.code
     command = opts.pop("command")
     path = opts.pop("input")
     inputs = (Path(path),) if path else ()

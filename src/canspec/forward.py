@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .model import (
     Hamiltonian,
@@ -395,6 +394,29 @@ def weyl_function(H: Hamiltonian, z: complex) -> WeylValue:
     return WeylValue(z, complex(M[1, 1] / tm))
 
 
+#: ``B_2k / (2k)`` for ``k = 1..7``: the terms of the digamma's asymptotic series
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def _digamma(z: complex) -> complex:
+    """Digamma function ``psi(z)`` for ``Re z > 0``.
+
+    The recurrence ``psi(z) = psi(z + 1) - 1/z`` (DLMF 5.5.2) moves ``z``
+    out to ``|z| >= 10``, where ``psi(z) = log z - 1/(2z) - sum_k B_2k /
+    (2k z^2k)`` (DLMF 5.11.2) is summed to seven terms; the first omitted
+    term is below ``5e-17``.
+    """
+    shift = 0.0
+    while abs(z) < 10.0:
+        shift += 1.0 / z
+        z += 1.0
+    w = 1.0 / (z * z)
+    series = 0.0
+    for coef in reversed(_PSI_SERIES):
+        series = (series + coef) * w
+    return np.log(z) - 0.5 / z - series - shift
+
+
 def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, float]:
     """Additive and linear Herglotz constants, returned as ``(b, c)``.
 
@@ -405,8 +427,10 @@ def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, floa
     the spacing ``h = pi / type`` of the system's exponential type.  Each
     of its lattices ``first + 2h j`` is summed in closed form,
     ``sum_{j >= 0} 1/(1 + (first + 2h j)^2) = Im psi((first + i)/(2h)) /
-    (2h)`` with the digamma function ``psi``.  A weight of type 0 has no
-    such lattice and raises :class:`ValidationError`.
+    (2h)``, where the digamma ``psi`` comes from the recurrence
+    ``psi(z) = psi(z + 1) - 1/z`` (DLMF 5.5.2) and the asymptotic series
+    (DLMF 5.11.2), see :func:`_digamma`.  A weight of type 0 has no such
+    lattice and raises :class:`ValidationError`.
     """
     lam = exponential_type(H)
     if not lam > 0.0:
@@ -418,7 +442,7 @@ def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, floa
     step = 2.0 * spacing
     tail = 0.0
     for _, first, mass in mu.tail_lattices(spacing):
-        tail += mass * scipy.special.psi((first + 1j) / step).imag / (step * np.pi)
+        tail += mass * _digamma((first + 1j) / step).imag / (step * np.pi)
     b = float(m_i.imag) - window_sum - tail
     # the hard floor is widened by a fraction of the applied correction:
     # the lattice continuation is a model, and its own error scales with

@@ -405,9 +405,10 @@ class RecoveryPipeline:
             "ell": ell,
         }
         if bad_fraction > 0.01:
+            plain = {k: v if isinstance(v, int) else float(v) for k, v in diagnostics.items()}
             raise InvariantViolation(
                 f"PSD projection exceeded 1e-2 on {bad_fraction:.1%} of cells; "
-                f"reconstruction rejected (diagnostics: {diagnostics})"
+                f"reconstruction rejected (diagnostics: {plain})"
             )
 
         return ReconstructionResult(ham, np.column_stack([s_grid, zetas]), diagnostics)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from canspec import forward, oracles
 from canspec.model import (
@@ -371,6 +372,46 @@ class TestHerglotzConstants:
         # the step fixture's outer masses alternate; a plain band mean misses b
         mu = forward.spectral_measure(step_hamiltonian, window)
         assert abs(mu.herglotz_b) <= 1e-12
+
+
+@pytest.fixture(scope="module", params=["free", "step"])
+def weight_and_measure(request, step_hamiltonian, step_measure):
+    if request.param == "step":
+        return step_hamiltonian, step_measure
+    H = Hamiltonian.identity(np.pi)
+    return H, forward.spectral_measure(H, 200.0)
+
+
+def herglotz_tail_terms(H, mu):
+    """``(z, mass, step)`` of each lattice sum ``mass Im psi(z) / (step pi)`` in ``b``."""
+    spacing = np.pi / forward.exponential_type(H)
+    step = 2.0 * spacing
+    return [((first + 1j) / step, mass, step) for _, first, mass in mu.tail_lattices(spacing)]
+
+
+class TestDigamma:
+    """``forward._digamma`` against ``scipy.special.psi``."""
+
+    def test_herglotz_arguments(self, weight_and_measure):
+        for z, _, _ in herglotz_tail_terms(*weight_and_measure):
+            ref = scipy.special.psi(z).imag
+            assert abs(forward._digamma(z).imag - ref) <= 1e-13 * abs(ref)
+
+    def test_grid(self):
+        z = np.geomspace(0.05, 1e6, 80)[:, None] + 1j * np.geomspace(1e-6, 3.0, 20)
+        ours = np.array([forward._digamma(complex(v)).imag for v in z.ravel()])
+        ref = scipy.special.psi(z.ravel()).imag
+        assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-13
+
+    def test_herglotz_b_against_scipy_reference(self, weight_and_measure):
+        H, mu = weight_and_measure
+        tail = sum(
+            mass * scipy.special.psi(z).imag / (step * np.pi)
+            for z, mass, step in herglotz_tail_terms(H, mu)
+        )
+        window_sum = float(np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi)
+        b_ref = float(forward.weyl_function(H, 1j).m.imag) - window_sum - tail
+        assert abs(mu.herglotz_b - b_ref) <= 1e-16
 
 
 def quadrature_grid(H, r):
