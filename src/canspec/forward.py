@@ -23,6 +23,7 @@ from .model import (
     SpectralMeasure,
     TransferMatrix,
     ValidationError,
+    _median,
 )
 
 __all__ = [
@@ -297,7 +298,7 @@ def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.n
     grid = np.linspace(-window, window, n)
     vals = transfer_entries(H, ell, grid)[..., 1, 0].real
 
-    scale = max(float(np.median(np.abs(vals))), 1e-300)
+    scale = max(_median(np.abs(vals)), 1e-300)
     on_zero = np.abs(vals) <= 1e-9 * scale
 
     sign = np.sign(vals)
@@ -329,8 +330,10 @@ def find_zeros(H: Hamiltonian, window: float, step: float | None = None) -> np.n
             f"t={x[~done][:3]!r}"
         )
     x[np.abs(x) < 1e-12] = 0.0
-    # the origin is the only root found twice, and both copies are exactly 0
-    pos = np.unique(x[np.abs(x) <= window * (1 + 1e-12)])
+    # the origin is the only root found twice, and both copies are exactly 0;
+    # sorted and deduplicated here, as np.unique would (it imports numpy.ma)
+    pos = np.sort(x[np.abs(x) <= window * (1 + 1e-12)])
+    pos = pos[np.append(True, pos[1:] != pos[:-1])]
 
     gaps = np.diff(pos)
     if gaps.size and np.max(gaps) > 1.5 * np.pi / lam:

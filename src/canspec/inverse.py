@@ -37,7 +37,7 @@ from .model import (
     SpectralMeasure,
     ValidationError,
 )
-from .pwspace import apply_inverse, build_operator, lattice_points
+from .pwspace import apply_inverse, build_operator, completion_lattice, lattice_points
 
 __all__ = [
     "BandwidthSlice",
@@ -53,67 +53,88 @@ __all__ = [
 #: ``_EM_ORDER`` Bernoulli corrections reach roundoff for every phase.
 _LATTICE_TERMS = 64
 _EM_ORDER = 25
-_EM_WEIGHTS = scipy.special.bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
-#: Orders ``n``, ``n!`` and ``(-1)^n (n + 1)``: ``(q + x)^-2 = sum (-1)^n (n + 1) x^n / q^(n + 2)``.
+
+
+def _em_correction_matrix() -> np.ndarray:
+    """``K`` with ``sum_k B_2k/(2k) f_(2k-1) = (a^i) @ K @ (q^-(j+2))``.
+
+    The Taylor coefficients of ``F(x) = exp(1j a x) / (q + x)^2`` at 0 are
+    the convolution ``f_m = sum_(i+j=m) (1j a)^i/i! (-1)^j (j + 1)/q^(j+2)``;
+    the corrections weight the odd ``m < 2 _EM_ORDER``, so ``K_ij`` is
+    ``1j^i (-1)^j (j + 1) B_(i+j+1)/((i + j + 1) i!)`` for odd ``i + j``,
+    else 0.
+    """
+    i = np.arange(2 * _EM_ORDER)
+    weights = np.zeros(4 * _EM_ORDER)
+    weights[1 : 2 * _EM_ORDER : 2] = scipy.special.bernoulli(2 * _EM_ORDER)[2::2] / np.arange(
+        2, 2 * _EM_ORDER + 1, 2
+    )
+    rows = 1j**i / scipy.special.factorial(i)
+    columns = (-1.0) ** i * (i + 1)
+    return weights[i[:, None] + i[None, :]] * rows[:, None] * columns[None, :]
+
+
+_EM_MATRIX = _em_correction_matrix()
 _EM_POWERS = np.arange(2 * _EM_ORDER)
-_EM_FACTORIALS = scipy.special.factorial(_EM_POWERS)
-_EM_SIGNS = (-1.0) ** _EM_POWERS * (_EM_POWERS + 1)
 
 
-def _lerch_remainder(theta: float, q: float) -> complex:
+def _lerch_remainder(theta: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``sum_{i >= 0} exp(1j theta i) / (q + i)^2`` for ``|theta| <= pi`` and large ``q``.
 
-    Euler-Maclaurin on ``F(x) = exp(1j theta x) / (q + x)^2``: the integral
-    (sine and cosine integrals), ``F(0)/2`` and the Bernoulli corrections
-    ``B_2k/(2k) f_(2k-1)``, where ``f`` are the Taylor coefficients of ``F``
-    at 0.  The corrections shrink like ``(theta/2pi)^2k`` plus powers of
-    ``1/q`` uniformly in ``theta``; at resonance (``theta = 0``) this is the
-    asymptotic series of the Hurwitz zeta ``zeta(2, q)``, so nothing grows
-    as ``theta`` approaches it.
+    One row per phase ``theta``, one column per start ``q``.  Euler-Maclaurin
+    on ``F(x) = exp(1j theta x) / (q + x)^2``: the integral (sine and cosine
+    integrals), ``F(0)/2`` and the Bernoulli corrections ``B_2k/(2k)
+    f_(2k-1)``, where ``f`` are the Taylor coefficients of ``F`` at 0 (one
+    fixed matrix product, :func:`_em_correction_matrix`).  The corrections
+    shrink like ``(theta/2pi)^2k`` plus powers of ``1/q`` uniformly in
+    ``theta``; at resonance (``theta = 0``) this is the asymptotic series of
+    the Hurwitz zeta ``zeta(2, q)``, so nothing grows as ``theta``
+    approaches it.
     """
-    a = abs(theta)
+    a = np.abs(theta)[:, None]
     x = a * q
-    integral = 1.0 / q
-    if x > 0:
-        si, ci = scipy.special.sici(x)
-        integral += 1j * a * np.exp(-1j * x) * (-ci + 1j * (0.5 * np.pi - si))
-    n = _EM_POWERS
-    taylor = np.convolve((1j * a) ** n / _EM_FACTORIALS, _EM_SIGNS / q ** (n + 2))
-    value = integral + 0.5 / q**2 - taylor[1 : n.size : 2] @ _EM_WEIGHTS
-    return complex(np.conj(value) if theta < 0 else value)
+    resonant = x == 0.0
+    si, ci = scipy.special.sici(np.where(resonant, 1.0, x))
+    oscillating = 1j * a * np.exp(-1j * x) * (-ci + 1j * (0.5 * np.pi - si))
+    oscillating[resonant] = 0.0  # a * log(a q) -> 0: the integral is 1/q alone
+    corrections = (a**_EM_POWERS @ _EM_MATRIX) @ ((1.0 / q[:, None]) ** (_EM_POWERS + 2)).T
+    value = oscillating + (1.0 / q + 0.5 / q**2) - corrections
+    return np.where(theta[:, None] < 0, np.conj(value), value)
 
 
-def _oscillating_sum(omega: float, first: float, step: float) -> complex:
-    """``sum_{i >= 0} exp(1j omega tau_i) / tau_i^2`` over ``tau_i = first + step i``.
-
-    ``_LATTICE_TERMS`` explicit terms, then :func:`_lerch_remainder` with
-    the phase per step ``omega * step`` reduced to ``[-pi, pi)``.
-    """
-    tau = first + step * np.arange(_LATTICE_TERMS)
-    head = np.sum(np.exp(1j * omega * tau) / tau**2)
-    tau_end = first + step * _LATTICE_TERMS
-    theta = np.remainder(omega * step + np.pi, 2.0 * np.pi) - np.pi
-    tail = np.exp(1j * omega * tau_end) * _lerch_remainder(theta, tau_end / step) / step**2
-    return complex(head + tail)
-
-
-def lattice_tail_sums(s: float, first: float, step: float) -> tuple[float, float, float]:
+def lattice_tail_sums(s: float, first, step: float):
     """Model sums of ``sin^2``, ``(cos - 1)^2`` and ``sin (cos - 1)`` at ``s tau`` over ``tau^2``.
 
-    The lattice is ``tau_i = first + step i``, ``i >= 0``.  With ``sin^2 =
-    (1 - cos 2st)/2``, ``(cos st - 1)^2 = 3/2 + cos(2st)/2 - 2 cos st`` and
-    ``sin st (cos st - 1) = sin(2st)/2 - sin st`` every sum is a Hurwitz
-    zeta or an oscillating sum at frequency ``s`` or ``2s`` (see
-    :func:`_oscillating_sum`).
+    The lattice is ``tau_i = first + step i``, ``i >= 0``; ``first`` may be
+    an array of lattice starts, and each sum then has its shape.  With
+    ``sin^2 = (1 - cos 2st)/2``, ``(cos st - 1)^2 = 3/2 + cos(2st)/2 - 2 cos
+    st`` and ``sin st (cos st - 1) = sin(2st)/2 - sin st`` every sum is a
+    Hurwitz zeta or an oscillating sum ``sum exp(1j omega tau_i)/tau_i^2``
+    at ``omega = s`` or ``2s``.  Both frequencies and all lattices are one
+    array pass: the phases ``exp(1j omega first) exp(1j omega step i)``,
+    ``_LATTICE_TERMS`` explicit terms as one matrix product, then
+    :func:`_lerch_remainder` with the phase per step ``omega * step``
+    reduced to ``[-pi, pi)``.
     """
+    shape = np.shape(first)
+    first = np.ravel(first).astype(float)
+    omega = np.array([s, 2.0 * s])
+    start = np.exp(1j * np.multiply.outer(omega, first))
+    turn = np.exp(1j * np.multiply.outer(omega * step, np.arange(_LATTICE_TERMS + 1)))
+    tau = first[:, None] + step * np.arange(_LATTICE_TERMS)
+    theta = np.remainder(omega * step + np.pi, 2.0 * np.pi) - np.pi
+    end = (first + step * _LATTICE_TERMS) / step
+    one, two = start * (
+        turn[:, :-1] @ tau.T**-2.0
+        + turn[:, -1:] * _lerch_remainder(theta, end) / step**2
+    )
     plain = scipy.special.zeta(2.0, first / step) / step**2
-    one = _oscillating_sum(s, first, step)
-    two = _oscillating_sum(2.0 * s, first, step)
-    return (
+    sums = (
         0.5 * (plain - two.real),
         1.5 * plain + 0.5 * two.real - 2.0 * one.real,
         0.5 * two.imag - one.imag,
     )
+    return tuple(x.reshape(shape) for x in sums)
 
 
 def recentering_moment(mu: SpectralMeasure) -> float:
@@ -251,14 +272,18 @@ class RecoveryPipeline:
             )
         self.lattice = mu.lattice_type()
         self.r_eff = float(np.max(np.abs(mu.positions)))
+        # rows side, first, mass of the model lattices beyond the window
+        self.tail_lattices = np.array(mu.tail_lattices(np.pi / self.lattice)).T
 
         half_a = cfg.basis_half_size(self.a)
-        a_op = build_operator(mu, self.a, half_a)
+        self.a_edge = np.pi * half_a / self.a
+        # the completion lattice, extended to the in-core lattice if that is wider
+        self.completion = completion_lattice(mu, self.a_edge)
+        a_op = build_operator(mu, self.a, half_a, self.completion)
         rhs = np.zeros(a_op.basis.size)
         rhs[a_op.basis.center] = np.sqrt(np.pi * self.a)
         a_coeffs = apply_inverse(a_op, rhs)
 
-        self.a_edge = np.pi * half_a / self.a
         spacing = np.pi / self.lattice
         # the core always holds the origin atom, so its slope is an entry here
         self.core_mask = np.abs(mu.positions) <= self.a_edge + 0.5 * spacing
@@ -278,16 +303,22 @@ class RecoveryPipeline:
             raise NumericalError(
                 f"boundary cosine data overflowed at c={self.c!r}, bandwidth {self.a!r}"
             )
+        # the boundary cosine data as pairing weights on all atoms, zero off the core
+        self.core_weights = np.zeros(mu.positions.size)
+        self.core_weights[self.core_mask] = masses * self.boundary_cosine
 
         # model lattice covering the same range as the trusted core, with
         # its mass times the model cosine data.  The full-lattice pairing of
         # that data has closed-form coefficients (the model at the basis
         # nodes), so pairings are completed as [core atoms] + [closed form]
-        # - [in-core lattice], mirroring the Gram completion.
-        self.core_lattice_points = lattice_points(self.a_edge, self.lattice)
-        self.core_lattice_cosine = (np.pi / self.lattice) * _free_model(
-            self.lattice, self.core_lattice_points
-        )[1]
+        # - [in-core lattice], mirroring the Gram completion.  The in-core
+        # lattice is a sub-lattice of the completion lattice, so each section
+        # pairs it with the sinc matrix it forms for the completion.
+        points = self.completion[0]
+        in_core = np.abs(points) <= lattice_points(self.a_edge, self.lattice)[-1]
+        self.core_lattice_cosine = np.where(
+            in_core, (np.pi / self.lattice) * _free_model(self.lattice, points)[1], 0.0
+        )
 
     # -- tails ----------------------------------------------------------
 
@@ -296,16 +327,15 @@ class RecoveryPipeline:
 
         The model continues the atoms to infinity over
         :meth:`~canspec.model.SpectralMeasure.tail_lattices` (alternating
-        masses correlate with the alternating component values), each
-        lattice summed by :func:`lattice_tail_sums`.  The diagonal holds the
-        squared sine and cosine sums, the off-diagonal their cross sum.
+        masses correlate with the alternating component values).  One
+        :func:`lattice_tail_sums` call sums the four lattices as an array;
+        the diagonal holds their mass-weighted squared sine and cosine
+        sums, the off-diagonal the side- and mass-weighted cross sum.
         """
-        spacing = np.pi / self.lattice
-        tails = np.zeros((2, 2))
-        for side, first, mass in self.mu.tail_lattices(spacing):
-            sine2, cosine2, cross = lattice_tail_sums(s, first, 2.0 * spacing)
-            tails += mass * np.array([[sine2, side * cross], [side * cross, cosine2]])
-        return tails
+        side, first, mass = self.tail_lattices
+        sine2, cosine2, cross = lattice_tail_sums(s, first, 2.0 * np.pi / self.lattice)
+        off = (side * mass) @ cross
+        return np.array([[mass @ sine2, off], [off, mass @ cosine2]])
 
     # -- slices ----------------------------------------------------------
 
@@ -313,7 +343,9 @@ class RecoveryPipeline:
         s = float(s)
         if not 0.0 < s <= self.a * (1 + 1e-12):
             raise ValidationError(f"bandwidth s={s!r} outside (0, {self.a!r}]")
-        op = build_operator(self.mu, s, self.cfg.basis_half_size(s))
+        op = build_operator(
+            self.mu, s, self.cfg.basis_half_size(s), self.completion, self.core_lattice_cosine
+        )
         phi = op.atom_matrix
 
         # Two columns, one solve; ``model`` holds their free-model coefficients.
@@ -321,13 +353,12 @@ class RecoveryPipeline:
         # paired with the inverted kernels, tail-completed as core atoms plus
         # the full-lattice model coefficients (the model at the basis nodes)
         # minus the in-core lattice pairing.
-        core = self.core_mask
         model = np.zeros((op.basis.size, 2))
         model[op.basis.center, 0] = np.sqrt(np.pi * s)
         model[:, 1] = np.sqrt(np.pi / s) * _free_model(s, op.basis.nodes)[1]
         rhs = model.copy()
-        rhs[:, 1] += phi[:, core] @ (self.mu.masses[core] * self.boundary_cosine)
-        rhs[:, 1] -= op.basis.functions_at(self.core_lattice_points) @ self.core_lattice_cosine
+        rhs[:, 1] += phi @ self.core_weights
+        rhs[:, 1] -= op.lattice_pairing
         coeffs = apply_inverse(op, rhs)
         sine_at_zero = float(np.sqrt(s / np.pi) * coeffs[op.basis.center, 0])
 

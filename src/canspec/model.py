@@ -87,6 +87,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-d array, bitwise, NaN included.
+
+    NumPy imports ``numpy.ma`` on the first ``np.median`` call; one
+    partition gives the same value without it.
+    """
+    n = values.size
+    part = np.partition(values, [(n - 1) // 2, n // 2, -1])
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(part[n // 2] if n % 2 else 0.5 * (part[n // 2 - 1] + part[n // 2]))
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """Piecewise-constant nonnegative matrix weight on ``[0, ell]``.
@@ -307,7 +320,7 @@ class SpectralMeasure:
         gaps = np.diff(self.positions)
         if gaps.size == 0:
             raise ValidationError("cannot estimate a type from a single atom")
-        return float(np.pi / np.median(gaps))
+        return float(np.pi / _median(gaps))
 
     def with_constants(self, b: float, c: float) -> "SpectralMeasure":
         return SpectralMeasure(self.positions, self.masses, self.window, b, c)

@@ -19,7 +19,10 @@ displacement structure; Gohberg, Kailath & Olshevsky, Math. Comp. 64,
 each off-diagonal entry the divided difference ``c_j c_k (v_j - v_k) /
 (x_j - x_k)`` of one vector ``v``: a single matrix-vector product over the
 atoms (signed weight: the mass) and the completion lattice (``-pi/L``).
-Node gaps are at least ``pi/s``, so no digits are lost to small
+The nodes ``x_k = pi k/s`` and factors ``c_k = (-1)^k sqrt(pi/s)/pi`` make
+the factor ``c_j c_k / (x_j - x_k) = (-1)^(j-k) / (pi^2 (j - k))``
+independent of ``s``: a Toeplitz matrix, read as a strided view of one
+vector.  Node gaps are at least ``pi/s``, so no digits are lost to small
 denominators, and the O(nN) product replaces two O(n^2 N) ones.
 """
 
@@ -39,6 +42,7 @@ __all__ = [
     "sinc_kernel_dt",
     "build_operator",
     "lattice_points",
+    "completion_lattice",
     "apply_inverse",
     "frame_bounds",
 ]
@@ -143,10 +147,26 @@ class PWBasis:
         return out
 
     def derivatives_at(self, points: np.ndarray) -> np.ndarray:
-        """Matrix ``phi_k'(points)``, shape ``(size, len(points))``."""
+        """Matrix ``phi_k'(points)``, shape ``(size, len(points))``.
+
+        ``phi_k'(p) = c_k (s cos(sp)/(p - x_k) - sin(sp)/(p - x_k)^2)`` takes
+        one sine and one cosine per point; as in :meth:`functions_at`, each
+        point's nearest node within ``|s(p - node)| < 1`` is recomputed
+        with ``sinc_kernel_dt``.
+        """
         points = np.atleast_1d(np.asarray(points, dtype=float))
-        scale = np.sqrt(np.pi / self.s)
-        return scale * sinc_kernel_dt(self.s, self.nodes[:, None], points[None, :])
+        s, half, nodes = self.s, self.half_size, self.nodes
+        out = points[None, :] - nodes[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # exact hits are redone below
+            np.reciprocal(out, out=out)
+            slope = s * np.cos(s * points) - np.sin(s * points) * out
+            out *= slope
+        out *= self._node_factors[:, None]
+        row = np.clip(np.rint(s * points / np.pi), -half, half).astype(int) + half
+        near = np.abs(s * (points - nodes[row])) < 1.0
+        row = row[near]
+        out[row, near] = np.sqrt(np.pi / s) * sinc_kernel_dt(s, nodes[row], points[near])
+        return out
 
     def kernel_coefficients(self, t: complex) -> np.ndarray:
         """Expansion coefficients of ``sinc_s(. - t)``: ``sqrt(pi/s) sinc_s(node - t)``."""
@@ -164,22 +184,42 @@ class PWOperator:
 
     ``gram`` is the (tail-completed) symmetric positive-definite matrix;
     ``atom_matrix`` caches the basis values at the atoms for fast pairings.
+    ``lattice_pairing`` is the basis paired with the weights given to
+    :func:`build_operator` on the completion lattice, if any.
     """
 
     basis: PWBasis
     gram: np.ndarray
     atom_matrix: np.ndarray
     _cho: tuple = None
+    lattice_pairing: np.ndarray | None = None
 
 
 def lattice_points(extent: float, lattice_type: float) -> np.ndarray:
     """Points ``pi k / L`` of the free-model lattice.
 
     The lattice covers ``[-extent, extent]`` plus half a spacing on each
-    side.
+    side.  Each point is the same float in every lattice of this type.
     """
     kmax = int(np.floor((extent + 0.5 * np.pi / lattice_type) * lattice_type / np.pi))
     return np.pi * np.arange(-kmax, kmax + 1) / lattice_type
+
+
+def completion_lattice(mu: SpectralMeasure, extent: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Points and signed weights of the Gram completion (see :func:`build_operator`).
+
+    The lattice at the type ``L`` of ``mu`` covers the atoms with weight
+    ``-pi/L``; zero-weight points extend it to cover ``extent`` too, so
+    data given there can be paired with the same sinc matrix.  A lone atom
+    has no completion (empty arrays).
+    """
+    if mu.positions.size < 2:
+        return np.empty(0), np.empty(0)
+    lam = mu.lattice_type()
+    reach = float(np.max(np.abs(mu.positions)))
+    points = lattice_points(max(reach, extent), lam)
+    inside = np.abs(points) <= lattice_points(reach, lam)[-1]
+    return points, np.where(inside, -np.pi / lam, 0.0)
 
 
 def _weighted_sums(phi: np.ndarray, s: float, points: np.ndarray, weights: np.ndarray):
@@ -187,8 +227,25 @@ def _weighted_sums(phi: np.ndarray, s: float, points: np.ndarray, weights: np.nd
     return phi @ (weights * np.sin(s * points)), np.square(phi) @ weights
 
 
-def _section(mu: SpectralMeasure, s: float, half_size: int):
-    """Basis, tail-completed Gram matrix and atom matrix (see ``build_operator``)."""
+def _divided_differences(v: np.ndarray) -> np.ndarray:
+    """``(v_j - v_k) (-1)^(j-k) / (pi^2 (j - k))``, zero on the diagonal.
+
+    The factor is a Toeplitz matrix: row ``j`` of the sliding windows of
+    ``T_d``, ``d = -(n-1) .. n-1``, reversed.  ``T_(-d) = -T_d`` exactly, so
+    the result is exactly antisymmetric times antisymmetric: symmetric.
+    """
+    n = v.size
+    d = np.arange(1 - n, n)
+    factor = np.where(d % 2 == 0, 1.0, -1.0) / (np.pi**2 * np.where(d == 0, 1, d))
+    factor[n - 1] = 0.0
+    toeplitz = np.lib.stride_tricks.sliding_window_view(factor, n)[:, ::-1]
+    out = np.subtract.outer(v, v)
+    out *= toeplitz
+    return out
+
+
+def _section(mu: SpectralMeasure, s: float, half_size: int, lattice=None, pairing=None):
+    """Basis, Gram matrix, atom matrix and lattice pairing (see ``build_operator``)."""
     basis = PWBasis(float(s), int(half_size))
     n = basis.size
     if n > _DENSE_LIMIT:
@@ -202,28 +259,28 @@ def _section(mu: SpectralMeasure, s: float, half_size: int):
         )
     phi = basis.functions_at(mu.positions)
     v, diag = _weighted_sums(phi, basis.s, mu.positions, mu.masses)
-    if mu.positions.size > 1:
-        lam = mu.lattice_type()
-        lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
+    points, weights = completion_lattice(mu) if lattice is None else lattice
+    paired = None
+    if points.size:
+        phi_lat = basis.functions_at(points)
+        v_lat, diag_lat = _weighted_sums(phi_lat, basis.s, points, weights)
+        if pairing is not None:
+            paired = phi_lat @ pairing
         # the lattice sinc matrix is freed before the n-by-n arrays are made;
         # held until the end, it fragments the heap (+20 MiB peak RSS, free round trip)
-        v_lat, diag_lat = _weighted_sums(
-            basis.functions_at(lattice), basis.s, lattice, np.full(lattice.size, -np.pi / lam)
-        )
+        del phi_lat
         v += v_lat
         # window plus lattice first: exactly 0 where the atoms are the lattice
         diag = 1.0 + (diag + diag_lat)
-    nodes, c = basis.nodes, basis._node_factors
-    v /= c
-    gram = np.subtract.outer(v, v)
-    with np.errstate(invalid="ignore"):  # 0/0 on the diagonal, set below
-        gram /= np.subtract.outer(nodes, nodes)
-    gram *= np.multiply.outer(c, c)
+    v /= basis._node_factors
+    gram = _divided_differences(v)
     np.fill_diagonal(gram, diag)
-    return basis, gram, phi
+    return basis, gram, phi, paired
 
 
-def build_operator(mu: SpectralMeasure, s: float, half_size: int) -> PWOperator:
+def build_operator(
+    mu: SpectralMeasure, s: float, half_size: int, lattice=None, pairing=None
+) -> PWOperator:
     """Assemble and factorize the sectioned quadratic form at bandwidth ``s``.
 
     The form is ``sum m phi_j phi_k`` over the atoms plus the completion
@@ -232,19 +289,25 @@ def build_operator(mu: SpectralMeasure, s: float, half_size: int) -> PWOperator:
     ``-pi/L`` on the lattice) and set ``v = (phi @ (w sin(st))) / c``;
     then, by partial fractions, for ``j != k``::
 
-        G_jk = c_j c_k (v_j - v_k) / (x_j - x_k),
+        G_jk = c_j c_k (v_j - v_k) / (x_j - x_k) = (v_j - v_k) (-1)^(j-k) / (pi^2 (j - k)),
 
     and ``G_jj`` is the weighted sum of ``phi_j^2`` plus the completion's
-    ``1``.  Node gaps are at least ``pi/s``, so the divided difference
-    loses no digits to small denominators.  Each entry is built from
-    antisymmetric differences and a commutative product, so ``gram`` is
-    exactly symmetric.
+    ``1``.  The factor after ``v_j - v_k`` does not depend on ``s``.  Node
+    gaps are at least ``pi/s``, so the divided difference loses no digits
+    to small denominators.  Each entry is built from antisymmetric
+    differences and an antisymmetric factor, so ``gram`` is exactly
+    symmetric.
+
+    ``lattice`` is the ``(points, weights)`` of :func:`completion_lattice`,
+    computed from ``mu`` when not given.  ``pairing``, weights on those
+    points, is paired with the lattice sinc matrix the completion forms
+    anyway and returned as ``lattice_pairing``.
 
     The basis nodes must fall inside the measure window.  Factorization
     failure means the discretized form is not boundedly invertible (the
     measure is not comparable on this band at this truncation).
     """
-    basis, gram, phi = _section(mu, s, half_size)
+    basis, gram, phi, paired = _section(mu, s, half_size, lattice, pairing)
     try:
         cho = scipy.linalg.cho_factor(gram)
     except scipy.linalg.LinAlgError as exc:
@@ -252,7 +315,7 @@ def build_operator(mu: SpectralMeasure, s: float, half_size: int) -> PWOperator:
             f"measure not comparable on the bandwidth-{s:g} space at truncation "
             f"{half_size}: factorization failed ({exc})"
         ) from exc
-    return PWOperator(basis=basis, gram=gram, atom_matrix=phi, _cho=cho)
+    return PWOperator(basis=basis, gram=gram, atom_matrix=phi, _cho=cho, lattice_pairing=paired)
 
 
 def apply_inverse(op: PWOperator, rhs: np.ndarray) -> np.ndarray:
@@ -291,7 +354,7 @@ def frame_bounds(mu: SpectralMeasure, s: float, half_size: int) -> tuple[float, 
     The section is not factorized, so one that is not positive definite
     reports ``lambda_min <= 0`` instead of raising ``ComparabilityError``.
     """
-    _, gram, _ = _section(mu, s, half_size)
+    _, gram, _, _ = _section(mu, s, half_size)
     # the full spectrum: LAPACK's index-subset drivers fail to
     # converge on sections that equal the identity to roundoff
     evals = scipy.linalg.eigvalsh(gram)

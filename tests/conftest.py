@@ -1,7 +1,12 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from canspec import forward, oracles
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +34,26 @@ def step_measure(step_hamiltonian):
 @pytest.fixture(scope="session")
 def step_measure_small(step_hamiltonian):
     return forward.spectral_measure(step_hamiltonian, 60.0)
+
+
+@pytest.fixture(scope="session")
+def wide_workload():
+    """The wide-roundtrip benchmark module ``perfbench/workloads.py``."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+@pytest.fixture(scope="session")
+def wide_hamiltonian(wide_workload):
+    """The wide-roundtrip benchmark weight, seed 0, instance 0."""
+    return wide_workload.smooth_weight(0, 0, wide_workload.WIDE_SEGMENTS)
+
+
+@pytest.fixture(scope="session")
+def wide_measure(wide_hamiltonian, wide_workload):
+    """The wide-roundtrip benchmark measure, seed 0, instance 0 (about 800 atoms)."""
+    return forward.spectral_measure(wide_hamiltonian, wide_workload.WIDE_SETTINGS["window"])

@@ -84,10 +84,12 @@ class TestForwardCommand:
             "rc = canspec.cli.main(['forward', '--in', sys.argv[1], '--window', '20',"
             " '--out-dir', sys.argv[2]])\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "ma = [m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')]\n"
             "import canspec\n"
             "lazy = [canspec.RecoveryPipeline.__name__, canspec.frame_bounds.__name__]\n"
             "listed = set(canspec.__all__) <= set(dir(canspec))\n"
-            "print(json.dumps({'rc': rc, 'scipy': loaded, 'lazy': lazy, 'listed': listed}))\n"
+            "print(json.dumps({'rc': rc, 'scipy': loaded, 'ma': ma, 'lazy': lazy,"
+            " 'listed': listed}))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run(
@@ -97,7 +99,11 @@ class TestForwardCommand:
         assert proc.returncode == 0, proc.stderr[-2000:]
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report == {
-            "rc": 0, "scipy": [], "lazy": ["RecoveryPipeline", "frame_bounds"], "listed": True
+            "rc": 0,
+            "scipy": [],
+            "ma": [],
+            "lazy": ["RecoveryPipeline", "frame_bounds"],
+            "listed": True,
         }
 
     def test_missing_input_exits_2(self, tmp_path):

@@ -2,15 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 
 from canspec import forward, oracles
 from canspec.inverse import (
     RecoveryPipeline,
+    _free_model,
     _top_eigenprojection,
     boundary_cosine_values,
+    lattice_tail_sums,
     recentering_moment,
 )
 from canspec.model import GridConfig, Hamiltonian, NumericalError, SpectralMeasure, normalize_trace
+from canspec.pwspace import PWBasis, lattice_points
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +54,164 @@ def step_pipeline(step_hamiltonian, step_measure):
         a, s_samples=17, pw_truncation=256, measure_window=step_measure.window
     )
     return RecoveryPipeline(step_measure, c=step_measure.herglotz_c, cfg=cfg)
+
+
+@pytest.fixture(scope="module")
+def wide_pipeline(wide_hamiltonian, wide_measure, wide_workload):
+    """The pipeline of the wide-roundtrip benchmark, seed 0, instance 0."""
+    settings = dict(wide_workload.WIDE_SETTINGS)
+    window = settings.pop("window")
+    a = forward.exponential_type(wide_hamiltonian)
+    cfg = GridConfig.for_bandwidth(a, measure_window=window, **settings)
+    return RecoveryPipeline(wide_measure, c=wide_measure.herglotz_c, cfg=cfg)
+
+
+@pytest.fixture(scope="module")
+def short_pipeline():
+    """Unit atoms on -40..40 in a window of 60: the in-core lattice reaches past the atoms."""
+    mu = SpectralMeasure(np.arange(-40, 41.0), np.ones(81), 60.0)
+    cfg = GridConfig.for_bandwidth(np.pi, s_samples=9, pw_truncation=256, measure_window=60.0)
+    pipe = RecoveryPipeline(mu, c=0.0, cfg=cfg)
+    assert pipe.a_edge > pipe.r_eff + np.pi / pipe.lattice
+    return pipe
+
+
+# -- reference: one lattice and one frequency at a time ----------------------
+
+_EM_ORDER = 25
+_EM_WEIGHTS = scipy.special.bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
+
+
+def _scalar_lerch_remainder(theta, q):
+    """``sum_{i >= 0} exp(1j theta i) / (q + i)^2`` by Euler-Maclaurin, one scalar pair."""
+    a = abs(theta)
+    x = a * q
+    integral = 1.0 / q
+    if x > 0:
+        si, ci = scipy.special.sici(x)
+        integral += 1j * a * np.exp(-1j * x) * (-ci + 1j * (0.5 * np.pi - si))
+    n = np.arange(2 * _EM_ORDER)
+    taylor = np.convolve(
+        (1j * a) ** n / scipy.special.factorial(n), (-1.0) ** n * (n + 1) / q ** (n + 2)
+    )
+    value = integral + 0.5 / q**2 - taylor[1 : n.size : 2] @ _EM_WEIGHTS
+    return complex(np.conj(value) if theta < 0 else value)
+
+
+def _scalar_oscillating_sum(omega, first, step, terms=64):
+    tau = first + step * np.arange(terms)
+    head = np.sum(np.exp(1j * omega * tau) / tau**2)
+    tau_end = first + step * terms
+    theta = np.remainder(omega * step + np.pi, 2.0 * np.pi) - np.pi
+    tail = np.exp(1j * omega * tau_end) * _scalar_lerch_remainder(theta, tau_end / step)
+    return complex(head + tail / step**2)
+
+
+def _scalar_lattice_tail_sums(s, first, step):
+    plain = scipy.special.zeta(2.0, first / step) / step**2
+    one = _scalar_oscillating_sum(s, first, step)
+    two = _scalar_oscillating_sum(2.0 * s, first, step)
+    return (
+        0.5 * (plain - two.real),
+        1.5 * plain + 0.5 * two.real - 2.0 * one.real,
+        0.5 * two.imag - one.imag,
+    )
+
+
+def _reference_slice(pipe, s):
+    """``slice_at(s)`` evaluated the long way, as three separate sinc passes.
+
+    The Gram matrix from outer differences and divisions, the in-core
+    lattice paired through its own ``functions_at`` call, the tails one
+    lattice at a time.  Returns ``sine_at_zero``, the values (sine, cosine
+    columns) and ``norms``.
+    """
+    mu = pipe.mu
+    t, m = mu.positions, mu.masses
+    basis = PWBasis(s, pipe.cfg.basis_half_size(s))
+    nodes, c, center = basis.nodes, basis._node_factors, basis.center
+    phi = basis.functions_at(t)
+    lam = mu.lattice_type()
+    lattice = lattice_points(float(np.max(np.abs(t))), lam)
+    phi_lat = basis.functions_at(lattice)
+    v = phi @ (m * np.sin(s * t)) - (np.pi / lam) * (phi_lat @ np.sin(s * lattice))
+    diag = 1.0 + np.square(phi) @ m - (np.pi / lam) * np.sum(np.square(phi_lat), axis=1)
+    v = v / c
+    with np.errstate(invalid="ignore"):
+        gram = np.subtract.outer(v, v) / np.subtract.outer(nodes, nodes)
+    gram *= np.multiply.outer(c, c)
+    np.fill_diagonal(gram, diag)
+
+    core_lattice = lattice_points(pipe.a_edge, lam)
+    core_cosine = (np.pi / lam) * _free_model(lam, core_lattice)[1]
+    model = np.zeros((basis.size, 2))
+    model[center, 0] = np.sqrt(np.pi * s)
+    model[:, 1] = np.sqrt(np.pi / s) * _free_model(s, nodes)[1]
+    core = pipe.core_mask
+    rhs = model.copy()
+    rhs[:, 1] += phi[:, core] @ (m[core] * pipe.boundary_cosine)
+    rhs[:, 1] -= basis.functions_at(core_lattice) @ core_cosine
+    coeffs = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
+
+    free = np.column_stack(_free_model(s, t))
+    values = free + phi.T @ (coeffs - model)
+    spacing = np.pi / lam
+    tails = np.zeros((2, 2))
+    for side, first, mass in mu.tail_lattices(spacing):
+        sine2, cosine2, cross = _scalar_lattice_tail_sums(s, first, 2.0 * spacing)
+        tails += mass * np.array([[sine2, side * cross], [side * cross, cosine2]])
+    norms = values.T @ (m[:, None] * values) + tails
+    edge = np.pi * basis.half_size / s
+    band = (np.abs(t) > 0.5 * pipe.r_eff) & (np.abs(t) <= edge)
+    if np.any(band):
+        weight = (1.0 / pipe.r_eff) / (2.0 / pipe.r_eff - 1.0 / edge)
+        vb, fb, mb = values[band], free[band], m[band, None]
+        norms += weight * (vb.T @ (mb * vb) - fb.T @ (mb * fb))
+    return np.sqrt(s / np.pi) * coeffs[center, 0], values, norms
+
+
+class TestSliceReference:
+    @pytest.mark.parametrize("fixture", ["step_pipeline", "wide_pipeline", "short_pipeline"])
+    @pytest.mark.parametrize("frac", [0.13, 0.5, 0.77, 1.0])
+    def test_slice_matches_three_pass_reference(self, request, fixture, frac):
+        pipe = request.getfixturevalue(fixture)
+        s = frac * pipe.a
+        sine0, values, norms = _reference_slice(pipe, s)
+        sl = pipe.slice_at(s)
+
+        def rel(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        assert rel(sl.sine_at_zero, sine0) <= 1e-12
+        assert rel(sl.sine_values, values[:, 0]) <= 1e-12
+        assert rel(sl.cosine_values, values[:, 1]) <= 1e-12
+        assert rel(sl.norms, norms) <= 1e-12
+
+
+class TestLatticeTailSums:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "s,step",
+        [
+            (np.pi, 2.0),  # resonant: theta = 0 at s and at 2s
+            (np.pi / 2, 2.0),  # resonant at 2s only
+            (np.pi - 0.5e-8, 2.0),  # near resonance
+            (2.1, 2.0),
+            (0.37, 0.9),
+        ],
+    )
+    def test_array_pass_matches_scalar_calls(self, s, step):
+        first = np.array([201.0, 202.0, 187.3, 188.3, 5.5])
+        got = lattice_tail_sums(s, first, step)
+        want = np.array([_scalar_lattice_tail_sums(s, f, step) for f in first]).T
+        for g, w in zip(got, want):
+            assert g.shape == first.shape
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.max(np.abs(w)))
+        scalar = lattice_tail_sums(s, float(first[0]), step)
+        assert all(np.ndim(x) == 0 for x in scalar)
+        np.testing.assert_allclose(
+            scalar, want[:, 0], rtol=1e-13, atol=1e-13 * np.max(np.abs(want))
+        )
 
 
 class TestRecenteringMoment:

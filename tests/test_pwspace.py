@@ -1,6 +1,3 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,8 +13,6 @@ from canspec.pwspace import (
     sinc_kernel,
     sinc_kernel_dt,
 )
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def explicit_gram(mu, basis):
@@ -43,20 +38,6 @@ def near_node_measure():
     positions = np.arange(-40, 41).astype(float)
     positions[[45, 23, 70]] += [1e-6, -4e-7, 3e-9]
     return SpectralMeasure(positions, np.ones(positions.size), 40.5)
-
-
-@pytest.fixture(scope="module")
-def wide_measure():
-    """The wide-roundtrip benchmark measure, seed 0, instance 0 (about 800 atoms)."""
-    from canspec import forward
-
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    H = workloads.smooth_weight(0, 0, workloads.WIDE_SEGMENTS)
-    return forward.spectral_measure(H, workloads.WIDE_SETTINGS["window"])
 
 
 class TestSincKernel:
@@ -142,6 +123,58 @@ class TestFunctionsAt:
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
+class TestDerivativesAt:
+    @pytest.mark.parametrize(
+        "s,half,window",
+        [(np.pi, 190, 200.0), (np.pi / 2, 95, 200.0), (0.05, 3, 200.0)],
+        ids=["pi", "half-pi", "small-s"],
+    )
+    def test_matches_dense_kernel_derivative(self, s, half, window):
+        # the dense form: sqrt(pi/s) d/dt sinc_s(node - t) for every pair
+        basis = PWBasis(s, half)
+        rng = np.random.default_rng(5)
+        nodes = basis.nodes
+        picked = rng.choice(nodes, min(nodes.size, 8), replace=False)
+        points = np.concatenate(
+            [
+                picked,  # exact node hits
+                picked + 1e-9,
+                picked - 1e-9,
+                [-window, -0.999 * window, 0.999 * window, window],
+                rng.uniform(-window, window, 381),
+            ]
+        )
+        got = basis.derivatives_at(points)
+        want = np.sqrt(np.pi / s) * sinc_kernel_dt(s, nodes[:, None], points[None, :])
+        assert got.shape == want.shape
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestDividedDifferences:
+    @pytest.mark.parametrize("n", [1, 2, 381])
+    def test_toeplitz_factor_matches_outer_differences(self, n):
+        # c_j c_k (v_j - v_k) / (x_j - x_k) over nodes x_k = pi k/s with
+        # c_k = (-1)^k sqrt(pi/s)/pi: the factor (-1)^(j-k) / (pi^2 (j - k))
+        # is the same for every s
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        got = pwspace._divided_differences(v)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
+        k = np.arange(n) - n // 2
+        off = ~np.eye(n, dtype=bool)
+        for s in (0.3, np.pi, 7.0):
+            x = np.pi * k / s
+            c = np.where(k % 2 == 0, 1.0, -1.0) * np.sqrt(np.pi / s) / np.pi
+            want = (
+                np.subtract.outer(v, v)[off]
+                / np.subtract.outer(x, x)[off]
+                * np.multiply.outer(c, c)[off]
+            )
+            assert np.allclose(got[off], want, rtol=1e-13, atol=0.0)
+
+
 class TestBuildOperator:
     @pytest.mark.parametrize("s_frac", [1.0, 0.5])
     def test_free_measure_gives_identity(self, free_pi, s_frac):
@@ -180,7 +213,7 @@ class TestBuildOperator:
     def test_single_atom_has_no_completion(self):
         # one atom: the rank-one form m phi phi^T, not positive definite for n > 1
         mu = SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0)
-        basis, gram, phi = pwspace._section(mu, 1.3, 3)
+        basis, gram, phi, _ = pwspace._section(mu, 1.3, 3)
         want = 2.0 * np.outer(phi[:, 0], phi[:, 0])
         assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(gram))
         assert build_operator(mu, 1.3, 0).gram == pytest.approx(2.0 * 1.3 / np.pi, rel=1e-15)
