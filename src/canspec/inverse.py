@@ -37,7 +37,7 @@ from .model import (
     SpectralMeasure,
     ValidationError,
 )
-from .pwspace import apply_inverse, build_operator, completion_lattice, lattice_points
+from .pwspace import apply_inverse, build_operator, completion_lattice
 
 __all__ = [
     "BandwidthSlice",
@@ -250,9 +250,9 @@ class RecoveryPipeline:
     the Weyl function; round trips obtain it from the forward solver, raw
     measures must supply it (the measure alone does not determine it).
     ``__init__`` builds the full-bandwidth boundary data (slope data,
-    boundary cosine values, the in-core model lattice); each slice builds
-    and solves its own section from it.  Nothing else is kept, so a
-    pipeline does not change after ``__init__``.
+    boundary cosine values, the cosine weights on the in-core completion
+    lattice); each slice builds and solves its own section from it.
+    Nothing else is kept, so a pipeline does not change after ``__init__``.
     """
 
     def __init__(self, mu: SpectralMeasure, c: float, cfg: GridConfig):
@@ -277,16 +277,16 @@ class RecoveryPipeline:
 
         half_a = cfg.basis_half_size(self.a)
         self.a_edge = np.pi * half_a / self.a
-        # the completion lattice, extended to the in-core lattice if that is wider
-        self.completion = completion_lattice(mu, self.a_edge)
+        self.completion = completion_lattice(mu)
         a_op = build_operator(mu, self.a, half_a, self.completion)
         rhs = np.zeros(a_op.basis.size)
         rhs[a_op.basis.center] = np.sqrt(np.pi * self.a)
         a_coeffs = apply_inverse(a_op, rhs)
 
-        spacing = np.pi / self.lattice
-        # the core always holds the origin atom, so its slope is an entry here
-        self.core_mask = np.abs(mu.positions) <= self.a_edge + 0.5 * spacing
+        # the trusted core: the full-bandwidth basis reach plus half a lattice
+        # spacing; it always holds the origin atom, so its slope is an entry here
+        core = self.a_edge + 0.5 * np.pi / self.lattice
+        self.core_mask = np.abs(mu.positions) <= core
 
         pts, masses = mu.positions[self.core_mask], mu.masses[self.core_mask]
         self.moment = recentering_moment(mu)
@@ -307,18 +307,15 @@ class RecoveryPipeline:
         self.core_weights = np.zeros(mu.positions.size)
         self.core_weights[self.core_mask] = masses * self.boundary_cosine
 
-        # model lattice covering the same range as the trusted core, with
-        # its mass times the model cosine data.  The full-lattice pairing of
-        # that data has closed-form coefficients (the model at the basis
-        # nodes), so pairings are completed as [core atoms] + [closed form]
-        # - [in-core lattice], mirroring the Gram completion.  The in-core
-        # lattice is a sub-lattice of the completion lattice, so each section
-        # pairs it with the sinc matrix it forms for the completion.
+        # The model measure is the atoms plus the free lattice beyond their
+        # reach (the Gram completion).  Its cosine pairing is completed the
+        # same way: [core atoms] + [full-lattice closed form, the model at the
+        # basis nodes] - [completion lattice in the core], each lattice point
+        # with its mass times the model cosine data.  That pairing reuses the
+        # sinc matrix each section forms for the completion.
         points = self.completion[0]
-        in_core = np.abs(points) <= lattice_points(self.a_edge, self.lattice)[-1]
-        self.core_lattice_cosine = np.where(
-            in_core, (np.pi / self.lattice) * _free_model(self.lattice, points)[1], 0.0
-        )
+        model_cosine = (np.pi / self.lattice) * _free_model(self.lattice, points)[1]
+        self.core_lattice_cosine = np.where(np.abs(points) <= core, model_cosine, 0.0)
 
     # -- tails ----------------------------------------------------------
 
@@ -352,7 +349,7 @@ class RecoveryPipeline:
         # Sine: the kernel at the origin.  Cosine: the boundary cosine data
         # paired with the inverted kernels, tail-completed as core atoms plus
         # the full-lattice model coefficients (the model at the basis nodes)
-        # minus the in-core lattice pairing.
+        # minus the pairing of the completion lattice in the core.
         model = np.zeros((op.basis.size, 2))
         model[op.basis.center, 0] = np.sqrt(np.pi * s)
         model[:, 1] = np.sqrt(np.pi / s) * _free_model(s, op.basis.nodes)[1]

@@ -250,10 +250,7 @@ def normalize_trace(H: Hamiltonian) -> tuple[Hamiltonian, np.ndarray]:
 
     Idempotent, and it preserves the integral of ``sqrt(det)``.
     """
-    traces = H.traces()
-    if np.any(traces <= 0):
-        raise ValidationError("zero-trace segment: cannot normalize")
-    scale = traces / 2.0
+    scale = H.traces() / 2.0
     new_lengths = H.lengths * scale
     new_edges = np.concatenate([[0.0], np.cumsum(new_lengths)])
     new_mats = H.matrices / scale[:, None, None]

@@ -29,6 +29,7 @@ denominators, and the O(nN) product replaces two O(n^2 N) ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -41,7 +42,6 @@ __all__ = [
     "sinc_kernel",
     "sinc_kernel_dt",
     "build_operator",
-    "lattice_points",
     "completion_lattice",
     "apply_inverse",
     "frame_bounds",
@@ -112,16 +112,20 @@ class PWBasis:
     def center(self) -> int:
         return self.half_size
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         k = np.arange(-self.half_size, self.half_size + 1)
-        return np.pi * k / self.s
+        nodes = np.pi * k / self.s
+        nodes.setflags(write=False)
+        return nodes
 
-    @property
+    @cached_property
     def _node_factors(self) -> np.ndarray:
         """``c_k = (-1)^k sqrt(pi/s)/pi``, so ``phi_k(x) = c_k sin(sx)/(x - pi k/s)``."""
         k = np.arange(-self.half_size, self.half_size + 1)
-        return np.where(k % 2 == 0, 1.0, -1.0) * (np.sqrt(np.pi / self.s) / np.pi)
+        factors = np.where(k % 2 == 0, 1.0, -1.0) * (np.sqrt(np.pi / self.s) / np.pi)
+        factors.setflags(write=False)
+        return factors
 
     def functions_at(self, points: np.ndarray) -> np.ndarray:
         """Matrix ``phi_k(points)``, shape ``(size, len(points))``.
@@ -195,31 +199,22 @@ class PWOperator:
     lattice_pairing: np.ndarray | None = None
 
 
-def lattice_points(extent: float, lattice_type: float) -> np.ndarray:
-    """Points ``pi k / L`` of the free-model lattice.
+def completion_lattice(mu: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Points and signed weights of the free-model completion (see :func:`build_operator`).
 
-    The lattice covers ``[-extent, extent]`` plus half a spacing on each
-    side.  Each point is the same float in every lattice of this type.
-    """
-    kmax = int(np.floor((extent + 0.5 * np.pi / lattice_type) * lattice_type / np.pi))
-    return np.pi * np.arange(-kmax, kmax + 1) / lattice_type
-
-
-def completion_lattice(mu: SpectralMeasure, extent: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Points and signed weights of the Gram completion (see :func:`build_operator`).
-
-    The lattice at the type ``L`` of ``mu`` covers the atoms with weight
-    ``-pi/L``; zero-weight points extend it to cover ``extent`` too, so
-    data given there can be paired with the same sinc matrix.  A lone atom
-    has no completion (empty arrays).
+    The points ``pi k / L`` at the type ``L`` of ``mu`` cover the atoms'
+    reach plus half a spacing on each side, each with weight ``-pi/L``.
+    The Gram completion and the cosine pairing of the recovery pipeline
+    both use this one lattice.  A lone atom has no completion (empty
+    arrays).
     """
     if mu.positions.size < 2:
         return np.empty(0), np.empty(0)
     lam = mu.lattice_type()
     reach = float(np.max(np.abs(mu.positions)))
-    points = lattice_points(max(reach, extent), lam)
-    inside = np.abs(points) <= lattice_points(reach, lam)[-1]
-    return points, np.where(inside, -np.pi / lam, 0.0)
+    kmax = int(np.floor((reach + 0.5 * np.pi / lam) * lam / np.pi))
+    points = np.pi * np.arange(-kmax, kmax + 1) / lam
+    return points, np.full(points.size, -np.pi / lam)
 
 
 def _weighted_sums(phi: np.ndarray, s: float, points: np.ndarray, weights: np.ndarray):
@@ -299,9 +294,10 @@ def build_operator(
     symmetric.
 
     ``lattice`` is the ``(points, weights)`` of :func:`completion_lattice`,
-    computed from ``mu`` when not given.  ``pairing``, weights on those
-    points, is paired with the lattice sinc matrix the completion forms
-    anyway and returned as ``lattice_pairing``.
+    computed from ``mu`` when not given.  ``pairing``, data on those same
+    points (the recovery pipeline's in-core cosine weights), is paired with
+    the lattice sinc matrix the completion forms anyway and returned as
+    ``lattice_pairing``.
 
     The basis nodes must fall inside the measure window.  Factorization
     failure means the discretized form is not boundedly invertible (the

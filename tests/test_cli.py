@@ -139,6 +139,15 @@ class TestInverseCommand:
         assert csv[0].split() == ["r", "h11", "h12", "h22"]
         assert len(csv) == H.nsegments + 1
 
+    def test_atoms_short_of_window_recover_identity(self, tmp_path):
+        # unit atoms on -40..40 in a window of 60 are the free measure
+        path = tmp_path / "short.json"
+        path.write_text(dumps_measure(SpectralMeasure(np.arange(-40, 41.0), np.ones(81), 60.0)))
+        out = tmp_path / "rec"
+        assert main(["inverse", "--in", str(path), "--c", "0", "--out-dir", str(out)]) == 0
+        H = load_hamiltonian(out / "hamiltonian.json")
+        assert np.max(np.abs(H.matrices - np.eye(2))) <= 1e-12
+
     def test_overwrite_protection(self, tmp_path):
         _, mu, _ = oracles.free_fixture(np.pi, 50.0)
         path = tmp_path / "diagnostics.json"

@@ -15,7 +15,7 @@ from canspec.inverse import (
     recentering_moment,
 )
 from canspec.model import GridConfig, Hamiltonian, NumericalError, SpectralMeasure, normalize_trace
-from canspec.pwspace import PWBasis, lattice_points
+from canspec.pwspace import PWBasis
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,18 @@ def wide_pipeline(wide_hamiltonian, wide_measure, wide_workload):
 
 @pytest.fixture(scope="module")
 def short_pipeline():
-    """Unit atoms on -40..40 in a window of 60: the in-core lattice reaches past the atoms."""
+    """Unit atoms on -40..40 in a window of 60: the full-bandwidth basis reaches past the atoms."""
     mu = SpectralMeasure(np.arange(-40, 41.0), np.ones(81), 60.0)
     cfg = GridConfig.for_bandwidth(np.pi, s_samples=9, pw_truncation=256, measure_window=60.0)
     pipe = RecoveryPipeline(mu, c=0.0, cfg=cfg)
     assert pipe.a_edge > pipe.r_eff + np.pi / pipe.lattice
     return pipe
+
+
+def _lattice(extent, lam):
+    """Points ``pi k / lam`` covering ``[-extent, extent]`` plus half a spacing."""
+    kmax = int(np.floor((extent + 0.5 * np.pi / lam) * lam / np.pi))
+    return np.pi * np.arange(-kmax, kmax + 1) / lam
 
 
 # -- reference: one lattice and one frequency at a time ----------------------
@@ -132,7 +138,8 @@ def _reference_slice(pipe, s):
     nodes, c, center = basis.nodes, basis._node_factors, basis.center
     phi = basis.functions_at(t)
     lam = mu.lattice_type()
-    lattice = lattice_points(float(np.max(np.abs(t))), lam)
+    reach = float(np.max(np.abs(t)))
+    lattice = _lattice(reach, lam)
     phi_lat = basis.functions_at(lattice)
     v = phi @ (m * np.sin(s * t)) - (np.pi / lam) * (phi_lat @ np.sin(s * lattice))
     diag = 1.0 + np.square(phi) @ m - (np.pi / lam) * np.sum(np.square(phi_lat), axis=1)
@@ -142,7 +149,8 @@ def _reference_slice(pipe, s):
     gram *= np.multiply.outer(c, c)
     np.fill_diagonal(gram, diag)
 
-    core_lattice = lattice_points(pipe.a_edge, lam)
+    # the completion lattice inside the core: it stops at the atoms' reach
+    core_lattice = _lattice(min(pipe.a_edge, reach), lam)
     core_cosine = (np.pi / lam) * _free_model(lam, core_lattice)[1]
     model = np.zeros((basis.size, 2))
     model[center, 0] = np.sqrt(np.pi * s)
@@ -539,6 +547,26 @@ class TestReconstruct:
         assert neg.sum() > 5000
         for value, (i, j) in zip(got, [(0, 0), (0, 1), (1, 1)]):
             assert np.max(np.abs(value - want[:, i, j])) <= 4e-15
+
+
+class TestAtomsShortOfWindow:
+    """Unit atoms that stop short of the window: the free measure on one completion lattice."""
+
+    @pytest.mark.parametrize("reach,window", [(40, 60.0), (100, 200.0)])
+    def test_free_measure_recovers_identity(self, reach, window):
+        # the Gram and the cosine pairing continue the atoms by the same
+        # lattice, so the model is the free measure inside the basis too
+        mu = SpectralMeasure(np.arange(-reach, reach + 1.0), np.ones(2 * reach + 1), window)
+        cfg = GridConfig.for_bandwidth(np.pi, s_samples=33, measure_window=window, r_samples=65)
+        pipe = RecoveryPipeline(mu, c=0.0, cfg=cfg)
+        assert pipe.a_edge > reach
+        res = pipe.run()
+        assert np.max(np.abs(res.hamiltonian.matrices - np.eye(2))) <= 1e-12
+        np.testing.assert_allclose(res.zeta_table[:, 1], res.zeta_table[:, 0], rtol=0, atol=1e-12)
+        for s in cfg.s_grid:
+            np.testing.assert_allclose(
+                pipe.slice_at(s).norms, np.pi * s * np.eye(2), rtol=0, atol=1e-12
+            )
 
 
 class TestBandMassPair:

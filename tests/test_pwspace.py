@@ -9,10 +9,15 @@ from canspec.pwspace import (
     apply_inverse,
     build_operator,
     frame_bounds,
-    lattice_points,
     sinc_kernel,
     sinc_kernel_dt,
 )
+
+
+def _reach_lattice(mu, lam):
+    """Points ``pi k / lam`` covering the atoms' reach plus half a spacing."""
+    kmax = int(np.floor((np.max(np.abs(mu.positions)) + 0.5 * np.pi / lam) * lam / np.pi))
+    return np.pi * np.arange(-kmax, kmax + 1) / lam
 
 
 def explicit_gram(mu, basis):
@@ -21,7 +26,7 @@ def explicit_gram(mu, basis):
     gram = (phi * mu.masses) @ phi.T
     if mu.positions.size > 1:
         lam = mu.lattice_type()
-        lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
+        lattice = _reach_lattice(mu, lam)
         phi_lat = basis.functions_at(lattice)
         gram += np.eye(basis.size) - (np.pi / lam) * (phi_lat @ phi_lat.T)
     return gram
@@ -248,7 +253,7 @@ class TestBuildOperator:
         rng = np.random.default_rng(3)
         c = rng.standard_normal(op.basis.size)
         lam = mu.lattice_type()
-        lattice = lattice_points(float(np.max(np.abs(mu.positions))), lam)
+        lattice = _reach_lattice(mu, lam)
         pointwise = (
             np.sum(mu.masses * (op.atom_matrix.T @ c) ** 2)
             + c @ c
