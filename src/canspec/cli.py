@@ -236,9 +236,12 @@ def _cmd_example_nonpw(opts: dict, inputs: tuple[Path, ...], out: Output) -> lis
 
 
 def _load_profile(path: Path | None):
-    """Two-column ``t w`` samples, increasing in ``t``; a non-numeric first row is a header."""
+    """Profile ``w`` of increasing two-column ``t w`` rows and the ``t`` range they sample.
+
+    A non-numeric first row is a header; ``w`` holds its end values outside the range.
+    """
     if path is None:
-        return lambda t: np.ones_like(t)
+        return (lambda t: np.ones_like(t)), (-np.inf, np.inf)
     data = []
     for i, line in enumerate(path.read_text().strip().splitlines()):
         try:
@@ -253,13 +256,13 @@ def _load_profile(path: Path | None):
     data = np.array(data)
     if not np.all(np.diff(data[:, 0]) > 0):
         raise ValidationError(f"{path}: the t column is not strictly increasing")
-    return lambda t: np.interp(t, data[:, 0], data[:, 1])
+    return (lambda t: np.interp(t, *data.T)), (float(data[0, 0]), float(data[-1, 0]))
 
 
 def _cmd_check_diag(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
     from . import oracles
 
-    w = _load_profile(inputs[0] if inputs else None)
+    w, (t_first, t_last) = _load_profile(inputs[0] if inputs else None)
     results = []
     for n in opts["n_list"]:
         for s in opts["s_list"]:
@@ -267,9 +270,9 @@ def _cmd_check_diag(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[s
             oracle = oracles.diag_necessary_condition(
                 w, n, s, num_points=40001, rule="trapezoid"
             )
-            results.append(
-                {"n": n, "s": s, "ratio": ratio, "oracle_delta": abs(ratio - oracle)}
-            )
+            row = {"n": n, "s": s, "ratio": ratio, "oracle_delta": abs(ratio - oracle)}
+            row["profile_extended"] = t_first > 0.0 or t_last < s  # w held at an end value
+            results.append(row)
     _write_json(out("checkdiag.json"), results)
     _write_csv(
         out("checkdiag.csv"),

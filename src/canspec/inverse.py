@@ -37,7 +37,7 @@ from .model import (
     SpectralMeasure,
     ValidationError,
 )
-from .pwspace import apply_inverse, build_operator, completion_lattice
+from .pwspace import apply_inverse, build_operator
 
 __all__ = [
     "BandwidthSlice",
@@ -102,11 +102,11 @@ def _lerch_remainder(theta: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(theta[:, None] < 0, np.conj(value), value)
 
 
-def lattice_tail_sums(s: float, first, step: float):
+def lattice_tail_sums(s: float, first: np.ndarray, step: float):
     """Model sums of ``sin^2``, ``(cos - 1)^2`` and ``sin (cos - 1)`` at ``s tau`` over ``tau^2``.
 
-    The lattice is ``tau_i = first + step i``, ``i >= 0``; ``first`` may be
-    an array of lattice starts, and each sum then has its shape.  With
+    One lattice ``tau_i = first + step i``, ``i >= 0``, per entry of the
+    1-d array ``first``; each sum is an array of that shape.  With
     ``sin^2 = (1 - cos 2st)/2``, ``(cos st - 1)^2 = 3/2 + cos(2st)/2 - 2 cos
     st`` and ``sin st (cos st - 1) = sin(2st)/2 - sin st`` every sum is a
     Hurwitz zeta or an oscillating sum ``sum exp(1j omega tau_i)/tau_i^2``
@@ -116,8 +116,6 @@ def lattice_tail_sums(s: float, first, step: float):
     :func:`_lerch_remainder` with the phase per step ``omega * step``
     reduced to ``[-pi, pi)``.
     """
-    shape = np.shape(first)
-    first = np.ravel(first).astype(float)
     omega = np.array([s, 2.0 * s])
     start = np.exp(1j * np.multiply.outer(omega, first))
     turn = np.exp(1j * np.multiply.outer(omega * step, np.arange(_LATTICE_TERMS + 1)))
@@ -129,12 +127,11 @@ def lattice_tail_sums(s: float, first, step: float):
         + turn[:, -1:] * _lerch_remainder(theta, end) / step**2
     )
     plain = scipy.special.zeta(2.0, first / step) / step**2
-    sums = (
+    return (
         0.5 * (plain - two.real),
         1.5 * plain + 0.5 * two.real - 2.0 * one.real,
         0.5 * two.imag - one.imag,
     )
-    return tuple(x.reshape(shape) for x in sums)
 
 
 def recentering_moment(mu: SpectralMeasure) -> float:
@@ -277,8 +274,7 @@ class RecoveryPipeline:
 
         half_a = cfg.basis_half_size(self.a)
         self.a_edge = np.pi * half_a / self.a
-        self.completion = completion_lattice(mu)
-        a_op = build_operator(mu, self.a, half_a, self.completion)
+        a_op = build_operator(mu, self.a, half_a)
         rhs = np.zeros(a_op.basis.size)
         rhs[a_op.basis.center] = np.sqrt(np.pi * self.a)
         a_coeffs = apply_inverse(a_op, rhs)
@@ -313,7 +309,7 @@ class RecoveryPipeline:
         # basis nodes] - [completion lattice in the core], each lattice point
         # with its mass times the model cosine data.  That pairing reuses the
         # sinc matrix each section forms for the completion.
-        points = self.completion[0]
+        points = mu.completion_lattice[0]
         model_cosine = (np.pi / self.lattice) * _free_model(self.lattice, points)[1]
         self.core_lattice_cosine = np.where(np.abs(points) <= core, model_cosine, 0.0)
 
@@ -340,9 +336,7 @@ class RecoveryPipeline:
         s = float(s)
         if not 0.0 < s <= self.a * (1 + 1e-12):
             raise ValidationError(f"bandwidth s={s!r} outside (0, {self.a!r}]")
-        op = build_operator(
-            self.mu, s, self.cfg.basis_half_size(s), self.completion, self.core_lattice_cosine
-        )
+        op = build_operator(self.mu, s, self.cfg.basis_half_size(s), self.core_lattice_cosine)
         phi = op.atom_matrix
 
         # Two columns, one solve; ``model`` holds their free-model coefficients.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -319,6 +320,25 @@ class SpectralMeasure:
             raise ValidationError("cannot estimate a type from a single atom")
         return float(np.pi / _median(gaps))
 
+    @cached_property
+    def completion_lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only points and signed weights of the free-model completion.
+
+        The points ``pi k / L`` at the type ``L`` cover the atoms' reach plus
+        half a spacing on each side, each weighted ``-pi/L``; the Gram and the
+        cosine pairing of the recovery share them.  A lone atom has none.
+        """
+        points, weights = np.empty(0), np.empty(0)
+        if self.positions.size > 1:
+            lam = self.lattice_type()
+            reach = float(np.max(np.abs(self.positions)))
+            kmax = int(np.floor((reach + 0.5 * np.pi / lam) * lam / np.pi))
+            points = np.pi * np.arange(-kmax, kmax + 1) / lam
+            weights = np.full(points.size, -np.pi / lam)
+        for array in (points, weights):
+            array.setflags(write=False)
+        return points, weights
+
     def with_constants(self, b: float, c: float) -> "SpectralMeasure":
         return SpectralMeasure(self.positions, self.masses, self.window, b, c)
 
@@ -380,34 +400,37 @@ class TransferMatrix:
 class GridConfig:
     """Discretization parameters shared by the recovery pipeline.
 
+    The pipeline inverts the form at the ``s_samples - 1`` bandwidths of
+    the uniform grid on ``(0, bandwidth]`` (``s_grid``).
     ``pw_truncation`` caps the half-size of the band-limited basis; the
     effective half-size at bandwidth ``s`` is additionally clamped so
     that all basis nodes stay inside the measure window (roughly
-    ``0.95 * window * s / pi``).  ``s_grid`` must be finite, strictly
-    increasing and positive; its maximum is the recovery bandwidth.
+    ``0.95 * window * s / pi``).
     """
 
+    bandwidth: float
+    s_samples: int
     pw_truncation: int
     measure_window: float
-    s_grid: np.ndarray
     r_samples: int
 
     def __post_init__(self):
-        s = np.asarray(self.s_grid, dtype=float).copy()
+        if not 0.0 < self.bandwidth < np.inf:
+            raise ValidationError(f"bandwidth {self.bandwidth!r} must be positive and finite")
+        if self.s_samples < 3:
+            raise ValidationError(f"s_samples={self.s_samples!r} must be at least 3")
         if self.pw_truncation < 8:
             raise ValidationError("pw_truncation must be at least 8")
-        if s.ndim != 1 or s.size < 2:
-            raise ValidationError("s_grid must contain at least two points")
-        if not np.all(np.isfinite(s)) or s[0] <= 0 or np.any(np.diff(s) <= 0):
-            raise ValidationError("s_grid must be finite, strictly increasing and positive")
         if self.r_samples < 9:
             raise ValidationError("r_samples too small")
-        s.setflags(write=False)
-        object.__setattr__(self, "s_grid", s)
+        object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
-    @property
-    def bandwidth(self) -> float:
-        return float(self.s_grid[-1])
+    @cached_property
+    def s_grid(self) -> np.ndarray:
+        """The bandwidths ``linspace(0, bandwidth, s_samples)[1:]``, read-only."""
+        grid = np.linspace(0.0, self.bandwidth, self.s_samples)[1:]
+        grid.setflags(write=False)
+        return grid
 
     @classmethod
     def for_bandwidth(
@@ -418,13 +441,8 @@ class GridConfig:
         measure_window: float = 200.0,
         r_samples: int = 257,
     ) -> "GridConfig":
-        """Uniform ``s`` grid on ``(0, a]`` with ``s_samples`` points incl. 0."""
-        if not np.isfinite(a):
-            raise ValidationError(f"bandwidth {a!r} must be finite")
-        if s_samples < 3:
-            raise ValidationError(f"s_samples={s_samples!r} must be at least 3 (two bandwidths)")
-        grid = np.linspace(0.0, a, s_samples)[1:]
-        return cls(pw_truncation, measure_window, grid, r_samples)
+        """The configuration at bandwidth ``a`` with the default grid sizes."""
+        return cls(a, s_samples, pw_truncation, measure_window, r_samples)
 
     def basis_half_size(self, s: float) -> int:
         """Effective basis half-size at bandwidth ``s``.

@@ -246,17 +246,21 @@ def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.nd
     s = forward.exponential_type(H, r)
     spacing = np.pi / mu.lattice_type()
     step = 2.0 * spacing
-    for side, first, mass in mu.tail_lattices(spacing):
+    lattices = mu.tail_lattices(spacing)
+    remainders = []
+    for side, first, mass in lattices:
         taus = np.arange(first, _TAIL_SPAN * mu.window + spacing, step)
         g1, g2 = components(side * taus)
         s11 += mass * float(np.sum(g1 * g1))
         s22 += mass * float(np.sum(g2 * g2))
         s12 += mass * float(np.sum(g1 * g2))
-        # model remainder beyond the span: f1 = -sin(st)/t, f2 = (cos st - 1)/t
-        sine2, cosine2, cross = lattice_tail_sums(s, first + step * taus.size, step)
-        s11 += mass * sine2
-        s22 += mass * cosine2
-        s12 -= side * mass * cross
+        remainders.append(first + step * taus.size)
+    # model remainders beyond the span: f1 = -sin(st)/t, f2 = (cos st - 1)/t
+    side, _, mass = np.array(lattices).T
+    sine2, cosine2, cross = lattice_tail_sums(s, np.array(remainders), step)
+    s11 += mass @ sine2
+    s22 += mass @ cosine2
+    s12 -= (side * mass) @ cross
 
     rhs11 = s11 / np.pi
     rhs22 = s22 / np.pi

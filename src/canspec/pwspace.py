@@ -9,7 +9,8 @@ Gram matrices assembled over a windowed measure miss the slowly decaying
 atom tail.  The missing part is completed with the free lattice model
 at the type estimated from the atom spacing (spacing and masses
 ``pi / L``): the full lattice sum is the identity by the sampling
-theorem, so the completion is ``I`` minus the in-window lattice Gram.
+theorem, so the completion is ``I`` minus the Gram of the measure's own
+``completion_lattice``, the lattice out to the atoms' reach.
 The completion is exact on the free fixture and a controlled heuristic
 otherwise.
 
@@ -42,7 +43,6 @@ __all__ = [
     "sinc_kernel",
     "sinc_kernel_dt",
     "build_operator",
-    "completion_lattice",
     "apply_inverse",
     "frame_bounds",
 ]
@@ -188,7 +188,7 @@ class PWOperator:
 
     ``gram`` is the (tail-completed) symmetric positive-definite matrix;
     ``atom_matrix`` caches the basis values at the atoms for fast pairings.
-    ``lattice_pairing`` is the basis paired with the weights given to
+    ``lattice_pairing`` is the basis paired with the data given to
     :func:`build_operator` on the completion lattice, if any.
     """
 
@@ -197,24 +197,6 @@ class PWOperator:
     atom_matrix: np.ndarray
     _cho: tuple = None
     lattice_pairing: np.ndarray | None = None
-
-
-def completion_lattice(mu: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Points and signed weights of the free-model completion (see :func:`build_operator`).
-
-    The points ``pi k / L`` at the type ``L`` of ``mu`` cover the atoms'
-    reach plus half a spacing on each side, each with weight ``-pi/L``.
-    The Gram completion and the cosine pairing of the recovery pipeline
-    both use this one lattice.  A lone atom has no completion (empty
-    arrays).
-    """
-    if mu.positions.size < 2:
-        return np.empty(0), np.empty(0)
-    lam = mu.lattice_type()
-    reach = float(np.max(np.abs(mu.positions)))
-    kmax = int(np.floor((reach + 0.5 * np.pi / lam) * lam / np.pi))
-    points = np.pi * np.arange(-kmax, kmax + 1) / lam
-    return points, np.full(points.size, -np.pi / lam)
 
 
 def _weighted_sums(phi: np.ndarray, s: float, points: np.ndarray, weights: np.ndarray):
@@ -239,7 +221,7 @@ def _divided_differences(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _section(mu: SpectralMeasure, s: float, half_size: int, lattice=None, pairing=None):
+def _section(mu: SpectralMeasure, s: float, half_size: int, pairing=None):
     """Basis, Gram matrix, atom matrix and lattice pairing (see ``build_operator``)."""
     basis = PWBasis(float(s), int(half_size))
     n = basis.size
@@ -254,7 +236,7 @@ def _section(mu: SpectralMeasure, s: float, half_size: int, lattice=None, pairin
         )
     phi = basis.functions_at(mu.positions)
     v, diag = _weighted_sums(phi, basis.s, mu.positions, mu.masses)
-    points, weights = completion_lattice(mu) if lattice is None else lattice
+    points, weights = mu.completion_lattice
     paired = None
     if points.size:
         phi_lat = basis.functions_at(points)
@@ -273,9 +255,7 @@ def _section(mu: SpectralMeasure, s: float, half_size: int, lattice=None, pairin
     return basis, gram, phi, paired
 
 
-def build_operator(
-    mu: SpectralMeasure, s: float, half_size: int, lattice=None, pairing=None
-) -> PWOperator:
+def build_operator(mu: SpectralMeasure, s: float, half_size: int, pairing=None) -> PWOperator:
     """Assemble and factorize the sectioned quadratic form at bandwidth ``s``.
 
     The form is ``sum m phi_j phi_k`` over the atoms plus the completion
@@ -293,17 +273,17 @@ def build_operator(
     differences and an antisymmetric factor, so ``gram`` is exactly
     symmetric.
 
-    ``lattice`` is the ``(points, weights)`` of :func:`completion_lattice`,
-    computed from ``mu`` when not given.  ``pairing``, data on those same
-    points (the recovery pipeline's in-core cosine weights), is paired with
-    the lattice sinc matrix the completion forms anyway and returned as
-    ``lattice_pairing``.
+    The lattice and its weights are
+    :attr:`~canspec.model.SpectralMeasure.completion_lattice`.  ``pairing``,
+    data on those same points (the recovery pipeline's in-core cosine
+    weights), is paired with the lattice sinc matrix the completion forms
+    anyway and returned as ``lattice_pairing``.
 
     The basis nodes must fall inside the measure window.  Factorization
     failure means the discretized form is not boundedly invertible (the
     measure is not comparable on this band at this truncation).
     """
-    basis, gram, phi, paired = _section(mu, s, half_size, lattice, pairing)
+    basis, gram, phi, paired = _section(mu, s, half_size, pairing)
     try:
         cho = scipy.linalg.cho_factor(gram)
     except scipy.linalg.LinAlgError as exc:

@@ -506,6 +506,26 @@ class TestCheckDiagProfileRows:
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def _results(self, tmp_path, text=None):
+        args = ["check-diag", "--n", "2", "--s", "1.0", "--out-dir", str(tmp_path / "out")]
+        if text is not None:
+            prof = tmp_path / "w.txt"
+            prof.write_text(text)
+            args += ["--in", str(prof)]
+        assert main(args) == 0
+        return json.loads((tmp_path / "out" / "checkdiag.json").read_text())
+
+    def test_extension_is_recorded(self, tmp_path):
+        # two rows on [0.2, 0.5]: np.interp holds w = 5 on [0, 0.2] and w = 1 on [0.5, 1]
+        (result,) = self._results(tmp_path, "0.2 5.0\n0.5 1.0\n")
+        assert result["ratio"] == 2.6035229696737434
+        assert result["profile_extended"] is True
+
+    def test_covering_and_default_profiles_are_not_extended(self, tmp_path):
+        covering = "\n".join(f"{t} {1.5 + 0.3 * np.sin(2 * t)}" for t in np.linspace(0, 1, 101))
+        assert self._results(tmp_path, covering)[0]["profile_extended"] is False
+        assert self._results(tmp_path)[0]["profile_extended"] is False
+
     def test_t_not_increasing_exits_2(self, tmp_path):
         rows = ["1.0 1.0", "0.0 5.0", "0.5 1.0"]
         assert self._ratio(tmp_path, "\n".join(sorted(rows))) == pytest.approx(1.9246, abs=1e-4)

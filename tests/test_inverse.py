@@ -215,11 +215,6 @@ class TestLatticeTailSums:
         for g, w in zip(got, want):
             assert g.shape == first.shape
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.max(np.abs(w)))
-        scalar = lattice_tail_sums(s, float(first[0]), step)
-        assert all(np.ndim(x) == 0 for x in scalar)
-        np.testing.assert_allclose(
-            scalar, want[:, 0], rtol=1e-13, atol=1e-13 * np.max(np.abs(want))
-        )
 
 
 class TestRecenteringMoment:

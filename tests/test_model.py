@@ -144,6 +144,56 @@ class TestSpectralMeasureInvariants:
         ]
 
 
+def _reference_completion_lattice(mu):
+    """The completion lattice by its defining formula, kept here as the reference."""
+    lam = mu.lattice_type()
+    reach = float(np.max(np.abs(mu.positions)))
+    kmax = int(np.floor((reach + 0.5 * np.pi / lam) * lam / np.pi))
+    points = np.pi * np.arange(-kmax, kmax + 1) / lam
+    return points, np.full(points.size, -np.pi / lam)
+
+
+class TestCompletionLattice:
+    @pytest.fixture(
+        params=["free", "step", "short-atoms", "asymmetric"], scope="class"
+    )
+    def measure(self, request, free_pi, step_measure):
+        if request.param == "free":
+            return free_pi[1]
+        if request.param == "step":
+            return step_measure
+        if request.param == "short-atoms":
+            # unit atoms on -40..40 that stop short of the window 60
+            k = np.arange(-40, 41).astype(float)
+            return SpectralMeasure(k, np.ones(k.size), 60.0)
+        return SpectralMeasure(
+            np.array([-2.9, -1.7, -0.4, 0.0, 1.1, 2.3, 3.6, 5.2]),
+            np.array([0.4, 0.9, 1.3, 2.0, 0.7, 1.1, 0.5, 0.8]),
+            6.0,
+        )
+
+    def test_matches_the_formula(self, measure):
+        points, weights = measure.completion_lattice
+        want_points, want_weights = _reference_completion_lattice(measure)
+        assert np.array_equal(points, want_points)
+        assert np.array_equal(weights, want_weights)
+
+    def test_read_only_and_built_once(self, measure):
+        lattice = measure.completion_lattice
+        assert measure.completion_lattice is lattice
+        for array in lattice:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_lone_atom_has_none(self):
+        mu = SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0)
+        points, weights = mu.completion_lattice
+        assert points.size == 0 and weights.size == 0
+        assert not points.flags.writeable and not weights.flags.writeable
+        assert mu.completion_lattice is mu.completion_lattice
+
+
 class TestNormalizeTrace:
     def test_identity_unchanged(self):
         H = Hamiltonian.identity(np.pi)
@@ -198,10 +248,25 @@ class TestGridConfig:
         with pytest.raises(ValidationError):
             GridConfig.for_bandwidth(-1.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_s_grid_must_be_finite(self, bad):
+        # the grid is derived from the bandwidth, which must be positive and finite
         with pytest.raises(ValidationError, match="finite"):
-            GridConfig(256, 200.0, np.array([0.5, 1.0, bad]), 257)
+            GridConfig(bad, 129, 256, 200.0, 257)
+
+    def test_two_s_samples_rejected(self):
+        with pytest.raises(ValidationError, match="s_samples"):
+            GridConfig.for_bandwidth(np.pi, s_samples=2)
+
+    @pytest.mark.parametrize("a,n", [(np.pi, 129), (2.0, 65), (0.7, 3)])
+    def test_s_grid_is_the_uniform_grid(self, a, n):
+        cfg = GridConfig.for_bandwidth(a, s_samples=n)
+        want = np.linspace(0.0, a, n)[1:]
+        assert cfg.s_grid.tobytes() == want.tobytes()
+        assert cfg.s_grid[-1] == cfg.bandwidth == a
+        assert cfg.s_grid is cfg.s_grid
+        with pytest.raises(ValueError):
+            cfg.s_grid[0] = 1.0
 
     def test_basis_half_size_clamps_to_window(self):
         cfg = GridConfig.for_bandwidth(np.pi, measure_window=200.0, pw_truncation=256)
