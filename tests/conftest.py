@@ -3,8 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from canspec import forward, oracles
+
+# every run draws the same examples, so local runs and CI agree
+settings.register_profile("canspec", derandomize=True, deadline=None, database=None)
+settings.load_profile("canspec")
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

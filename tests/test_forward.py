@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from canspec import forward, oracles
 from canspec.model import (
@@ -205,17 +207,17 @@ class TestThetaDerivative:
 class TestFindZeros:
     def test_free_pi_integers(self):
         H = Hamiltonian.identity(np.pi)
-        zeros = forward.find_zeros(H, 5.5, 0.5)
+        zeros, _, _ = forward.find_zeros(H, 5.5, 0.5)
         np.testing.assert_allclose(zeros, np.arange(-5, 6), atol=1e-12)
 
     def test_free_unit_multiples_of_pi(self):
         H = Hamiltonian.identity(1.0)
-        zeros = forward.find_zeros(H, 7.0, 0.5)
+        zeros, _, _ = forward.find_zeros(H, 7.0, 0.5)
         np.testing.assert_allclose(zeros, np.pi * np.arange(-2, 3), atol=1e-12)
 
     def test_step_against_dense_scan(self, step_hamiltonian):
         H = step_hamiltonian
-        zeros = forward.find_zeros(H, 10.0)
+        zeros, _, _ = forward.find_zeros(H, 10.0)
         # independent oracle: brute-force sign-change scan at step 1e-3
         oracle = bisection_zeros(H, 10.0, step=1e-3, passes=50)
         assert zeros.size == oracle.size
@@ -244,35 +246,62 @@ class TestFindZeros:
             forward.herglotz_constants(H, mu)
 
     def test_zero_always_included(self, step_hamiltonian):
-        zeros = forward.find_zeros(step_hamiltonian, 3.0)
+        zeros, _, _ = forward.find_zeros(step_hamiltonian, 3.0)
         assert 0.0 in zeros
 
     @pytest.mark.parametrize("seed, segments", [(0, 50), (1, 120), (2, 200)])
     def test_matches_bisection_reference(self, seed, segments):
         H = smooth_weight(seed, segments)
-        zeros = forward.find_zeros(H, 40.0)
+        zeros, _, _ = forward.find_zeros(H, 40.0)
         ref = bisection_zeros(H, 40.0)
         assert zeros.size == ref.size
         assert np.all(np.abs(zeros - ref) <= 1e-13 * np.abs(ref))
 
     def test_propagation_count(self, monkeypatch):
-        # one scan plus a few joint derivative passes, not one pass per bisection
+        # one scan plus a few joint derivative passes, not one pass per bisection;
+        # interpolated seeds and per-root stopping keep the derivative passes near
+        # two points per zero (five before them)
         H = smooth_weight(3, 200)
         calls = {"plain": 0, "derivative": 0}
+        points = {"plain": 0, "derivative": 0}
         plain, joint = forward.transfer_entries, forward.theta_and_derivative
 
         def count(key, fn):
             def wrapped(*args):
                 calls[key] += 1
+                points[key] += np.size(args[2])
                 return fn(*args)
 
             return wrapped
 
         monkeypatch.setattr(forward, "transfer_entries", count("plain", plain))
         monkeypatch.setattr(forward, "theta_and_derivative", count("derivative", joint))
-        forward.find_zeros(H, 60.0)
+        zeros, _, _ = forward.find_zeros(H, 60.0)
         assert calls["plain"] <= 1
         assert calls["derivative"] <= 6
+        assert points["derivative"] <= 2.5 * zeros.size
+
+    @pytest.mark.parametrize(
+        "weight, window",
+        [("free", 5.5), ("step", 10.0), ("step", 200.0), ("smooth", 60.0)],
+    )
+    def test_masses_equal_a_mass_pass(self, step_hamiltonian, weight, window):
+        H = {
+            "free": Hamiltonian.identity(np.pi),
+            "step": step_hamiltonian,
+            "smooth": smooth_weight(3, 200),
+        }[weight]
+        zeros, tp, dm = forward.find_zeros(H, window)
+        ref_tp, _, _, ref_dm = forward.theta_and_derivative(H, H.ell, zeros)
+        assert np.array_equal(tp, ref_tp) and np.array_equal(dm, ref_dm)
+        mu = forward.spectral_measure(H, window)
+        assert np.array_equal(mu.positions, zeros)
+        assert np.array_equal(mu.masses, -np.pi / (ref_tp * ref_dm))
+
+    def test_short_scan_grid(self):
+        # 7 scan points: every seed interpolates through all of them
+        zeros, _, _ = forward.find_zeros(Hamiltonian.identity(np.pi), 1.3, 0.5)
+        np.testing.assert_allclose(zeros, [-1.0, 0.0, 1.0], rtol=0, atol=1e-12)
 
     def test_wrong_derivative_sign_falls_back_to_brackets(self, monkeypatch):
         H = smooth_weight(4, 100)
@@ -284,7 +313,7 @@ class TestFindZeros:
             return tp, tm, -dp, -dm
 
         monkeypatch.setattr(forward, "theta_and_derivative", flipped)
-        zeros = forward.find_zeros(H, 30.0)
+        zeros, _, _ = forward.find_zeros(H, 30.0)
         assert zeros.size == ref.size
         assert np.all(np.abs(zeros - ref) <= 1e-13 * (1.0 + np.abs(ref)))
 
@@ -299,6 +328,63 @@ class TestFindZeros:
         monkeypatch.setattr(forward, "theta_and_derivative", no_root)
         with pytest.raises(NumericalError, match="did not converge"):
             forward.find_zeros(H, 10.0)
+
+
+@st.composite
+def random_weights(draw):
+    """Trace-normalized weights of 1-50 segments ``R(a) diag(1, m) R(a)^T``.
+
+    Each segment is rank one (``m = 0``) or has eigenvalue ratio ``1 / m``
+    at most ``e^2``, at a random rotation ``a``; at least one segment has
+    full rank, since a weight of type 0 has no scan step.
+    """
+    segment = st.tuples(
+        st.floats(0.05, 1.0),  # length before normalization
+        st.floats(0.0, np.pi),  # rotation
+        st.floats(0.0, 2.0),  # log of the eigenvalue ratio
+        st.booleans(),  # rank one
+    )
+    lengths, angles, log_ratio, rank_one = map(
+        np.array, zip(*draw(st.lists(segment, min_size=1, max_size=50)))
+    )
+    assume(not np.all(rank_one))
+    c, s = np.cos(angles), np.sin(angles)
+    m = np.where(rank_one, 0.0, np.exp(-log_ratio))
+    mats = np.empty((len(angles), 2, 2))
+    mats[:, 0, 0] = c * c + s * s * m
+    mats[:, 1, 1] = s * s + c * c * m
+    mats[:, 0, 1] = mats[:, 1, 0] = c * s * (1.0 - m)
+    H, _ = normalize_trace(Hamiltonian.from_lengths(lengths, mats))
+    return H
+
+
+class TestFindZerosProperties:
+    """``find_zeros`` on random weights against plain bisection at the same scan."""
+
+    WINDOW = 20.0
+
+    # Rank-one segments put pairs of zeros closer than any scan step, and the
+    # scan misses both zeros of such a pair (bisection_zeros scans at the same
+    # step and misses them too).  The gap warning that this sometimes trips is
+    # shown rather than raised: the properties below concern the refinement.
+    @pytest.mark.filterwarnings("default:consecutive zeros further apart:RuntimeWarning")
+    @settings(max_examples=30)
+    @given(random_weights())
+    def test_zeros_and_masses(self, H):
+        assume(H.is_compatible())
+        zeros, tp, dm = forward.find_zeros(H, self.WINDOW)
+        ref = bisection_zeros(H, self.WINDOW)
+        assert zeros.size == ref.size
+        assert np.all(np.abs(zeros - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+        masses = -np.pi / (tp * dm)
+        ref_tp, _, _, ref_dm = forward.theta_and_derivative(H, H.ell, zeros)
+        assert np.all(masses > 0)
+        assert np.array_equal(masses, -np.pi / (ref_tp * ref_dm))
+        probes = np.concatenate([zeros, [-self.WINDOW, self.WINDOW]])
+        # det M = 1 holds to roundoff relative to |M|^2, and rank-one segments
+        # make |M| grow like a power of |z|
+        size = np.max(np.abs(forward.transfer_entries(H, H.ell, probes)))
+        assert forward.det_residual(H, probes) <= max(1e-10, 1e-13 * size**2)
 
 
 class TestSpectralMeasure:
