@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ZERO_ATOM_TOL,
     Hamiltonian,
     InvariantViolation,
     NumericalError,
@@ -50,9 +51,9 @@ __all__ = [
 def _cs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entire functions ``cos(sqrt(delta))`` and ``sin(sqrt(delta))/sqrt(delta)``.
 
-    A real ``delta`` (real spectral parameter) is nonnegative, since the
-    propagation clamps determinants at 0, and both functions stay in
-    ``[-1, 1]``; only the removable singularity at 0 needs a series.
+    A real ``delta`` (real spectral parameter) is nonnegative, since no
+    segment determinant is negative, and both functions stay in ``[-1, 1]``;
+    only the removable singularity at 0 needs a series.
     ``delta`` is an array of at least one dimension.
     """
     w = np.sqrt(delta)
@@ -144,8 +145,7 @@ def _propagate(
     # the segments reached by r are a prefix, each of positive length
     n = int(np.count_nonzero(lengths > 0))
     d = lengths[:n, None]
-    # determinants within PSD slack of zero behave as rank-one segments
-    gamma = np.maximum(H.determinants()[:n, None], 0.0) * d * d
+    gamma = H.determinants()[:n, None] * d * d
     h = H.matrices[:n]
     # K = -J H per segment, with a trailing axis for the points
     K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1)
@@ -223,28 +223,27 @@ def det_residual(H: Hamiltonian, z) -> float:
 
 
 def exponential_type(H: Hamiltonian, r: float | None = None) -> float:
-    """Integral of ``sqrt(det H)`` up to ``r`` (defaults to the endpoint)."""
+    """Integral of ``sqrt(det H)`` up to ``r`` (default: the endpoint); rank one adds 0."""
     r = H.ell if r is None else float(r)
     eff = _effective_lengths(H, r)
-    return float(np.sum(np.sqrt(np.maximum(H.determinants(), 0.0)) * eff))
+    return float(np.sum(np.sqrt(H.determinants()) * eff))
 
 
 def type_inverse(H: Hamiltonian, s: float) -> float:
     """Position ``r`` with ``integral_0^r sqrt(det H) = s`` (chain point).
 
-    Exact for piecewise-constant weights; requires ``det > 0`` on the
-    segment where ``s`` lands.
+    Exact for piecewise-constant weights: ``r`` lies in the last segment of
+    positive type starting at or below ``s``.  Type 0 raises :class:`ValidationError`.
     """
-    roots = np.sqrt(np.maximum(H.determinants(), 0.0))
+    roots = np.sqrt(H.determinants())
     cum = np.concatenate([[0.0], np.cumsum(roots * H.lengths)])
     total = cum[-1]
+    if not total > 0.0:
+        raise ValidationError("weight has exponential type 0: no chain points")
     if not -1e-12 <= s <= total * (1 + 1e-12):
         raise ValidationError(f"s={s!r} outside [0, {total!r}]")
     s = min(max(s, 0.0), total)
-    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(roots) - 1)
-    i = max(i, 0)
-    if roots[i] == 0.0:
-        raise NumericalError("chain point falls on a rank-deficient segment")
+    i = np.flatnonzero((roots > 0.0) & (cum[:-1] <= s))[-1]
     return float(H.edges[i] + (s - cum[i]) / roots[i])
 
 
@@ -308,9 +307,12 @@ def find_zeros(
     ``theta_minus(ell, .)``, bitwise what :func:`theta_and_derivative`
     gives at the returned zeros.
 
-    A sign-change scan (``step`` must stay below ``pi / (2 * type)`` so no
-    crossing is skipped) brackets each root and seeds it at the root of a
-    local interpolant of the scan values (see :func:`_interpolated_seeds`).
+    A sign-change scan brackets each root and seeds it at the root of a
+    local interpolant of the scan values (see :func:`_interpolated_seeds`);
+    ``step`` must stay below ``pi / (2 * type)``.  That skips no crossing
+    unless a segment is rank one: next to one, zeros can pair up closer than
+    the step, and the scan silently misses both (see the exact zero count on
+    ROADMAP.md).
     Each pass then propagates ``theta_minus`` and its z-derivative once at
     the roots still moving; the sign shrinks each bracket, and a Newton
     step that would leave it becomes the bracket midpoint.  Zeros found on
@@ -386,7 +388,7 @@ def find_zeros(
         raise NumericalError(
             f"zero refinement did not converge in {_REFINE_PASSES} passes near t={x[:3]!r}"
         )
-    zeros[np.abs(zeros) < 1e-12] = 0.0
+    zeros[np.abs(zeros) < ZERO_ATOM_TOL] = 0.0
     keep = np.flatnonzero(np.abs(zeros) <= window * (1 + 1e-12))
     keep = keep[np.argsort(zeros[keep])]
     # the origin is the only root found twice, and both copies are exactly 0;

@@ -411,9 +411,8 @@ class RecoveryPipeline:
 
         ham = Hamiltonian(r_grid, np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2))
 
-        dets = np.maximum(ham.determinants(), 0.0)
         # type of the recovered weight at the chain points (exact: the cells are constant)
-        krein = np.concatenate([[0.0], np.cumsum(np.sqrt(dets) * dr)])
+        krein = np.concatenate([[0.0], np.cumsum(np.sqrt(ham.determinants()) * dr)])
         krein_err = float(np.max(np.abs(np.interp(zetas, r_grid, krein) - s_grid))) / self.a
 
         diagnostics = {

@@ -222,22 +222,26 @@ class Hamiltonian:
         return self.matrices[idx]
 
     def determinants(self) -> np.ndarray:
+        """Segment determinants, exactly 0 on rank-one segments: the one rank-one rule.
+
+        Rank one means ``det <= PSD_SLACK (tr/2)^2``, for trace 2 the slack validation allows.
+        """
         h = self.matrices
-        return h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        return np.where(det <= PSD_SLACK * (0.5 * self.traces()) ** 2, 0.0, det)
 
     def traces(self) -> np.ndarray:
         return self.matrices[:, 0, 0] + self.matrices[:, 1, 1]
 
     def is_compatible(self) -> bool:
-        """No boundary segment proportional to the lower-right rank-one matrix.
+        """No end segment proportional to the lower-right rank-one matrix.
 
+        That is, rank one by :meth:`determinants` with ``h11 <= PSD_SLACK h22``.
         Such end segments make the boundary value problem degenerate and
         break the residue formula for the atom masses.
         """
-        for h in (self.matrices[0], self.matrices[-1]):
-            if h[0, 0] == 0.0 and h[0, 1] == 0.0 and h[1, 1] > 0.0:
-                return False
-        return True
+        det, h = self.determinants(), self.matrices
+        return all(det[i] > 0.0 or h[i, 0, 0] > PSD_SLACK * h[i, 1, 1] for i in (0, -1))
 
 
 def normalize_trace(H: Hamiltonian) -> tuple[Hamiltonian, np.ndarray]:

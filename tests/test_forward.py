@@ -24,6 +24,21 @@ def free_matrix(r, z):
     )
 
 
+def rotated(angles, m):
+    """``R(a) diag(1, m) R(a)^T`` for each angle ``a``, shape ``angles.shape + (2, 2)``."""
+    c, s = np.cos(angles), np.sin(angles)
+    mats = np.empty(np.shape(angles) + (2, 2))
+    mats[..., 0, 0] = c * c + s * s * m
+    mats[..., 1, 1] = s * s + c * c * m
+    mats[..., 0, 1] = mats[..., 1, 0] = c * s * (1.0 - m)
+    return mats
+
+
+def rotated_rank_one(angle, scale=2.0):
+    """``scale R(angle) diag(1, 0) R(angle)^T``: its determinant is roundoff, not 0."""
+    return scale * rotated(angle, 0.0)
+
+
 def smooth_weight(seed, segments):
     """Trace-normalized ``R(th) diag(e^g, e^-g) R(th)^T`` with smooth seeded ``g``, ``th``."""
     rng = np.random.default_rng(seed)
@@ -348,13 +363,8 @@ def random_weights(draw):
         np.array, zip(*draw(st.lists(segment, min_size=1, max_size=50)))
     )
     assume(not np.all(rank_one))
-    c, s = np.cos(angles), np.sin(angles)
     m = np.where(rank_one, 0.0, np.exp(-log_ratio))
-    mats = np.empty((len(angles), 2, 2))
-    mats[:, 0, 0] = c * c + s * s * m
-    mats[:, 1, 1] = s * s + c * c * m
-    mats[:, 0, 1] = mats[:, 1, 0] = c * s * (1.0 - m)
-    H, _ = normalize_trace(Hamiltonian.from_lengths(lengths, mats))
+    H, _ = normalize_trace(Hamiltonian.from_lengths(lengths, rotated(angles, m)))
     return H
 
 
@@ -409,6 +419,15 @@ class TestSpectralMeasure:
         )
         with pytest.raises(ValidationError, match="rank-one"):
             forward.spectral_measure(H, 5.0)
+
+    def test_rotated_incompatible_end_segment_rejected(self):
+        # R(pi/2) diag(2, 0) R(pi/2)^T has h11 = 7.5e-33 and h12 = 1.2e-16, not
+        # exact zeros; taken as compatible, it gives the 13 atoms of I on [0, 1] alone
+        H = Hamiltonian.from_lengths([1.0, 0.5], [np.eye(2), rotated_rank_one(np.pi / 2)])
+        assert H.matrices[1, 0, 0] != 0.0 and H.matrices[1, 0, 1] != 0.0
+        assert not H.is_compatible()
+        with pytest.raises(ValidationError, match="rank-one"):
+            forward.spectral_measure(H, 20.0)
 
 
 class TestWeylFunction:
@@ -643,6 +662,78 @@ class TestTypeFunctions:
         for s in [0.3, 1.0, 1.7]:
             r = forward.type_inverse(H, s)
             assert forward.exponential_type(H, r) == pytest.approx(s, abs=1e-12)
+
+    def test_rotated_rank_one_weight_has_type_zero(self):
+        # the roundoff determinants (5.6e-17, -1.1e-16) must add no type: as a
+        # type of 7.5e-9 they set a scan step of 1.05e8, which finds only the origin
+        H = Hamiltonian.from_lengths([1.0] * 4, [rotated_rank_one(a) for a in (0.3, 1.2, 2.0, 0.7)])
+        assert forward.exponential_type(H) == 0.0
+        with pytest.raises(ValidationError, match="type 0"):
+            forward.find_zeros(H, 5.0)
+        with pytest.raises(ValidationError, match="type 0"):
+            forward.spectral_measure(H, 5.0)
+        with pytest.raises(ValidationError, match="type 0"):
+            forward.type_inverse(H, 0.0)
+
+    def test_type_inverse_at_the_total_type(self):
+        # a trailing rank-one run adds no type: the chain ends where the type does
+        H = Hamiltonian.from_lengths([1.0, 0.5], [np.eye(2), np.diag([2.0, 0.0])])
+        assert forward.type_inverse(H, forward.exponential_type(H)) == 1.0
+        # a leading run maps the origin to its right end
+        H = Hamiltonian.from_lengths([0.5, 1.0], [np.diag([2.0, 0.0]), np.eye(2)])
+        assert forward.type_inverse(H, 0.0) == 0.5
+
+
+@st.composite
+def rank_one_weights(draw):
+    """1-20 segments ``c R(a) diag(1, 0) R(a)^T`` of random length, angle ``a`` and scale ``c``."""
+    segment = st.tuples(st.floats(0.05, 2.0), st.floats(0.0, np.pi), st.floats(0.1, 10.0))
+    lengths, angles, scales = map(np.array, zip(*draw(st.lists(segment, min_size=1, max_size=20))))
+    return Hamiltonian.from_lengths(lengths, scales[:, None, None] * rotated(angles, 0.0))
+
+
+@st.composite
+def mixed_weights(draw):
+    """Segments ``c R(a) diag(1, m) R(a)^T``, rank one (``m = 0``) or of ratio ``1/m <= e^2``.
+
+    Runs of 0-4 rank-one segments lead and trail 1-16 segments of either
+    kind; at least one segment has full rank.
+    """
+    segment = st.tuples(
+        st.floats(0.05, 2.0),  # length
+        st.floats(0.0, np.pi),  # rotation
+        st.floats(0.1, 10.0),  # scale
+        st.floats(0.0, 2.0),  # log of the eigenvalue ratio
+        st.booleans(),  # rank one
+    )
+    lead = draw(st.lists(segment, max_size=4))
+    middle = draw(st.lists(segment, min_size=1, max_size=16))
+    trail = draw(st.lists(segment, max_size=4))
+    rows = [(*seg[:4], True) for seg in lead] + middle + [(*seg[:4], True) for seg in trail]
+    assume(not all(seg[4] for seg in rows))
+    lengths, angles, scales, log_ratio, rank_one = map(np.array, zip(*rows))
+    m = np.where(rank_one, 0.0, np.exp(-log_ratio))
+    return Hamiltonian.from_lengths(lengths, scales[:, None, None] * rotated(angles, m))
+
+
+class TestRankOneProperties:
+    """The rank-one rule of ``Hamiltonian.determinants`` as read by the type functions."""
+
+    @settings(max_examples=30)
+    @given(rank_one_weights())
+    def test_rank_one_weights_have_type_zero(self, H):
+        assert forward.exponential_type(H) == 0.0
+        with pytest.raises(ValidationError):
+            forward.spectral_measure(H, 5.0)
+
+    @settings(max_examples=30)
+    @given(mixed_weights())
+    def test_type_inverse_round_trip(self, H):
+        total = forward.exponential_type(H)
+        assert total > 0.0
+        for s in np.linspace(0.0, total, 41):
+            r = forward.type_inverse(H, s)
+            assert abs(forward.exponential_type(H, r) - s) <= 1e-12 * (1.0 + s)
 
 
 class TestHermiteBiehler:

@@ -59,6 +59,26 @@ class TestHamiltonianValidation:
         assert not H.is_compatible()
         assert oracles.step_fixture().is_compatible()
 
+    def test_rank_one_rule(self):
+        # 2 R(0.3) diag(1, 0) R(0.3)^T has determinant 5.6e-17 in floating point;
+        # rank one is det <= PSD_SLACK (tr/2)^2, so 1e-13 is and 1e-11 is not
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotated = 2.0 * np.array([[c * c, c * s], [c * s, s * s]])
+        mats = [rotated, np.eye(2), np.diag([1.0, 1e-13]), np.diag([1.0, 1e-11])]
+        H = Hamiltonian.from_lengths([1.0] * 4, mats)
+        assert np.array_equal(H.determinants(), [0.0, 1.0, 0.0, 1e-11])
+
+    def test_compatibility_reads_the_rank_one_rule(self):
+        # R(pi/2) diag(2, 0) R(pi/2)^T: h11 = 7.5e-33 and h12 = 1.2e-16, not exact zeros
+        c = np.cos(np.pi / 2)
+        end = 2.0 * np.array([[c * c, c], [c, 1.0]])
+        assert end[0, 0] != 0.0 and end[0, 1] != 0.0
+        assert not Hamiltonian.from_lengths([1.0, 0.5], [np.eye(2), end]).is_compatible()
+        assert not Hamiltonian.from_lengths([0.5, 1.0], [end, np.eye(2)]).is_compatible()
+        # rank one but not proportional to diag(0, 1): compatible
+        tilted = np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert Hamiltonian.from_lengths([1.0, 0.5], [np.eye(2), tilted]).is_compatible()
+
 
 class TestJsonRoundTrip:
     def test_identity_json(self):

@@ -62,16 +62,49 @@ class TestSincKernel:
         assert got == pytest.approx(want, rel=1e-15)
 
     def test_branch_agreement_near_switch(self):
-        # series and closed form agree where the branch changes over
+        # sinc_kernel has no branch off the diagonal; sinc_kernel_dt switches
+        # from its series to the closed form at |s u| = 1/4, and both sides of
+        # the switch agree with the closed form there
         s = 2.0
-        u = 0.99e-4
-        series = sinc_kernel(s, u, 0.0)
-        closed = np.sin(s * u) / (np.pi * u)
-        assert series == pytest.approx(closed, rel=1e-12)
+        for w in (0.25 * (1 - 1e-12), 0.25, -0.25 * (1 - 1e-12)):
+            u = w / s
+            closed = (np.sin(w) - w * np.cos(w)) / (np.pi * u**2)
+            assert sinc_kernel_dt(s, u, 0.0) == pytest.approx(closed, rel=5e-14)
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValidationError):
             sinc_kernel(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_bandwidth(self, s):
+        mu = SpectralMeasure(np.arange(-5.0, 6.0), np.ones(11), 6.0)
+        for build in (
+            lambda: sinc_kernel(s, 1.0, 0.0),
+            lambda: sinc_kernel_dt(s, 1.0, 0.0),
+            lambda: PWBasis(s, 3),
+            lambda: frame_bounds(mu, s, 3),
+        ):
+            with pytest.raises(ValidationError, match="bandwidth"):
+                build()
+
+
+@pytest.mark.parametrize("s", [np.pi, 1e3, 1e4])
+def test_kernels_match_high_precision(s):
+    # relative accuracy over w = s u in [1e-9, 5], both signs: the switch is
+    # in w, so it holds at every bandwidth (a switch at a fixed |u| lets a
+    # truncated series run out to |w| = 1 at s = 1e4)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    w = np.logspace(-9, np.log10(5.0), 200)
+    u = np.concatenate([w, -w]) / s
+    got, got_dt = sinc_kernel(s, u, 0.0), sinc_kernel_dt(s, u, 0.0)
+    ms = mp.mpf(s)
+    for x, k, k_dt in zip(u, got, got_dt):
+        mx = mp.mpf(x)
+        sin, cos = mp.sin(ms * mx), mp.cos(ms * mx)
+        want, want_dt = sin / (mp.pi * mx), (sin - ms * mx * cos) / (mp.pi * mx**2)
+        assert abs(k - want) <= 1e-13 * abs(want)
+        assert abs(k_dt - want_dt) <= 1e-13 * abs(want_dt)
 
 
 class TestSincKernelDt:
