@@ -307,8 +307,8 @@ class RecoveryPipeline:
         # reach (the Gram completion).  Its cosine pairing is completed the
         # same way: [core atoms] + [full-lattice closed form, the model at the
         # basis nodes] - [completion lattice in the core], each lattice point
-        # with its mass times the model cosine data.  That pairing reuses the
-        # sinc matrix each section forms for the completion.
+        # with its mass times the model cosine data, paired with the lattice
+        # block of the sinc matrix each section forms for the Gram.
         points = mu.completion_lattice[0]
         model_cosine = (np.pi / self.lattice) * _free_model(self.lattice, points)[1]
         self.core_lattice_cosine = np.where(np.abs(points) <= core, model_cosine, 0.0)

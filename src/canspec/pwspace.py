@@ -18,8 +18,10 @@ The completed Gram matrix is assembled in Loewner form (Cauchy-like
 displacement structure; Gohberg, Kailath & Olshevsky, Math. Comp. 64,
 1995).  With ``phi_j(t) = c_j sin(st)/(t - x_j)``, partial fractions make
 each off-diagonal entry the divided difference ``c_j c_k (v_j - v_k) /
-(x_j - x_k)`` of one vector ``v``: a single matrix-vector product over the
-atoms (signed weight: the mass) and the completion lattice (``-pi/L``).
+(x_j - x_k)`` of one vector ``v``: one matrix-vector product each over the
+atom block (signed weight: the mass) and the lattice block (``-pi/L``) of
+the section's one sinc matrix.  The lattice block is then squared in place;
+the atom block is kept, as a view, for ``PWOperator.atom_matrix``.
 The nodes ``x_k = pi k/s`` and factors ``c_k = (-1)^k sqrt(pi/s)/pi`` make
 the factor ``c_j c_k / (x_j - x_k) = (-1)^(j-k) / (pi^2 (j - k))``
 independent of ``s``: a Toeplitz matrix, read as a strided view of one
@@ -29,6 +31,7 @@ denominators, and the O(nN) product replaces two O(n^2 N) ones.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,8 +98,11 @@ class PWBasis:
     def __post_init__(self):
         if not 0.0 < self.s < np.inf:
             raise ValidationError(f"bandwidth {self.s!r} must be positive and finite")
-        if self.half_size < 0:
-            raise ValidationError("basis half-size must be nonnegative")
+        try:
+            if operator.index(self.half_size) < 0:
+                raise ValidationError("basis half-size must be nonnegative")
+        except TypeError:
+            raise ValidationError(f"basis half-size {self.half_size!r} is not an integer") from None
 
     @property
     def size(self) -> int:
@@ -121,6 +127,16 @@ class PWBasis:
         factors.setflags(write=False)
         return factors
 
+    def _differences(self, points):
+        """Finite ``points``, ``points - nodes``, and the near-node mask and rows."""
+        points = np.atleast_1d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(points)):
+            raise ValidationError("basis evaluation points must be finite")
+        half, nodes = self.half_size, self.nodes
+        row = np.clip(np.rint(self.s * points / np.pi), -half, half).astype(int) + half
+        near = np.abs(self.s * (points - nodes[row])) < 1.0
+        return points, points[None, :] - nodes[:, None], near, row[near]
+
     def functions_at(self, points: np.ndarray) -> np.ndarray:
         """Matrix ``phi_k(points)``, shape ``(size, len(points))``.
 
@@ -131,17 +147,12 @@ class PWBasis:
         ``|s(x - node)| < 1``; node spacing ``pi/s`` leaves at most one
         such node per point.
         """
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        s, half, nodes = self.s, self.half_size, self.nodes
-        scale = np.sqrt(np.pi / s)
-        out = points[None, :] - nodes[:, None]
+        points, out, near, row = self._differences(points)
+        s, nodes = self.s, self.nodes
         with np.errstate(divide="ignore", invalid="ignore"):  # exact hits are redone below
             np.divide(np.sin(s * points), out, out=out)
         out *= self._node_factors[:, None]
-        row = np.clip(np.rint(s * points / np.pi), -half, half).astype(int) + half
-        near = np.abs(s * (points - nodes[row])) < 1.0
-        row = row[near]
-        out[row, near] = scale * sinc_kernel(s, points[near], nodes[row])
+        out[row, near] = np.sqrt(np.pi / s) * sinc_kernel(s, points[near], nodes[row])
         return out
 
     def derivatives_at(self, points: np.ndarray) -> np.ndarray:
@@ -152,27 +163,23 @@ class PWBasis:
         point's nearest node within ``|s(p - node)| < 1`` is recomputed
         with ``sinc_kernel_dt``.
         """
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        s, half, nodes = self.s, self.half_size, self.nodes
-        out = points[None, :] - nodes[:, None]
+        points, out, near, row = self._differences(points)
+        s, nodes = self.s, self.nodes
         with np.errstate(divide="ignore", invalid="ignore"):  # exact hits are redone below
             np.reciprocal(out, out=out)
-            slope = s * np.cos(s * points) - np.sin(s * points) * out
-            out *= slope
+            out *= s * np.cos(s * points) - np.sin(s * points) * out
         out *= self._node_factors[:, None]
-        row = np.clip(np.rint(s * points / np.pi), -half, half).astype(int) + half
-        near = np.abs(s * (points - nodes[row])) < 1.0
-        row = row[near]
         out[row, near] = np.sqrt(np.pi / s) * sinc_kernel_dt(s, nodes[row], points[near])
         return out
 
     def kernel_coefficients(self, t: complex) -> np.ndarray:
         """Expansion coefficients of ``sinc_s(. - t)``: ``sqrt(pi/s) sinc_s(node - t)``."""
+        if not np.isfinite(t):
+            raise ValidationError(f"kernel center {t!r} must be finite")
         scale = np.sqrt(np.pi / self.s)
-        u = self.nodes - t
-        if np.iscomplexobj(np.asarray(t)) and np.imag(t) != 0:
-            w = self.s * u
-            return scale * np.sin(w) / (np.pi * u)
+        if np.imag(t) != 0:
+            u = self.nodes - t
+            return scale * np.sin(self.s * u) / (np.pi * u)
         return scale * sinc_kernel(self.s, self.nodes, float(np.real(t)))
 
 
@@ -180,8 +187,8 @@ class PWBasis:
 class PWOperator:
     """Factorized finite section of the measure quadratic form.
 
-    ``gram`` is the (tail-completed) symmetric positive-definite matrix;
-    ``atom_matrix`` caches the basis values at the atoms for fast pairings.
+    ``gram`` is the (tail-completed) symmetric positive-definite matrix,
+    ``atom_matrix`` a view of the atom block of the section's sinc matrix.
     ``lattice_pairing`` is the basis paired with the data given to
     :func:`build_operator` on the completion lattice, if any.
     """
@@ -191,11 +198,6 @@ class PWOperator:
     atom_matrix: np.ndarray
     _cho: tuple = None
     lattice_pairing: np.ndarray | None = None
-
-
-def _weighted_sums(phi: np.ndarray, s: float, points: np.ndarray, weights: np.ndarray):
-    """``phi @ (w sin(st))`` and ``phi^2 @ w`` over one point set."""
-    return phi @ (weights * np.sin(s * points)), np.square(phi) @ weights
 
 
 def _divided_differences(v: np.ndarray) -> np.ndarray:
@@ -217,7 +219,7 @@ def _divided_differences(v: np.ndarray) -> np.ndarray:
 
 def _section(mu: SpectralMeasure, s: float, half_size: int, pairing=None):
     """Basis, Gram matrix, atom matrix and lattice pairing (see ``build_operator``)."""
-    basis = PWBasis(float(s), int(half_size))
+    basis = PWBasis(float(s), half_size)
     n = basis.size
     if n > _DENSE_LIMIT:
         raise ValidationError(
@@ -228,21 +230,18 @@ def _section(mu: SpectralMeasure, s: float, half_size: int, pairing=None):
         raise ValidationError(
             f"basis node {outer_node:.6g} falls outside the measure window {mu.window:.6g}"
         )
-    phi = basis.functions_at(mu.positions)
-    v, diag = _weighted_sums(phi, basis.s, mu.positions, mu.masses)
     points, weights = mu.completion_lattice
-    paired = None
+    # one sinc matrix per section: the atom block, then the lattice block
+    sinc = basis.functions_at(np.concatenate([mu.positions, points]))
+    phi, lat = sinc[:, : mu.positions.size], sinc[:, mu.positions.size :]
+    v = phi @ (mu.masses * np.sin(basis.s * mu.positions))
+    diag = np.square(phi) @ mu.masses
+    paired = lat @ pairing if pairing is not None and points.size else None
     if points.size:
-        phi_lat = basis.functions_at(points)
-        v_lat, diag_lat = _weighted_sums(phi_lat, basis.s, points, weights)
-        if pairing is not None:
-            paired = phi_lat @ pairing
-        # the lattice sinc matrix is freed before the n-by-n arrays are made;
-        # held until the end, it fragments the heap (+20 MiB peak RSS, free round trip)
-        del phi_lat
-        v += v_lat
-        # window plus lattice first: exactly 0 where the atoms are the lattice
-        diag = 1.0 + (diag + diag_lat)
+        v += lat @ (weights * np.sin(basis.s * points))
+        # window plus lattice first: exactly 0 where the atoms are the lattice;
+        # the lattice block is not read again, so it is squared in place
+        diag = 1.0 + (diag + np.square(lat, out=lat) @ weights)
     v /= basis._node_factors
     gram = _divided_differences(v)
     np.fill_diagonal(gram, diag)
@@ -268,10 +267,11 @@ def build_operator(mu: SpectralMeasure, s: float, half_size: int, pairing=None) 
     symmetric.
 
     The lattice and its weights are
-    :attr:`~canspec.model.SpectralMeasure.completion_lattice`.  ``pairing``,
-    data on those same points (the recovery pipeline's in-core cosine
-    weights), is paired with the lattice sinc matrix the completion forms
-    anyway and returned as ``lattice_pairing``.
+    :attr:`~canspec.model.SpectralMeasure.completion_lattice`.  One sinc
+    matrix holds the atoms and the lattice; ``atom_matrix`` is a view of its
+    atom block.  ``pairing``, data on the lattice (the recovery pipeline's
+    in-core cosine weights), is paired with its lattice block into
+    ``lattice_pairing``.
 
     The basis nodes must fall inside the measure window.  Factorization
     failure means the discretized form is not boundedly invertible (the

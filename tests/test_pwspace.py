@@ -295,6 +295,85 @@ class TestBuildOperator:
         assert pointwise == pytest.approx(c @ op.gram @ c, rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def lone_atom_measure():
+    return SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0)
+
+
+SECTIONS = [
+    pytest.param("free_measure", np.pi, 190, id="free"),
+    pytest.param("step_measure_small", 2.0, 30, id="step"),
+    pytest.param("wide_measure", np.pi, 256, id="wide-seed0"),
+    pytest.param("lone_atom_measure", 1.3, 0, id="lone-atom"),
+]
+
+
+class TestOneSincMatrix:
+    """A section evaluates the atoms and its completion lattice in one sinc matrix."""
+
+    @pytest.mark.parametrize("measure,s,half", SECTIONS)
+    def test_one_functions_at_call_per_section(self, request, monkeypatch, measure, s, half):
+        mu = request.getfixturevalue(measure)
+        calls = []
+        functions_at = PWBasis.functions_at
+
+        def counted(self, points):
+            calls.append(np.size(points))
+            return functions_at(self, points)
+
+        monkeypatch.setattr(PWBasis, "functions_at", counted)
+        build_operator(mu, s, half, np.zeros(mu.completion_lattice[0].size))
+        assert calls == [mu.positions.size + mu.completion_lattice[0].size]
+
+    @pytest.mark.parametrize("measure,s,half", SECTIONS)
+    def test_atom_matrix_is_the_atom_evaluation(self, request, measure, s, half):
+        mu = request.getfixturevalue(measure)
+        op = build_operator(mu, s, half)
+        assert np.array_equal(op.atom_matrix, op.basis.functions_at(mu.positions))
+
+    @pytest.mark.parametrize("measure,s,half", SECTIONS)
+    def test_lattice_pairing_is_the_lattice_evaluation(self, request, measure, s, half):
+        mu = request.getfixturevalue(measure)
+        lattice = mu.completion_lattice[0]
+        pairing = np.random.default_rng(5).standard_normal(lattice.size)
+        op = build_operator(mu, s, half, pairing)
+        if lattice.size == 0:
+            assert op.lattice_pairing is None
+            return
+        want = op.basis.functions_at(lattice) @ pairing
+        assert np.max(np.abs(op.lattice_pairing - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestBasisInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_points(self, bad):
+        basis = PWBasis(1.0, 3)
+        points = np.array([0.5, bad])
+        for evaluate in (basis.functions_at, basis.derivatives_at):
+            with pytest.raises(ValidationError, match="finite"):
+                evaluate(points)
+        for center in (bad, complex(bad, 1.0), complex(0.5, bad)):
+            with pytest.raises(ValidationError, match="finite"):
+                basis.kernel_coefficients(center)
+
+    @pytest.mark.parametrize(
+        "half",
+        [2.7, 3.0, np.float64(3.0), "3", None],
+        ids=["float", "integral-float", "numpy-float", "string", "none"],
+    )
+    def test_rejects_nonintegral_half_size(self, step_measure_small, half):
+        with pytest.raises(ValidationError, match="half-size"):
+            PWBasis(1.0, half)
+        with pytest.raises(ValidationError, match="half-size"):
+            build_operator(step_measure_small, 1.0, half)
+
+    def test_accepts_numpy_integer_half_size(self):
+        basis = PWBasis(1.0, np.int64(3))
+        assert basis.size == 7
+        xs = np.linspace(-4.0, 4.0, 9)
+        assert np.array_equal(basis.functions_at(xs), PWBasis(1.0, 3).functions_at(xs))
+
+
 class TestApplyInverse:
     def test_identity_case(self, free_pi):
         _, mu, _ = free_pi
