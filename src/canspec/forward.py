@@ -101,6 +101,25 @@ def _factor_columns(diagonal, scale, K):
     return F[:, :, 0, None], F[:, :, 1, None]
 
 
+def _grid_phases(z, run, omega, rank_one):
+    """``exp(i omega z)`` for a block of segments on a uniform real grid ``z``.
+
+    Cut into runs of ``run = ceil(sqrt(n))`` points, grid point ``k run +
+    m`` is ``z[k run] + (z[m] - z[0])``, so its phase is an anchor phase
+    ``exp(i omega z[k run])`` times an offset phase ``exp(i omega (z[m] -
+    z[0]))``.  Both tables come from ``np.exp`` directly: a segment takes
+    ``ceil(n / run) + run`` phases and one complex product per point, and no
+    error accumulates along the grid.  Rows where ``rank_one`` holds get
+    ``1 + i z`` instead.  ``omega`` and ``rank_one`` are ``(segments, 1)``;
+    returns ``(segments, n)``.
+    """
+    omega = 1j * omega
+    phase = np.exp(omega * z[::run])[:, :, None] * np.exp(omega * (z[:run] - z[0]))[:, None, :]
+    phase = phase.reshape(omega.shape[0], -1)[:, : z.size]
+    phase.imag[rank_one[:, 0]] = z
+    return phase
+
+
 #: Segment-point pairs whose factors :func:`_propagate` evaluates at once.
 _BLOCK_PAIRS = 4096
 
@@ -115,6 +134,17 @@ def _propagate(
     :func:`_cs` at ``delta = z**2 det(H) d**2``; its z-derivative is
     ``dF = -z gamma S I + (z**2 gamma D + S) d K`` with ``gamma = det(H)
     d**2`` and ``D`` from :func:`_csd`.
+
+    The one-column pass without the derivative is the zero scan of
+    :func:`find_zeros`, on a uniform real grid such as ``np.linspace``
+    makes (else :class:`ValueError`).  On real ``z`` the factor is ``cos(omega
+    z) I + sin(omega z) K'`` with ``omega = d sqrt(det H)`` and ``K' = K /
+    sqrt(det H)``, and ``I + z d K`` on rank one; so the scan takes ``Re e I
+    + Im e K'`` with the phases ``e`` of :func:`_grid_phases` (``1 + i z``
+    and ``K' = d K`` on rank one), about ``2 sqrt(n)`` exponentials per
+    segment in place of ``n`` cosines and ``n`` sines.  Each phase is off by
+    the roundoff of its argument, as in :func:`_cs`, plus the grid's
+    deviation from uniform, at most ``4 eps max|z|``.
 
     Block evaluation: the reached segments are cut into blocks of at most
     ``_BLOCK_PAIRS`` segment-point pairs (at least one segment), and the
@@ -132,33 +162,48 @@ def _propagate(
     against the sequential loop.
 
     ``columns`` is 2 for the whole matrix or 1 for its first column, the
-    only part :func:`theta_and_derivative` reads.  Returns arrays of shape
-    ``z.shape + (2, columns)`` (real for real ``z``) and ``None`` for the
-    derivative unless it is asked for.
+    only part :func:`theta_and_derivative` and the scan read.  Returns
+    arrays of shape ``z.shape + (2, columns)`` (real for real ``z``) and
+    ``None`` for the derivative unless it is asked for.
     """
     z = np.asarray(z)
     shape = z.shape + (2, columns)
     dtype = complex if np.iscomplexobj(z) else float
     z = z.reshape(-1)
     z2 = z**2
+    tables = columns == 1 and not derivative
+    if tables:
+        run = math.isqrt(z.size - 1) + 1
+        spread = np.abs(z - (z[::run, None] + (z[:run] - z[0])).reshape(-1)[: z.size])
+        if dtype is complex or np.any(spread > 4 * np.finfo(float).eps * np.max(np.abs(z))):
+            raise ValueError("the one-column scan pass needs a uniform real grid")
     lengths = _effective_lengths(H, r)
     # the segments reached by r are a prefix, each of positive length
     n = int(np.count_nonzero(lengths > 0))
     d = lengths[:n, None]
-    gamma = H.determinants()[:n, None] * d * d
+    det = H.determinants()[:n, None]
+    gamma = det * d * d
     h = H.matrices[:n]
     # K = -J H per segment, with a trailing axis for the points
     K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1)
     K = K.reshape(-1, 2, 2, 1)
+    if tables:
+        root = np.sqrt(det)
+        omega, rank_one = d * root, root == 0.0
+        K = K * np.where(rank_one, d, 1.0 / np.where(rank_one, 1.0, root))[..., None, None]
     # M[i, k] is entry (i, k) as an array over the points
     M = np.eye(2)[:, :columns, None]
     dM = np.zeros_like(M)
     rows = max(1, _BLOCK_PAIRS // max(z.size, 1))
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
-        delta = z2 * gamma[block]
-        c, s, dd = _csd(delta) if derivative else (*_cs(delta), None)
-        F = _factor_columns(c, s * z * d[block], K[block])
+        if tables:
+            e = _grid_phases(z, run, omega[block], rank_one[block])
+            F = _factor_columns(e.real, e.imag, K[block])
+        else:
+            delta = z2 * gamma[block]
+            c, s, dd = _csd(delta) if derivative else (*_cs(delta), None)
+            F = _factor_columns(c, s * z * d[block], K[block])
         dF = ()
         if derivative:
             dk = (z2 * gamma[block] * dd + s) * d[block]
@@ -312,7 +357,12 @@ def find_zeros(
     ``step`` must stay below ``pi / (2 * type)``.  That skips no crossing
     unless a segment is rank one: next to one, zeros can pair up closer than
     the step, and the scan silently misses both (see the exact zero count on
-    ROADMAP.md).
+    ROADMAP.md).  The scan is the one-column pass of :func:`_propagate`,
+    whose factors come from phase tables, about ``2 sqrt(n)`` exponentials
+    per segment for ``n`` scan points.  It agrees with
+    :func:`transfer_entries` within ``4 eps (segments + type * window)`` of
+    ``max |theta_minus|``, with equal signs wherever ``|theta_minus|``
+    exceeds ``1e-9`` of its median (tested).
     Each pass then propagates ``theta_minus`` and its z-derivative once at
     the roots still moving; the sign shrinks each bracket, and a Newton
     step that would leave it becomes the bracket midpoint.  Zeros found on
@@ -349,7 +399,7 @@ def find_zeros(
         raise ValidationError(f"window={window!r} over step={step!r} is not a finite scan")
     n = int(count) + 1
     grid = np.linspace(-window, window, n)
-    vals = transfer_entries(H, ell, grid)[..., 1, 0].real
+    vals = _propagate(H, ell, grid, columns=1)[0][:, 1, 0]
 
     scale = max(_median(np.abs(vals)), 1e-300)
     on_zero = np.abs(vals) <= 1e-9 * scale

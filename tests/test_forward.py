@@ -189,6 +189,112 @@ class TestSegmentKernel:
             assert np.array_equal(got, col)
 
 
+def scan_weight(name, workloads):
+    """The weights of the scan tests; ``workloads`` is ``perfbench/workloads.py``."""
+    I = np.eye(2)
+    if name == "free":
+        return Hamiltonian.identity(np.pi)
+    if name == "step":
+        return oracles.step_fixture()
+    if name == "smooth-1000":
+        return workloads.smooth_weight(0, 0, 1000)
+    if name == "rank-one":
+        return Hamiltonian.from_lengths([1.0, 0.5, 1.0], [I, np.diag([2.0, 0.0]), I])
+    # det 1e-20 at trace 2e-10 is full rank under the rank-one rule, so the
+    # scan divides by sqrt(det) = 1e-10
+    return Hamiltonian.from_lengths([1.0, 0.5, 1.0], [I, 1e-10 * I, I])
+
+
+SCAN_WEIGHTS = ["free", "step", "smooth-1000", "rank-one", "det-1e-20"]
+
+
+def scan_grid(H, window):
+    """The grid of ``find_zeros``: step ``pi / (4 type)`` across ``[-window, window]``."""
+    step = np.pi / (4.0 * forward.exponential_type(H))
+    return np.linspace(-window, window, int(np.ceil(2 * window / step)) + 1)
+
+
+def roundoff_scale(H, z):
+    """``eps (segments + type |z|)``: the product's roundoff and its phases' relative to ``|M|``."""
+    return np.finfo(float).eps * (H.nsegments + forward.exponential_type(H) * np.abs(z))
+
+
+def mp_transfer(mpmath, H, zs):
+    """``M(ell, z)`` for each ``z`` in ``zs`` as the product of the segment exponentials at 40 digits.
+
+    ``A = z d K`` with ``K = -J H`` is traceless and ``A^2 = -w^2 I`` with
+    ``w = z d sqrt(det H)``, so ``exp(A) = cos(w) I + sin(w)/w A`` (``I + A``
+    when ``det H = 0``).  The segment data are the float entries, exactly.
+    """
+    with mpmath.workdps(40):
+        zs = [mpmath.mpmathify(z) for z in zs]
+        M = [[mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)] for _ in zs]
+        for d, h in zip(H.lengths, H.matrices):
+            d, h00, h01, h11 = (mpmath.mpf(float(x)) for x in (d, h[0, 0], h[0, 1], h[1, 1]))
+            root = mpmath.sqrt(h00 * h11 - h01 * h01)
+            for k, z in enumerate(zs):
+                w = z * d * root
+                c, s = (mpmath.cos(w), mpmath.sin(w) / root) if root else (1, z * d)
+                f00, f01, f10, f11 = c + s * h01, s * h11, -s * h00, c - s * h01
+                m00, m01, m10, m11 = M[k]
+                M[k] = [
+                    f00 * m00 + f01 * m10, f00 * m01 + f01 * m11,
+                    f10 * m00 + f11 * m10, f10 * m01 + f11 * m11,
+                ]
+        return np.array([[[complex(m[0]), complex(m[1])], [complex(m[2]), complex(m[3])]] for m in M])
+
+
+class TestScan:
+    """The one-column scan pass of ``find_zeros``, whose factors come from phase tables."""
+
+    # Calibration: over these weights and windows the largest difference from
+    # transfer_entries is 1.28 roundoff_scale (step weight at window 200), the
+    # sum of the two sides' roundoff.  The bound is 4, about three times that.
+    @pytest.mark.parametrize("window", [20.0, 200.0, 1000.0])
+    @pytest.mark.parametrize("name", SCAN_WEIGHTS)
+    def test_scan_matches_transfer_entries(self, name, window, wide_workload):
+        H = scan_weight(name, wide_workload)
+        grid = scan_grid(H, window)
+        M, dM = forward._propagate(H, H.ell, grid, columns=1)
+        assert M.shape == (grid.size, 2, 1) and dM is None
+        scan = M[:, 1, 0]
+        ref = forward.transfer_entries(H, H.ell, grid)[..., 1, 0]
+        size = np.max(np.abs(ref))
+        assert np.max(np.abs(scan - ref)) <= 4.0 * roundoff_scale(H, window) * size
+        clear = np.abs(ref) > 1e-9 * np.median(np.abs(ref))
+        assert np.array_equal(np.sign(scan[clear]), np.sign(ref[clear]))
+
+    @pytest.mark.parametrize(
+        "z", [np.array([0.0, 1.0, 2.5, 3.0]), np.linspace(-5.0, 5.0, 11) + 0.5j]
+    )
+    def test_scan_needs_a_uniform_real_grid(self, step_hamiltonian, z):
+        with pytest.raises(ValueError, match="uniform real grid"):
+            forward._propagate(step_hamiltonian, step_hamiltonian.ell, z, columns=1)
+
+
+class TestMpmathOracle:
+    """Float propagation against 40-digit products of the segment exponentials."""
+
+    # Calibration: the largest error is 0.51 roundoff_scale for transfer_entries
+    # (the 1000-segment weight at |z| = 20: the product's roundoff) and 0.66
+    # for the scan (the det-1e-20 weight at |z| = 20).  The bound is 2.
+    @pytest.mark.parametrize("name", SCAN_WEIGHTS)
+    def test_large_z(self, name, wide_workload):
+        mpmath = pytest.importorskip("mpmath")
+        H = scan_weight(name, wide_workload)
+        windows = (20.0, 200.0, 1000.0)
+        # |z| = window: both ends of the scan grid and a point at Im z = 1
+        zs = [np.array([-w, w, complex(np.sqrt(w * w - 1.0), 1.0)]) for w in windows]
+        refs = mp_transfer(mpmath, H, np.concatenate(zs)).reshape(len(windows), 3, 2, 2)
+        for window, z, ref in zip(windows, zs, refs):
+            size = np.max(np.abs(ref), axis=(1, 2))
+            bound = 2.0 * roundoff_scale(H, window) * size
+            got = forward.transfer_entries(H, H.ell, z)
+            assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= bound)
+            scan = forward._propagate(H, H.ell, scan_grid(H, window), columns=1)[0][:, 1, 0]
+            assert np.all(np.abs(scan[[0, -1]] - ref[:2, 1, 0].real) <= bound[:2])
+
+
 class TestThetaDerivative:
     def test_free_closed_form(self):
         H = Hamiltonian.identity(np.pi)
@@ -275,26 +381,51 @@ class TestFindZeros:
     def test_propagation_count(self, monkeypatch):
         # one scan plus a few joint derivative passes, not one pass per bisection;
         # interpolated seeds and per-root stopping keep the derivative passes near
-        # two points per zero (five before them)
+        # two points per zero (five before them).  The scan carries one column,
+        # and its phase tables take at most 2 ceil(sqrt(n)) + 2 phases per segment
+        # where cosines and sines would take 2 n
         H = smooth_weight(3, 200)
-        calls = {"plain": 0, "derivative": 0}
-        points = {"plain": 0, "derivative": 0}
-        plain, joint = forward.transfer_entries, forward.theta_and_derivative
+        joint_passes = {"calls": 0, "points": 0}
+        evaluated = [0]
+        scans = []  # (columns, points, exp/cos/sin evaluations) of each pass without derivative
+        propagate, joint = forward._propagate, forward.theta_and_derivative
 
-        def count(key, fn):
-            def wrapped(*args):
-                calls[key] += 1
-                points[key] += np.size(args[2])
-                return fn(*args)
+        class CountingNumpy:
+            """numpy, counting the elements that exp, cos and sin evaluate."""
 
-            return wrapped
+            def __getattr__(self, name):
+                fn = getattr(np, name)
+                if name not in ("exp", "cos", "sin"):
+                    return fn
 
-        monkeypatch.setattr(forward, "transfer_entries", count("plain", plain))
-        monkeypatch.setattr(forward, "theta_and_derivative", count("derivative", joint))
+                def counted(x, *args, **kwargs):
+                    evaluated[0] += np.size(x)
+                    return fn(x, *args, **kwargs)
+
+                return counted
+
+        def plain_pass(H, r, z, derivative=False, columns=2):
+            before = evaluated[0]
+            out = propagate(H, r, z, derivative, columns)
+            if not derivative:
+                scans.append((columns, np.size(z), evaluated[0] - before))
+            return out
+
+        def count(*args):
+            joint_passes["calls"] += 1
+            joint_passes["points"] += np.size(args[2])
+            return joint(*args)
+
+        monkeypatch.setattr(forward, "np", CountingNumpy())
+        monkeypatch.setattr(forward, "_propagate", plain_pass)
+        monkeypatch.setattr(forward, "theta_and_derivative", count)
         zeros, _, _ = forward.find_zeros(H, 60.0)
-        assert calls["plain"] <= 1
-        assert calls["derivative"] <= 6
-        assert points["derivative"] <= 2.5 * zeros.size
+        assert len(scans) == 1
+        columns, n, phases = scans[0]
+        assert columns == 1
+        assert phases <= (2 * int(np.ceil(np.sqrt(n))) + 2) * H.nsegments
+        assert joint_passes["calls"] <= 6
+        assert joint_passes["points"] <= 2.5 * zeros.size
 
     @pytest.mark.parametrize(
         "weight, window",
