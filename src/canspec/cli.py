@@ -157,7 +157,7 @@ def _cmd_inverse(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]
             )
     a = opts["bandwidth"]
     cfg = GridConfig.for_bandwidth(
-        mu.lattice_type() if a is None else a, measure_window=mu.window, **_grid(opts)
+        mu.type if a is None else a, measure_window=mu.window, **_grid(opts)
     )
     result = RecoveryPipeline(mu, c=c, cfg=cfg).run()
     _reconstruction_outputs(out, result)
@@ -198,7 +198,7 @@ def _cmd_framebounds(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[
     from .pwspace import frame_bounds
 
     mu = load_measure(inputs[0])
-    s = mu.lattice_type() if opts["s"] is None else opts["s"]
+    s = mu.type if opts["s"] is None else opts["s"]
     half = GridConfig.for_bandwidth(s, measure_window=mu.window, **_grid(opts)).basis_half_size(s)
     lo, hi = frame_bounds(mu, s, half)
     doc = {"lambda_min": lo, "lambda_max": hi, "N": half, "s": s}
@@ -350,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("framebounds", help="comparability certificate of a measure")
     common(p)
-    p.add_argument("--s", type=float, default=None, help="bandwidth (default: from spacing)")
+    p.add_argument("--s", type=float, default=None, help="bandwidth (default: the measure's type)")
     grid(p, samples=False)
 
     p = sub.add_parser("example-nonpw", help="lacunary growth certificate")

@@ -25,7 +25,6 @@ from .model import (
     SpectralMeasure,
     TransferMatrix,
     ValidationError,
-    _median,
 )
 
 __all__ = [
@@ -340,6 +339,15 @@ def _interpolated_seeds(grid, vals, left, secant):
             t = t - p / dp
     inside = np.isfinite(t) & (t > grid[left]) & (t < grid[left + 1])
     return np.where(inside, t, secant)
+
+
+def _median(values: np.ndarray) -> float:
+    """Bitwise ``np.median`` of a nonempty 1-d array, NaN included, without ``numpy.ma``."""
+    n = values.size
+    part = np.partition(values, [(n - 1) // 2, n // 2, -1])
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(part[n // 2] if n % 2 else 0.5 * (part[n // 2 - 1] + part[n // 2]))
 
 
 def find_zeros(

@@ -9,12 +9,12 @@ integrated weight over the chain points, differenced on a uniform
 position grid, gives the weight as its derivative in position.
 
 Windowed measures lose slowly decaying tails in every measure sum.  All
-sums here are completed with the free lattice model at the estimated
-type (atom parity fixes the sign pattern of the cosine data), which is
-exact on the free fixture and a recorded heuristic otherwise.  The model
-tails are summed to infinity in closed form: a Hurwitz zeta for the
-non-oscillating part, and a short explicit head plus an Euler-Maclaurin
-remainder for the parts oscillating at ``s`` and ``2s``.
+sums here are completed with the free lattice model at the fitted type
+``SpectralMeasure.type`` (atom parity fixes the sign pattern of the cosine
+data), which is exact on the free fixture and a recorded heuristic
+otherwise.  The model tails are summed to infinity in closed form: a
+Hurwitz zeta for the non-oscillating part, and a short explicit head plus
+an Euler-Maclaurin remainder for the parts oscillating at ``s`` and ``2s``.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class RecoveryPipeline:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        self.lattice = mu.lattice_type()
+        self.lattice = mu.type
         self.r_eff = float(np.max(np.abs(mu.positions)))
         # rows side, first, mass of the model lattices beyond the window
         self.tail_lattices = np.array(mu.tail_lattices(np.pi / self.lattice)).T
@@ -423,6 +423,7 @@ class RecoveryPipeline:
             "krein_relative_error": krein_err,
             "recentering_moment": self.moment,
             "bandwidth": self.a,
+            "lattice_type": self.lattice,
             "ell": ell,
         }
         if bad_fraction > 0.01:

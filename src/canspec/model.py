@@ -88,19 +88,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a nonempty 1-d array, bitwise, NaN included.
-
-    NumPy imports ``numpy.ma`` on the first ``np.median`` call; one
-    partition gives the same value without it.
-    """
-    n = values.size
-    part = np.partition(values, [(n - 1) // 2, n // 2, -1])
-    if np.isnan(part[-1]):
-        return float("nan")
-    return float(part[n // 2] if n % 2 else 0.5 * (part[n // 2 - 1] + part[n // 2]))
-
-
 @dataclass(frozen=True)
 class Hamiltonian:
     """Piecewise-constant nonnegative matrix weight on ``[0, ell]``.
@@ -272,6 +259,7 @@ class SpectralMeasure:
     sits at the origin (within ``ZERO_ATOM_TOL``); its presence is part
     of the admissibility class.  ``herglotz_b``/``herglotz_c`` are the
     linear and additive constants of the Weyl function representation.
+    The exponential type, :attr:`type`, is fitted to the atoms.
     """
 
     positions: np.ndarray
@@ -311,18 +299,20 @@ class SpectralMeasure:
     def zero_index(self) -> int:
         return int(np.nonzero(self.positions == 0.0)[0][0])
 
-    def lattice_type(self) -> float:
-        """Asymptotic exponential type implied by the atom spacing.
+    @cached_property
+    def type(self) -> float:
+        """Exponential type ``L``: pi over the least-squares slope of the atoms, read-only.
 
-        Atoms of an admissible measure approach the lattice
-        ``pi * k / L`` where ``L`` is the exponential type of the
-        generating system; the median gap is a robust estimator that is
-        exact on the free fixture.
+        The atoms are zeros of a sine-type function of type ``L``, of density
+        ``L/pi`` (B. Ya. Levin, *Lectures on Entire Functions*, 1996).  The slope
+        of ``t_k`` against the centred index ``k`` comes first, so that ``L`` is
+        ``np.pi`` bitwise on the free measure of type pi.
         """
-        gaps = np.diff(self.positions)
-        if gaps.size == 0:
+        n = self.positions.size
+        if n < 2:
             raise ValidationError("cannot estimate a type from a single atom")
-        return float(np.pi / _median(gaps))
+        k = np.arange(n) - (n - 1) / 2
+        return float(np.pi / ((k @ self.positions) / (k @ k)))
 
     @cached_property
     def completion_lattice(self) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +324,7 @@ class SpectralMeasure:
         """
         points, weights = np.empty(0), np.empty(0)
         if self.positions.size > 1:
-            lam = self.lattice_type()
+            lam = self.type
             reach = float(np.max(np.abs(self.positions)))
             kmax = int(np.floor((reach + 0.5 * np.pi / lam) * lam / np.pi))
             points = np.pi * np.arange(-kmax, kmax + 1) / lam

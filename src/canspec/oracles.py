@@ -244,7 +244,7 @@ def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.nd
     s12 = float(np.sum(mu.masses * f1 * f2))
 
     s = forward.exponential_type(H, r)
-    spacing = np.pi / mu.lattice_type()
+    spacing = np.pi / mu.type
     step = 2.0 * spacing
     lattices = mu.tail_lattices(spacing)
     remainders = []

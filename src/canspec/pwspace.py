@@ -7,8 +7,8 @@ factorization drives the whole recovery pipeline.
 
 Gram matrices assembled over a windowed measure miss the slowly decaying
 atom tail.  The missing part is completed with the free lattice model
-at the type estimated from the atom spacing (spacing and masses
-``pi / L``): the full lattice sum is the identity by the sampling
+at the type ``L`` fitted to the atoms, ``SpectralMeasure.type`` (spacing
+and masses ``pi / L``): the full lattice sum is the identity by the sampling
 theorem, so the completion is ``I`` minus the Gram of the measure's own
 ``completion_lattice``, the lattice out to the atoms' reach.
 The completion is exact on the free fixture and a controlled heuristic

@@ -51,6 +51,16 @@ def step_h_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def asymmetric_step_h_file(tmp_path):
+    """``diag(1.2, 1/1.2)`` on ``[0, 1.2]``, then ``diag(1/1.2, 1.2)`` up to 2, unnormalized."""
+    w = 1.2
+    H = Hamiltonian.from_segments([(0.0, 1.2, w, 0.0, 1 / w), (1.2, 2.0, 1 / w, 0.0, w)])
+    path = tmp_path / "asymmetric_step.json"
+    path.write_text(dumps_hamiltonian(H))
+    return path
+
+
 class TestForwardCommand:
     def test_bit_reproducible_outputs(self, free_h_file, tmp_path):
         outs = []
@@ -202,10 +212,42 @@ class TestRoundtripCommand:
         )
         assert code == 0
         report = json.loads((out / "roundtrip.json").read_text())
+        assert report["lattice_type"] == np.pi
         assert report["max_det_residual"] <= 1e-10
         assert max(max(row) for row in report["l1_relative"]) < 0.05
         assert (out / "recovered_hamiltonian.json").exists()
         assert (out / "recovered_chain.csv").exists()
+
+
+class TestAsymmetricStepCommands:
+    """A step split off the middle: its zeros are not equally spaced.
+
+    At the default window 200 it breaches only the reproducing-identity gate
+    (sine_norm_residual_max 8.4e-4 > 1e-4), as the symmetric step does: exit 4.
+    """
+
+    #: its trace-normalized length, 1.2 + 0.8 times the half trace (1.2 + 1/1.2) / 2
+    ELL = 2.0 * (1.2 + 1 / 1.2) / 2
+
+    def test_roundtrip_exits_4_with_every_output(self, asymmetric_step_h_file, tmp_path, capsys):
+        out = tmp_path / "rt"
+        assert main(["roundtrip", "--in", str(asymmetric_step_h_file), "--out-dir", str(out)]) == 4
+        assert "invariant breach: sine_norm_residual_max=" in capsys.readouterr().err
+        names = [
+            "normalized_input.json", "recovered_hamiltonian.json", "recovered_hamiltonian.csv",
+            "recovered_chain.csv", "roundtrip.json", "residuals.csv",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert all((out / name).stat().st_size > 0 for name in names)
+
+    def test_forward_then_inverse_recovers_the_length(
+        self, asymmetric_step_h_file, tmp_path, capsys
+    ):
+        fwd, rec = tmp_path / "fwd", tmp_path / "rec"
+        assert main(["forward", "--in", str(asymmetric_step_h_file), "--out-dir", str(fwd)]) == 0
+        assert main(["inverse", "--in", str(fwd / "measure.json"), "--out-dir", str(rec)]) == 4
+        assert "invariant breach: sine_norm_residual_max=" in capsys.readouterr().err
+        assert load_hamiltonian(rec / "hamiltonian.json").ell == pytest.approx(self.ELL, abs=5e-3)
 
 
 class TestInvariantGate:

@@ -152,9 +152,11 @@ class TestSpectralMeasureInvariants:
         with pytest.raises(ValidationError, match="increasing"):
             SpectralMeasure(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 5.0)
 
-    def test_lattice_type_free(self, free_pi):
+    def test_type_is_pi_on_free_measures(self, free_pi):
+        # bitwise: the free round trip's arithmetic starts from this number
         _, mu, _ = free_pi
-        assert mu.lattice_type() == pytest.approx(np.pi, rel=1e-14)
+        assert mu.type == np.pi
+        assert forward.spectral_measure(Hamiltonian.identity(np.pi), 200.0).type == np.pi
 
     def test_tail_lattices_anchor_at_outermost_atoms(self):
         mu = SpectralMeasure(np.array([-3.0, -1.0, 0.0, 2.0]), np.ones(4), 5.0)
@@ -166,7 +168,7 @@ class TestSpectralMeasureInvariants:
 
 def _reference_completion_lattice(mu):
     """The completion lattice by its defining formula, kept here as the reference."""
-    lam = mu.lattice_type()
+    lam = mu.type
     reach = float(np.max(np.abs(mu.positions)))
     kmax = int(np.floor((reach + 0.5 * np.pi / lam) * lam / np.pi))
     points = np.pi * np.arange(-kmax, kmax + 1) / lam
