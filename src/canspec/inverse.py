@@ -6,7 +6,10 @@ sine-type and a cosine-type component on the support of the measure;
 their 2x2 measure Gram over pi is the integrated weight up to the
 position of type ``s``, the chain point.  One interpolant of the
 integrated weight over the chain points, differenced on a uniform
-position grid, gives the weight as its derivative in position.
+position grid, gives the weight as its derivative in position.  The
+interpolant is a monotone cubic (PCHIP) written out here, equal to
+SciPy's ``PchipInterpolator`` to the bit, so that this module loads only
+``scipy.linalg`` and ``scipy.special``.
 
 Windowed measures lose slowly decaying tails in every measure sum.  All
 sums here are completed with the free lattice model at the fitted type
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
-from scipy.interpolate import PchipInterpolator
 
 from .model import (
     PSD_SLACK,
@@ -239,6 +241,41 @@ def _top_eigenprojection(h11, h12, half_gap):
     return 1.0 + u, h12 / half_gap, 1.0 - u
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, zeroed or capped to preserve shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    away = np.sign(d) != np.sign(m0)
+    steep = ~away & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(away, 0.0, np.where(steep, 3.0 * m0, d))
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, xnew: np.ndarray) -> np.ndarray:
+    """Monotone cubic Hermite interpolant of the columns of ``y``, at ``xnew`` in ``[x_0, x_n]``.
+
+    The slopes of Fritsch and Carlson (SIAM J. Numer. Anal. 17, 1980): a
+    weighted harmonic mean of the adjacent secants inside, zero where they
+    change sign or one is flat.  Every operation, evaluation order included,
+    is that of SciPy's ``PchipInterpolator``, so the values agree to the bit.
+    Needs at least three strictly increasing knots.
+    """
+    h = np.diff(x)[:, None]
+    m = np.diff(y, axis=0) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1 = t / h, (m - d[:-1]) / h - t
+    i = np.minimum(np.searchsorted(x, xnew, side="right") - 1, len(x) - 2)
+    u = (xnew - x[i])[:, None]
+    u2 = u * u
+    # PPoly's sum starts from +0.0, which turns a knot value of -0.0 into +0.0
+    return (((0.0 + y[i]) + d[i] * u) + c1[i] * u2) + c0[i] * (u2 * u)
+
+
 class RecoveryPipeline:
     """Recovery of one measure, one bandwidth slice at a time.
 
@@ -394,7 +431,7 @@ class RecoveryPipeline:
         ell = float(zetas[-1])
         r_grid = np.linspace(0.0, ell, cfg.r_samples)
         dr = r_grid[1] - r_grid[0]
-        integrated = PchipInterpolator(zetas, np.column_stack([h11_int, offdiag_int]))(r_grid)
+        integrated = _pchip(zetas, np.column_stack([h11_int, offdiag_int]), r_grid)
         h11, h12 = np.diff(integrated, axis=0).T / dr
         h22 = 2.0 - h11
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .model import (
     GridConfig,
@@ -359,8 +358,12 @@ def diag_necessary_condition(
     ``w`` is a positive callable on ``[0, s]`` or an array of samples on
     the uniform grid of ``num_points`` points.  ``rule`` selects the
     cumulative quadrature ("simpson" or "trapezoid"; the latter at raised
-    resolution serves as the brute-force cross-check).
+    resolution serves as the brute-force cross-check).  The quadrature
+    rules are SciPy's; ``scipy.integrate`` is imported here, when the
+    function runs, so importing this module does not load it.
     """
+    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+
     if n < 1:
         raise ValidationError("n must be at least 1")
     if n > 20:

@@ -158,6 +158,35 @@ class TestInverseCommand:
         H = load_hamiltonian(out / "hamiltonian.json")
         assert np.max(np.abs(H.matrices - np.eye(2))) <= 1e-12
 
+    def test_cold_start_loads_only_linalg_and_special(self, free_mu_file, tmp_path):
+        # a fresh interpreter: the test process has SciPy loaded already
+        script = (
+            "import json, sys\n"
+            "import canspec.inverse, canspec.oracles, canspec.cli\n"
+            "rc = canspec.cli.main(['inverse', '--in', sys.argv[1], '--c', '0',"
+            " '--pw-trunc', '16', '--s-samples', '9', '--r-samples', '17',"
+            " '--out-dir', sys.argv[2] + '/rec'])\n"
+            "heavy = ('scipy.interpolate', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
+            "def loaded():\n"
+            "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules} & set(heavy))\n"
+            "after_inverse = loaded()\n"
+            "diag_rc = canspec.cli.main(['check-diag', '--n', '1', '--s', '1.0',"
+            " '--out-dir', sys.argv[2] + '/diag'])\n"
+            "print(json.dumps({'rc': rc, 'inverse': after_inverse, 'diag_rc': diag_rc,"
+            " 'diag': loaded()}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(free_mu_file), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["rc"] == 0
+        assert report["inverse"] == []
+        assert report["diag_rc"] == 0
+        assert "scipy.integrate" in report["diag"]
+
     def test_overwrite_protection(self, tmp_path):
         _, mu, _ = oracles.free_fixture(np.pi, 50.0)
         path = tmp_path / "diagnostics.json"

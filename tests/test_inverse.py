@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from canspec import forward, oracles
 from canspec.inverse import (
     RecoveryPipeline,
     _free_model,
+    _pchip,
     _top_eigenprojection,
     boundary_cosine_values,
     lattice_tail_sums,
@@ -423,6 +425,30 @@ class TestPipelineState:
                 np.testing.assert_array_equal(after[k], v)
             else:
                 assert after[k] == v, k
+
+
+class TestPchip:
+    def test_equals_scipy_bitwise(self):
+        # SciPy's PchipInterpolator is the reference: same slopes, coefficients,
+        # interval search and evaluation order, so every bit agrees
+        rng = np.random.default_rng(23)
+        flat = sign_changes = 0
+        for draw in range(300):
+            n = int(rng.integers(3, 61))
+            x = np.cumsum(rng.uniform(0.01, 2.0, n)) - rng.uniform(0.0, 1.0)
+            y = {
+                0: np.cumsum(rng.uniform(0.0, 1.0, (n, 2)), axis=0),  # monotone runs
+                1: np.round(np.cumsum(rng.normal(size=(n, 2)), axis=0)),  # flat steps
+                2: rng.normal(size=(n, 2)),  # sign changes
+            }[draw % 3]
+            m = np.diff(y, axis=0)
+            flat += bool(np.any(m == 0))
+            sign_changes += bool(np.any(np.sign(m[1:]) * np.sign(m[:-1]) < 0))
+            xnew = np.concatenate([np.sort(rng.uniform(x[0], x[-1], 40)), x, [x[-1]]])
+            want = scipy.interpolate.PchipInterpolator(x, y)(xnew)
+            got = _pchip(x, y, xnew)
+            assert got.tobytes() == want.tobytes(), (draw, np.max(np.abs(got - want)))
+        assert flat >= 50 and sign_changes >= 100
 
 
 class TestAssembly:
