@@ -64,20 +64,6 @@ def _cs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def _csd(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """As :func:`_cs` plus ``D = (C - S)/delta`` (needed for z-derivatives).
-
-    ``C - S`` cancels to ``O(delta)`` near 0, so a short series takes over
-    below ``|delta| = 1e-4``.
-    """
-    c, s = _cs(delta)
-    small = np.abs(delta) < 1e-4
-    d = (c - s) / np.where(small, 1.0, delta)
-    x = delta[small]
-    d[small] = -1.0 / 3.0 + x / 30.0 - x**2 / 840.0 + x**3 / 45360.0
-    return c, s, d
-
-
 def _effective_lengths(H: Hamiltonian, r: float) -> np.ndarray:
     """Segment lengths clipped to ``[0, r]``."""
     r = float(r)
@@ -129,10 +115,11 @@ def _propagate(
     """Segment product ``M(r, z)`` and, on request, ``dM/dz``.
 
     Each segment of length ``d`` inside ``[0, r]`` contributes the exact
-    factor ``F = C I + S z d K`` with ``K = -J H`` and ``C``, ``S`` from
-    :func:`_cs` at ``delta = z**2 det(H) d**2``; its z-derivative is
-    ``dF = -z gamma S I + (z**2 gamma D + S) d K`` with ``gamma = det(H)
-    d**2`` and ``D`` from :func:`_csd`.
+    factor ``F = C I + s K`` with ``K = -J H``, ``s = S z d`` and ``C``,
+    ``S`` from :func:`_cs` at ``delta = z**2 det(H) d**2``.  As ``C =
+    cos(omega z)`` and ``s = sin(omega z) / sqrt(det H)`` with ``omega = d
+    sqrt(det H)``, for complex ``z`` too, the z-derivative ``dF = -det(H) d
+    s I + d C K`` (``d K`` on rank one) needs no further scalar function.
 
     The one-column pass without the derivative is the zero scan of
     :func:`find_zeros`, on a uniform real grid such as ``np.linspace``
@@ -200,13 +187,12 @@ def _propagate(
             e = _grid_phases(z, run, omega[block], rank_one[block])
             F = _factor_columns(e.real, e.imag, K[block])
         else:
-            delta = z2 * gamma[block]
-            c, s, dd = _csd(delta) if derivative else (*_cs(delta), None)
-            F = _factor_columns(c, s * z * d[block], K[block])
+            c, s = _cs(z2 * gamma[block])
+            s = s * z * d[block]
+            F = _factor_columns(c, s, K[block])
         dF = ()
         if derivative:
-            dk = (z2 * gamma[block] * dd + s) * d[block]
-            dF = _factor_columns(-z * gamma[block] * s, dk, K[block])
+            dF = _factor_columns(-(det[block] * d[block]) * s, d[block] * c, K[block])
         # f0, f1: one segment's factor columns, each (2, 1, points); g: its derivative's
         for f0, f1, *g in zip(*F, *dF):
             if g:

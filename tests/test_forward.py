@@ -220,28 +220,45 @@ def roundoff_scale(H, z):
 
 
 def mp_transfer(mpmath, H, zs):
-    """``M(ell, z)`` for each ``z`` in ``zs`` as the product of the segment exponentials at 40 digits.
+    """``M(ell, z)`` and ``dM/dz`` for each ``z`` in ``zs``, as products of the segment exponentials at 40 digits.
 
     ``A = z d K`` with ``K = -J H`` is traceless and ``A^2 = -w^2 I`` with
-    ``w = z d sqrt(det H)``, so ``exp(A) = cos(w) I + sin(w)/w A`` (``I + A``
-    when ``det H = 0``).  The segment data are the float entries, exactly.
+    ``w = z d sqrt(det H)``, so ``exp(A) = c I + s K`` with ``c = cos(w)``
+    and ``s = sin(w)/sqrt(det H)`` (``c = 1``, ``s = z d`` when ``det H =
+    0``).  Their z-derivatives are ``-det(H) d s`` and ``d c`` (``0`` and
+    ``d``), and ``dM`` follows the product rule.  The segment data are the
+    float entries, exactly.
     """
     with mpmath.workdps(40):
         zs = [mpmath.mpmathify(z) for z in zs]
-        M = [[mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)] for _ in zs]
+        one, zero = mpmath.mpf(1), mpmath.mpf(0)
+        M = [[one, zero, zero, one] for _ in zs]
+        dM = [[zero] * 4 for _ in zs]
         for d, h in zip(H.lengths, H.matrices):
             d, h00, h01, h11 = (mpmath.mpf(float(x)) for x in (d, h[0, 0], h[0, 1], h[1, 1]))
-            root = mpmath.sqrt(h00 * h11 - h01 * h01)
+            det = h00 * h11 - h01 * h01
+            root = mpmath.sqrt(det)
             for k, z in enumerate(zs):
                 w = z * d * root
-                c, s = (mpmath.cos(w), mpmath.sin(w) / root) if root else (1, z * d)
-                f00, f01, f10, f11 = c + s * h01, s * h11, -s * h00, c - s * h01
-                m00, m01, m10, m11 = M[k]
-                M[k] = [
-                    f00 * m00 + f01 * m10, f00 * m01 + f01 * m11,
-                    f10 * m00 + f11 * m10, f10 * m01 + f11 * m11,
+                c, s = (mpmath.cos(w), mpmath.sin(w) / root) if root else (one, z * d)
+                dc, ds = -det * d * s, d * c
+                F = [c + s * h01, s * h11, -s * h00, c - s * h01]
+                dF = [dc + ds * h01, ds * h11, -ds * h00, dc - ds * h01]
+                M[k], dM[k] = _mp_product(F, M[k]), [
+                    a + b for a, b in zip(_mp_product(dF, M[k]), _mp_product(F, dM[k]))
                 ]
-        return np.array([[[complex(m[0]), complex(m[1])], [complex(m[2]), complex(m[3])]] for m in M])
+        return tuple(
+            np.array([[[complex(m[0]), complex(m[1])], [complex(m[2]), complex(m[3])]] for m in A])
+            for A in (M, dM)
+        )
+
+
+def _mp_product(f, m):
+    """The 2x2 product ``f m`` of row-major entry lists."""
+    return [
+        f[0] * m[0] + f[1] * m[2], f[0] * m[1] + f[1] * m[3],
+        f[2] * m[0] + f[3] * m[2], f[2] * m[1] + f[3] * m[3],
+    ]
 
 
 class TestScan:
@@ -285,7 +302,7 @@ class TestMpmathOracle:
         windows = (20.0, 200.0, 1000.0)
         # |z| = window: both ends of the scan grid and a point at Im z = 1
         zs = [np.array([-w, w, complex(np.sqrt(w * w - 1.0), 1.0)]) for w in windows]
-        refs = mp_transfer(mpmath, H, np.concatenate(zs)).reshape(len(windows), 3, 2, 2)
+        refs = mp_transfer(mpmath, H, np.concatenate(zs))[0].reshape(len(windows), 3, 2, 2)
         for window, z, ref in zip(windows, zs, refs):
             size = np.max(np.abs(ref), axis=(1, 2))
             bound = 2.0 * roundoff_scale(H, window) * size
@@ -293,6 +310,24 @@ class TestMpmathOracle:
             assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= bound)
             scan = forward._propagate(H, H.ell, scan_grid(H, window), columns=1)[0][:, 1, 0]
             assert np.all(np.abs(scan[[0, -1]] - ref[:2, 1, 0].real) <= bound[:2])
+
+    # Calibration: the largest error is 0.51 roundoff_scale (the 1000-segment
+    # weight at the Im z = 1 point of window 20; 0.27 at the small |z|).
+    # The bound is 2.
+    @pytest.mark.parametrize("name", SCAN_WEIGHTS)
+    def test_derivative(self, name, wide_workload):
+        mpmath = pytest.importorskip("mpmath")
+        H = scan_weight(name, wide_workload)
+        # small |z|, where delta is far below 1, and the points of test_large_z
+        z = [1e-8, -1e-3, 3e-3]
+        for w in (20.0, 200.0, 1000.0):
+            z += [-w, w, complex(np.sqrt(w * w - 1.0), 1.0)]
+        z = np.array(z)
+        dref = mp_transfer(mpmath, H, z)[1][:, :, 0]
+        _, _, dp, dm = forward.theta_and_derivative(H, H.ell, z)
+        size = np.max(np.abs(dref), axis=1)
+        bound = 2.0 * roundoff_scale(H, np.maximum(np.abs(z), 1.0)) * size
+        assert np.all(np.max(np.abs(np.stack([dp, dm], axis=1) - dref), axis=1) <= bound)
 
 
 class TestThetaDerivative:
@@ -528,17 +563,42 @@ class TestFindZerosProperties:
         assert forward.det_residual(H, probes) <= max(1e-10, 1e-13 * size**2)
 
 
+class TestHerglotzProperty:
+    """The Weyl function of random weights maps the upper half-plane into itself."""
+
+    Z = (np.array([-50.0, -3.0, 0.0, 0.7, 40.0])[:, None] + 1j * np.array([1e-3, 0.5, 20.0])).ravel()
+
+    @settings(max_examples=60)
+    @given(random_weights())
+    def test_weyl_function_and_hermite_biehler(self, H):
+        # weyl_function raises InvariantViolation where Im m <= 0
+        assert all(forward.weyl_function(H, z).m.imag > 0 for z in self.Z)
+        # E = theta_plus + i theta_minus is Hermite-Biehler: |E(conj z)| < |E(z)|
+        upper, lower = (forward.transfer_entries(H, H.ell, z) for z in (self.Z, self.Z.conj()))
+        E = lambda M: np.abs(M[:, 0, 0] + 1j * M[:, 1, 0])
+        assert np.all(E(lower) < E(upper))
+
+
 class TestSpectralMeasure:
+    # On one segment theta_plus = C and dtheta_minus = -d C h11 at each zero,
+    # and C = cos(~k pi) rounds to +-1, so the free masses are pi / ell exactly.
     def test_free_pi_unit_masses(self):
         H = Hamiltonian.identity(np.pi)
         mu = forward.spectral_measure(H, 5.5)
         np.testing.assert_allclose(mu.positions, np.arange(-5, 6), atol=1e-12)
-        np.testing.assert_allclose(mu.masses, 1.0, rtol=1e-12)
+        assert np.array_equal(mu.masses, np.full(11, 1.0))
 
     def test_free_unit_masses_pi(self):
         H = Hamiltonian.identity(1.0)
         mu = forward.spectral_measure(H, 7.0)
-        np.testing.assert_allclose(mu.masses, np.pi, rtol=1e-12)
+        assert np.array_equal(mu.masses, np.full(5, np.pi))
+
+    @pytest.mark.parametrize(
+        "ell, window, n", [(np.pi, 200.0, 401), (1.0, 200.0 * np.pi, 401), (2.5, 300.0, 477)]
+    )
+    def test_free_masses_exact_at_wide_windows(self, ell, window, n):
+        mu = forward.spectral_measure(Hamiltonian.identity(ell), window)
+        assert np.array_equal(mu.masses, np.full(n, np.pi / ell))
 
     def test_step_masses_positive(self, step_measure):
         assert np.all(step_measure.masses > 0)
