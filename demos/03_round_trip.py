@@ -1,12 +1,12 @@
 """Round trip on a genuinely perturbed weight, with convergence evidence.
 
 A two-segment diagonal weight goes through the full pipeline: trace
-normalization, spectral measure, Herglotz constants, recovery.  Doubling
+normalization, spectral measure, Herglotz constant, recovery.  Doubling
 every grid parameter roughly halves the relative L1 error, which is the
 practical convergence certificate at desk scale.
 """
 
-from canspec import Hamiltonian
+from canspec import Hamiltonian, herglotz_constants
 from canspec.oracles import roundtrip, step_fixture
 
 H = step_fixture(w=1.2, trace_normalized=False)
@@ -22,7 +22,7 @@ for label, kwargs in [
     print(
         f"{label}: relative L1 error {rep.max_l1_relative:.4e}, "
         f"interior sup {rep.sup_error_interior.max():.4e}, "
-        f"estimated b {rep.diagnostics['herglotz_b']:+.1e}"
+        f"tail model residual {herglotz_constants(rep.normalized, rep.measure)[1]:+.1e}"
     )
 
 print("\nrecovered segment values around the jump (midpoint, h11, h22):")

@@ -116,10 +116,10 @@ def _cmd_forward(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]
     _write(out("measure.json"), dumps_measure(mu))
     diagnostics = {
         "atoms": int(mu.positions.size),
-        "herglotz_b": mu.herglotz_b,
         "herglotz_c": mu.herglotz_c,
         "exponential_type": forward.exponential_type(H),
         "max_det_residual": _det_certificate(H, mu),
+        "tail_model_residual": forward.herglotz_constants(H, mu)[1],
     }
     _write_json(out("diagnostics.json"), diagnostics)
     print(f"wrote {out('measure.json')} ({mu.positions.size} atoms)")
@@ -175,7 +175,9 @@ def _cmd_roundtrip(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[st
     _write(out("normalized_input.json"), dumps_hamiltonian(report.normalized))
     _reconstruction_outputs(out, report.result, prefix="recovered_")
     diagnostics = dict(report.diagnostics)
-    diagnostics["max_det_residual"] = _det_certificate(report.normalized, report.measure)
+    Ht, mu = report.normalized, report.measure
+    diagnostics["max_det_residual"] = _det_certificate(Ht, mu)
+    diagnostics["tail_model_residual"] = forward.herglotz_constants(Ht, mu)[1]
     diagnostics["sup_error"] = report.sup_error
     diagnostics["sup_error_interior"] = report.sup_error_interior
     diagnostics["l1_relative"] = report.l1_relative

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -461,8 +461,8 @@ def spectral_measure(H: Hamiltonian, window: float, step: float | None = None) -
     Atoms sit at the real zeros of ``theta_minus(ell, .)``; each mass is
     ``-pi / (theta_plus * d/dz theta_minus)`` at the zero, the reciprocal
     of the reproducing kernel's diagonal value there, from the evaluation
-    that :func:`find_zeros` made at the converged zero.  The Herglotz
-    constants are estimated and stored on the result.
+    that :func:`find_zeros` made at the converged zero.  The additive
+    Herglotz constant is stored once :func:`herglotz_constants` passes.
     """
     if not H.is_compatible():
         raise ValidationError(
@@ -477,8 +477,8 @@ def spectral_measure(H: Hamiltonian, window: float, step: float | None = None) -
             f"nonpositive atom mass near t={bad[:3]!r}: zero refinement or compatibility failure"
         )
     mu = SpectralMeasure(zeros, masses, window)
-    b, c = herglotz_constants(H, mu)
-    return mu.with_constants(b, c)
+    c, _ = herglotz_constants(H, mu)
+    return replace(mu, herglotz_c=c)
 
 
 @dataclass(frozen=True)
@@ -489,6 +489,8 @@ class WeylValue:
     m: complex
 
     def __post_init__(self):
+        if not np.isfinite(self.m):
+            raise NumericalError(f"Weyl function is not finite at z={self.z!r}: m={self.m!r}")
         if self.z.imag > 0 and self.m.imag <= 0:
             raise InvariantViolation(
                 f"Weyl function lost the Herglotz property at z={self.z!r}: m={self.m!r}"
@@ -506,6 +508,9 @@ def weyl_function(H: Hamiltonian, z: complex) -> WeylValue:
         raise NumericalError("theta_minus vanished off the real axis: propagation failure")
     return WeylValue(z, complex(M[1, 1] / tm))
 
+
+#: largest relative error of the tail model at ``z = i`` (calibration in the README)
+TAIL_MODEL_TOL = 0.15
 
 #: ``B_2k / (2k)`` for ``k = 1..7``: the terms of the digamma's asymptotic series
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
@@ -531,19 +536,19 @@ def _digamma(z: complex) -> complex:
 
 
 def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, float]:
-    """Additive and linear Herglotz constants, returned as ``(b, c)``.
+    """Additive Herglotz constant and the window's tail residual, as ``(c, r)``.
 
-    Evaluating the representation at ``z = i`` gives
-    ``c = Re m(i)`` and ``b = Im m(i) - (1/pi) * sum mass/(1+t^2)``.
-    The sum over atoms outside the window is estimated with the lattice
-    continuation :meth:`~canspec.model.SpectralMeasure.tail_lattices` at
-    the spacing ``h = pi / type`` of the system's exponential type.  Each
-    of its lattices ``first + 2h j`` is summed in closed form,
-    ``sum_{j >= 0} 1/(1 + (first + 2h j)^2) = Im psi((first + i)/(2h)) /
-    (2h)``, where the digamma ``psi`` comes from the recurrence
-    ``psi(z) = psi(z + 1) - 1/z`` (DLMF 5.5.2) and the asymptotic series
-    (DLMF 5.11.2), see :func:`_digamma`.  A weight of type 0 has no such
-    lattice and raises :class:`ValidationError`.
+    A weight that :meth:`~canspec.model.Hamiltonian.is_compatible` accepts
+    does not start with a multiple of ``e2 e2^T``, so its Weyl function has
+    no linear term (L. de Branges, 1968; C. Remling, *Spectral Theory of
+    Canonical Systems*, 2018): ``c = Re m(i)`` and ``Im m(i) = (1/pi) *
+    sum mass/(1+t^2)`` over all atoms.  The atoms beyond the window are
+    modelled by :meth:`~canspec.model.SpectralMeasure.tail_lattices` at
+    the spacing ``h = pi / type``, each lattice ``first + 2h j`` summed in
+    closed form as ``Im psi((first + i)/(2h)) / (2h)`` (:func:`_digamma`).
+    ``r = (Im m(i) - window sum - tail) / tail`` is the model's relative
+    error; above :data:`TAIL_MODEL_TOL` the window is too small and raises
+    :class:`NumericalError`, and a weight of type 0 :class:`ValidationError`.
     """
     lam = exponential_type(H)
     if not lam > 0.0:
@@ -556,13 +561,10 @@ def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, floa
     tail = 0.0
     for _, first, mass in mu.tail_lattices(spacing):
         tail += mass * _digamma((first + 1j) / step).imag / (step * np.pi)
-    b = float(m_i.imag) - window_sum - tail
-    # the hard floor is widened by a fraction of the applied correction:
-    # the lattice continuation is a model, and its own error scales with
-    # the size of the tail it replaces
-    if b < -max(1e-6, 0.05 * tail):
+    r = (float(m_i.imag) - window_sum - tail) / tail
+    if not abs(r) <= TAIL_MODEL_TOL:
         raise NumericalError(
-            f"estimated linear Herglotz constant b={b:.3e} is significantly negative; "
-            "the measure window is too small"
+            f"the lattice tail model beyond window {mu.window:g} is off by {r:+.1%} at "
+            f"z = i (tolerance {TAIL_MODEL_TOL:.0%}); enlarge the window"
         )
-    return b, c
+    return c, r

@@ -23,7 +23,6 @@ an Euler-Maclaurin remainder for the parts oscillating at ``s`` and ``2s``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,14 +295,6 @@ class RecoveryPipeline:
             raise ValidationError(f"additive Herglotz constant c={self.c!r} must be finite")
         self.cfg = cfg
         self.a = cfg.bandwidth
-        if abs(mu.herglotz_b) > 1e-4:
-            warnings.warn(
-                f"measure carries an estimated linear Herglotz constant b="
-                f"{mu.herglotz_b:.3e}; it is ignored by the recovery and may "
-                "indicate the measure is outside the admissible class",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         self.lattice = mu.type
         self.r_eff = float(np.max(np.abs(mu.positions)))
         # rows side, first, mass of the model lattices beyond the window

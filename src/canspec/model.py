@@ -2,22 +2,23 @@
 
 A system is described by a piecewise-constant nonnegative 2x2 matrix
 weight on a finite interval ``[0, ell]``.  The spectral side is a purely
-atomic measure with positive masses plus the two Herglotz constants of
-the Weyl function.  All types are immutable after construction and
-validate their own consistency, so they can be shared freely between
-threads.
+atomic measure with positive masses plus the additive Herglotz constant
+of the Weyl function, whose linear term is 0 on every admissible weight.
+All types are immutable after construction and validate their own
+consistency, so they can be shared freely between threads.
 
 JSON formats (all floats written with 17 significant digits):
 
 * Hamiltonian: ``{"ell": f, "segments": [{"r0": f, "r1": f,
   "h": [[h11, h12], [h12, h22]]}]}``
-* Measure: ``{"window": f, "b": f, "c": f,
-  "atoms": [{"t": f, "mass": f}]}``
+* Measure: ``{"window": f, "c": f, "atoms": [{"t": f, "mass": f}]}``; the
+  ``"b"`` of an older file is dropped if at most ``1e-4``, else rejected
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -252,20 +253,19 @@ def normalize_trace(H: Hamiltonian) -> tuple[Hamiltonian, np.ndarray]:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Finite atomic spectral measure plus Herglotz constants.
+    """Finite atomic spectral measure plus the additive Herglotz constant.
 
     Atoms are ``masses[i] * delta(positions[i])`` with strictly
     increasing positions inside ``[-window, window]``.  Exactly one atom
     sits at the origin (within ``ZERO_ATOM_TOL``); its presence is part
-    of the admissibility class.  ``herglotz_b``/``herglotz_c`` are the
-    linear and additive constants of the Weyl function representation.
+    of the admissibility class.  ``herglotz_c`` is the additive constant of
+    the Weyl function, whose linear term is 0 on every compatible weight.
     The exponential type, :attr:`type`, is fitted to the atoms.
     """
 
     positions: np.ndarray
     masses: np.ndarray
     window: float
-    herglotz_b: float = 0.0
     herglotz_c: float = 0.0
 
     def __post_init__(self):
@@ -273,9 +273,9 @@ class SpectralMeasure:
         mass = np.asarray(self.masses, dtype=float).copy()
         if pos.ndim != 1 or pos.shape != mass.shape:
             raise ValidationError("positions and masses must be matching 1-d arrays")
-        scalars = [self.window, self.herglotz_b, self.herglotz_c]
+        scalars = [self.window, self.herglotz_c]
         if not np.all(np.isfinite(np.concatenate([pos, mass, scalars]))):
-            raise ValidationError("positions, masses, window, b and c must be finite")
+            raise ValidationError("positions, masses, window and c must be finite")
         if pos.size == 0:
             raise ValidationError("measure has no atoms")
         if np.any(np.diff(pos) <= 0):
@@ -332,9 +332,6 @@ class SpectralMeasure:
         for array in (points, weights):
             array.setflags(write=False)
         return points, weights
-
-    def with_constants(self, b: float, c: float) -> "SpectralMeasure":
-        return SpectralMeasure(self.positions, self.masses, self.window, b, c)
 
     def tail_lattices(self, spacing: float) -> list[tuple[float, float, float]]:
         """Lattices that continue the atoms beyond the window, as ``(side, first, mass)``.
@@ -411,6 +408,11 @@ class GridConfig:
     def __post_init__(self):
         if not 0.0 < self.bandwidth < np.inf:
             raise ValidationError(f"bandwidth {self.bandwidth!r} must be positive and finite")
+        for name in ("s_samples", "pw_truncation", "r_samples"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValidationError(f"{name}={getattr(self, name)!r} is not an integer") from None
         if self.s_samples < 3:
             raise ValidationError(f"s_samples={self.s_samples!r} must be at least 3")
         if self.pw_truncation < 8:
@@ -520,10 +522,7 @@ def dumps_measure(mu: SpectralMeasure) -> str:
     atoms = ", ".join(
         f'{{"t": {_fmt(t)}, "mass": {_fmt(m)}}}' for t, m in zip(mu.positions, mu.masses)
     )
-    return (
-        f'{{"window": {_fmt(mu.window)}, "b": {_fmt(mu.herglotz_b)}, '
-        f'"c": {_fmt(mu.herglotz_c)}, "atoms": [{atoms}]}}'
-    )
+    return f'{{"window": {_fmt(mu.window)}, "c": {_fmt(mu.herglotz_c)}, "atoms": [{atoms}]}}'
 
 
 def loads_measure(text: str) -> SpectralMeasure:
@@ -539,8 +538,13 @@ def loads_measure(text: str) -> SpectralMeasure:
         c = float(doc.get("c", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed measure JSON: {exc!r}") from exc
+    if not abs(b) <= 1e-4:  # older files hold estimate noise of a b that is 0 by theorem
+        raise ValidationError(
+            f"linear Herglotz term b={b!r} needs an initial e2 e2^T interval, which "
+            "the recovery cannot represent"
+        )
     order = np.argsort(pos)
-    return SpectralMeasure(pos[order], mass[order], window, b, c)
+    return SpectralMeasure(pos[order], mass[order], window, c)
 
 
 def load_measure(path: str | Path) -> SpectralMeasure:

@@ -45,13 +45,13 @@ def free_fixture(ell: float, window: float = 200.0) -> tuple[Hamiltonian, Spectr
     """Identity weight on ``[0, ell]`` with its exact spectral measure.
 
     Atoms sit on the lattice ``pi k / ell`` with the constant mass
-    ``pi / ell``; both Herglotz constants vanish.
+    ``pi / ell``; the additive Herglotz constant vanishes.
     """
     H = Hamiltonian.identity(ell)
     spacing = np.pi / ell
     kmax = int(np.floor(window / spacing))
     k = np.arange(-kmax, kmax + 1)
-    mu = SpectralMeasure(k * spacing, np.full(k.size, spacing), window, 0.0, 0.0)
+    mu = SpectralMeasure(k * spacing, np.full(k.size, spacing), window)
     return H, mu, 0.0
 
 
@@ -132,8 +132,8 @@ _INTERIOR = 0.02
 def roundtrip(H: Hamiltonian, window: float = 200.0, **grid) -> RoundtripReport:
     """Full forward-then-inverse pass with error accounting.
 
-    Normalizes the trace, computes the spectral measure and its Herglotz
-    constants, recovers the weight, and compares against the normalized
+    Normalizes the trace, computes the spectral measure and its additive
+    Herglotz constant, recovers the weight, and compares against the normalized
     input: exact entrywise relative L1 and sup errors over cell midpoints
     (the interior sup drops 2% of the interval at both ends, where
     one-sided effects dominate).  ``window`` is the measure window; the
@@ -156,7 +156,6 @@ def roundtrip(H: Hamiltonian, window: float = 200.0, **grid) -> RoundtripReport:
     l1 = _piecewise_l1(Hr, Ht)
 
     diagnostics = dict(result.diagnostics)
-    diagnostics["herglotz_b"] = mu.herglotz_b
     diagnostics["ell_error"] = abs(Hr.ell - Ht.ell)
     return RoundtripReport(Ht, mu, result, err, sup, sup_inner, l1, diagnostics)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from canspec import cli, oracles
+from canspec import cli, forward, oracles
 from canspec.cli import main
 from canspec.model import (
     Hamiltonian,
@@ -16,6 +16,7 @@ from canspec.model import (
     dumps_measure,
     load_hamiltonian,
     load_measure,
+    normalize_trace,
 )
 
 
@@ -85,6 +86,26 @@ class TestForwardCommand:
         np.testing.assert_allclose(mu.masses, 1.0, rtol=1e-10)
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["max_det_residual"] <= 1e-10
+        assert abs(diag["tail_model_residual"]) <= 1e-12
+        assert "herglotz_b" not in diag
+
+    def test_tail_model_off_by_5_percent_exits_0(self, tmp_path):
+        # the tail model is off by -5.2% here, well inside the bound
+        eye = np.eye(2)
+        H = Hamiltonian.from_lengths([0.2, 1, 1, 1], [eye, np.diag([1, 1 / np.e]), eye, eye])
+        path = tmp_path / "found.json"
+        path.write_text(dumps_hamiltonian(normalize_trace(H)[0]))
+        out = tmp_path / "out"
+        assert main(["forward", "--in", str(path), "--window", "200", "--out-dir", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert 0.05 < abs(diag["tail_model_residual"]) <= forward.TAIL_MODEL_TOL
+
+    def test_too_small_window_exits_3(self, step_h_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["forward", "--in", str(step_h_file), "--window", "1", "--out-dir", str(out)]
+        assert main(args) == 3
+        assert "beyond window 1 " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cold_start_loads_no_scipy(self, step_h_file, tmp_path):
         # a fresh interpreter: the test process has SciPy loaded already
@@ -243,6 +264,7 @@ class TestRoundtripCommand:
         report = json.loads((out / "roundtrip.json").read_text())
         assert report["lattice_type"] == np.pi
         assert report["max_det_residual"] <= 1e-10
+        assert abs(report["tail_model_residual"]) <= 1e-12
         assert max(max(row) for row in report["l1_relative"]) < 0.05
         assert (out / "recovered_hamiltonian.json").exists()
         assert (out / "recovered_chain.csv").exists()
@@ -458,6 +480,16 @@ class TestBadNumbersExit2:
         code = main(["inverse", "--in", str(free_mu_file), "--c", "0", "--pw-trunc", "16",
                      "--s-samples", "9", "--r-samples", "17", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_measure_with_linear_term(self, free_mu_file, tmp_path, capsys):
+        # b = 0.5 needs an initial e2 e2^T interval, which the recovery cannot represent
+        doc = json.loads(free_mu_file.read_text())
+        doc["b"] = 0.5
+        free_mu_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--out-dir", str(out)]) == 2
+        assert "linear Herglotz term" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "keys,value",

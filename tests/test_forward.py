@@ -641,18 +641,43 @@ class TestWeylFunction:
         with pytest.raises(ValidationError):
             forward.weyl_function(step_hamiltonian, 1.0 - 1j)
 
+    def test_overflow_raises_instead_of_nan(self):
+        # cos(z) overflows once type * Im z passes about 709
+        with pytest.raises(NumericalError, match="not finite"), pytest.warns(RuntimeWarning):
+            forward.weyl_function(Hamiltonian.identity(1.0), 1e4j)
+        with pytest.raises(NumericalError, match="not finite"), pytest.warns(RuntimeWarning):
+            forward.spectral_measure(Hamiltonian.identity(800.0), 1.0)
+
+
+def tail_residual(H, mu):
+    """``Im m(i) - window sum - tail`` from the relative residual ``r`` of ``herglotz_constants``.
+
+    With ``beyond = Im m(i) - window sum = tail (1 + r)`` it is ``r beyond / (1 + r)``.
+    """
+    _, r = forward.herglotz_constants(H, mu)
+    window_sum = np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi
+    beyond = forward.weyl_function(H, 1j).m.imag - window_sum
+    return r * beyond / (1.0 + r)
+
+
+def found_weight():
+    """The trace-normalized ``[I, diag(1, 1/e), I, I]`` (lengths 0.2, 1, 1, 1)."""
+    eye = np.eye(2)
+    H = Hamiltonian.from_lengths([0.2, 1, 1, 1], [eye, np.diag([1, 1 / np.e]), eye, eye])
+    return normalize_trace(H)[0]
+
 
 class TestHerglotzConstants:
     def test_free_unit_interval(self):
         H = Hamiltonian.identity(1.0)
         mu = forward.spectral_measure(H, 200.0 * np.pi)
-        assert abs(mu.herglotz_b) < 1e-4
+        assert abs(tail_residual(H, mu)) < 1e-4
         assert abs(mu.herglotz_c) < 1e-8
 
     def test_free_pi_interval(self):
         H = Hamiltonian.identity(np.pi)
         mu = forward.spectral_measure(H, 200.0)
-        assert abs(mu.herglotz_b) < 1e-4
+        assert abs(tail_residual(H, mu)) < 1e-4
         assert abs(mu.herglotz_c) < 1e-8
 
     def test_symmetric_weight_c_vanishes(self, step_hamiltonian, step_measure):
@@ -660,14 +685,35 @@ class TestHerglotzConstants:
 
     @pytest.mark.parametrize("ell, window", [(np.pi, 200.0), (1.0, 200.0 * np.pi)])
     def test_closed_form_tail_is_exact_on_free_weights(self, ell, window):
-        mu = forward.spectral_measure(Hamiltonian.identity(ell), window)
-        assert abs(mu.herglotz_b) <= 1e-14
+        H = Hamiltonian.identity(ell)
+        assert abs(tail_residual(H, forward.spectral_measure(H, window))) <= 1e-14
 
     @pytest.mark.parametrize("window", [30.0, 60.0, 200.0])
     def test_parity_split_tail_on_alternating_masses(self, step_hamiltonian, window):
-        # the step fixture's outer masses alternate; a plain band mean misses b
+        # the step fixture's outer masses alternate; a plain band mean misses the tail
         mu = forward.spectral_measure(step_hamiltonian, window)
-        assert abs(mu.herglotz_b) <= 1e-12
+        assert abs(tail_residual(step_hamiltonian, mu)) <= 1e-12
+
+    def test_one_weyl_evaluation(self, step_hamiltonian, monkeypatch):
+        # c and the tail check share the single m(i) of the forward solve
+        calls = []
+        weyl = forward.weyl_function
+        monkeypatch.setattr(forward, "weyl_function", lambda H, z: calls.append(z) or weyl(H, z))
+        forward.spectral_measure(step_hamiltonian, 30.0)
+        assert calls == [1j]
+
+    def test_found_weight_at_window_200(self):
+        # the tail model is off by -5.2% here, well inside the bound
+        H = found_weight()
+        mu = forward.spectral_measure(H, 200.0)
+        assert abs(forward.herglotz_constants(H, mu)[1]) <= forward.TAIL_MODEL_TOL
+
+    @pytest.mark.parametrize("weight, window", [("step", 1.0), ("found", 10.0), ("found", 20.0)])
+    def test_too_small_window_raises(self, step_hamiltonian, weight, window):
+        # a lone atom (-21.7%) and the found weight at -32.6% and +36.4%
+        H = step_hamiltonian if weight == "step" else found_weight()
+        with pytest.raises(NumericalError, match=rf"tail model beyond window {window:g} "):
+            forward.spectral_measure(H, window)
 
 
 @pytest.fixture(scope="module", params=["free", "step"])
@@ -679,7 +725,7 @@ def weight_and_measure(request, step_hamiltonian, step_measure):
 
 
 def herglotz_tail_terms(H, mu):
-    """``(z, mass, step)`` of each lattice sum ``mass Im psi(z) / (step pi)`` in ``b``."""
+    """``(z, mass, step)`` of each lattice sum ``mass Im psi(z) / (step pi)`` of the tail."""
     spacing = np.pi / forward.exponential_type(H)
     step = 2.0 * spacing
     return [((first + 1j) / step, mass, step) for _, first, mass in mu.tail_lattices(spacing)]
@@ -699,15 +745,15 @@ class TestDigamma:
         ref = scipy.special.psi(z.ravel()).imag
         assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-13
 
-    def test_herglotz_b_against_scipy_reference(self, weight_and_measure):
+    def test_tail_residual_against_scipy_reference(self, weight_and_measure):
         H, mu = weight_and_measure
         tail = sum(
             mass * scipy.special.psi(z).imag / (step * np.pi)
             for z, mass, step in herglotz_tail_terms(H, mu)
         )
         window_sum = float(np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi)
-        b_ref = float(forward.weyl_function(H, 1j).m.imag) - window_sum - tail
-        assert abs(mu.herglotz_b - b_ref) <= 1e-16
+        residual_ref = float(forward.weyl_function(H, 1j).m.imag) - window_sum - tail
+        assert abs(tail_residual(H, mu) - residual_ref) <= 1e-16
 
 
 def quadrature_grid(H, r):

@@ -547,15 +547,6 @@ class TestReconstruct:
         with pytest.raises(NumericalError):
             RecoveryPipeline(mu, c=0.0, cfg=cfg).run()
 
-    def test_nonzero_b_warns(self, free_pi):
-        _, mu, _ = free_pi
-        noisy = mu.with_constants(0.5, 0.0)
-        cfg = GridConfig.for_bandwidth(
-            np.pi, s_samples=17, pw_truncation=64, measure_window=200.0, r_samples=33
-        )
-        with pytest.warns(RuntimeWarning, match="Herglotz"):
-            RecoveryPipeline(noisy, c=0.0, cfg=cfg)
-
     def test_psd_projection_matches_eigh(self):
         # trace-2 cells with a negative eigenvalue become 2 v v^T of the top eigenvector
         rng = np.random.default_rng(7)
@@ -626,13 +617,9 @@ class TestRoundtripProperties:
     #: of length 0.4 to 0.6 before normalization, with the fewest atoms
     L1_BOUND = 0.1
 
-    # Two heuristics warn on some draws, and the warnings are shown rather than
-    # raised: the estimated b of a few exceeds 1e-4 (2.5e-4 was seen), which the
-    # recovery ignores; and the zeros of a few are further apart than the gap
-    # heuristic allows (1.54 pi/type was seen, with no zero missed).
-    @pytest.mark.filterwarnings(
-        "default:measure carries an estimated linear Herglotz constant:RuntimeWarning"
-    )
+    # The gap heuristic warns on a few draws, and the warning is shown rather than
+    # raised: their zeros are further apart than it allows (1.54 pi/type was seen,
+    # with no zero missed).
     @pytest.mark.filterwarnings("default:consecutive zeros further apart:RuntimeWarning")
     @settings(max_examples=15)
     @given(full_rank_weights())

@@ -1,4 +1,5 @@
 import importlib
+import json
 import pkgutil
 
 import numpy as np
@@ -122,7 +123,6 @@ class TestJsonRoundTrip:
             np.array([-2.5, 0.0, 1.25]),
             np.array([0.5, 1.0, 2.0]),
             10.0,
-            herglotz_b=0.0,
             herglotz_c=0.125,
         )
         text = dumps_measure(mu)
@@ -131,6 +131,22 @@ class TestJsonRoundTrip:
         assert np.array_equal(mu.masses, mu2.masses)
         assert mu2.herglotz_c == 0.125
         assert dumps_measure(mu2) == text
+        assert set(json.loads(text)) == {"window", "c", "atoms"}
+
+    @staticmethod
+    def legacy_measure(b):
+        return f'{{"window": 10.0, "b": {b}, "c": 0.125, "atoms": [{{"t": 0.0, "mass": 1.0}}]}}'
+
+    @pytest.mark.parametrize("b", ["1e-6", "-2.9e-6", "1e-4"])
+    def test_legacy_b_noise_is_dropped(self, b):
+        mu = loads_measure(self.legacy_measure(b))
+        assert dumps_measure(mu) == dumps_measure(SpectralMeasure([0.0], [1.0], 10.0, 0.125))
+
+    @pytest.mark.parametrize("b", ["0.5", "-1.1e-4", "NaN", "Infinity"])
+    def test_legacy_b_beyond_noise_rejected(self, b):
+        # a linear term needs an initial e2 e2^T interval, which no recovery represents
+        with pytest.raises(ValidationError, match="linear Herglotz term"):
+            loads_measure(self.legacy_measure(b))
 
 
 class TestSpectralMeasureInvariants:
@@ -275,6 +291,18 @@ class TestGridConfig:
         # the grid is derived from the bandwidth, which must be positive and finite
         with pytest.raises(ValidationError, match="finite"):
             GridConfig(bad, 129, 256, 200.0, 257)
+
+    @pytest.mark.parametrize(
+        "sizes", [{"s_samples": 9.5}, {"pw_truncation": 16.5}, {"r_samples": 17.5}]
+    )
+    def test_non_integer_sizes_rejected(self, sizes):
+        name = next(iter(sizes))
+        with pytest.raises(ValidationError, match=f"{name}=.* is not an integer"):
+            GridConfig.for_bandwidth(3.14, **sizes)
+
+    def test_non_integer_roundtrip_samples_rejected(self):
+        with pytest.raises(ValidationError, match="r_samples=17.5 is not an integer"):
+            oracles.roundtrip(oracles.step_fixture(1.2), window=20.0, r_samples=17.5)
 
     def test_two_s_samples_rejected(self):
         with pytest.raises(ValidationError, match="s_samples"):
