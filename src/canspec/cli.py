@@ -105,14 +105,14 @@ def _grid(opts: dict) -> dict:
 
 
 def _det_certificate(H: Hamiltonian, mu: SpectralMeasure) -> float:
-    """Determinant drift of the propagation at the atoms, ``+-window`` and ``z = i``."""
+    """Relative determinant drift of the propagation at the atoms, ``+-window`` and ``z = i``."""
     real = np.concatenate([mu.positions, [-mu.window, mu.window]])
     return max(forward.det_residual(H, real), forward.det_residual(H, 1j))
 
 
 def _cmd_forward(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]:
     H = load_hamiltonian(inputs[0])
-    mu = forward.spectral_measure(H, opts["window"], opts["step"])
+    mu = forward.spectral_measure(H, opts["window"])
     _write(out("measure.json"), dumps_measure(mu))
     diagnostics = {
         "atoms": int(mu.positions.size),
@@ -337,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="spectral measure of a weight")
     common(p, gated=True)
     p.add_argument("--window", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=None, help="zero-scan step")
 
     p = sub.add_parser("inverse", help="recover a weight from a measure")
     common(p, gated=True)

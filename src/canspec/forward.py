@@ -12,7 +12,6 @@ Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +24,7 @@ from .model import (
     SpectralMeasure,
     TransferMatrix,
     ValidationError,
+    _det_drift,
 )
 
 __all__ = [
@@ -110,47 +110,41 @@ _BLOCK_PAIRS = 4096
 
 
 def _propagate(
-    H: Hamiltonian, r: float, z, derivative: bool = False, columns: int = 2
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Segment product ``M(r, z)`` and, on request, ``dM/dz``.
+    H: Hamiltonian, r: float, z, derivative: bool = False, columns: int = 2, angle: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Segment product ``M(r, z)`` and, on request, ``dM/dz`` and the Prüfer angle.
 
-    Each segment of length ``d`` inside ``[0, r]`` contributes the exact
-    factor ``F = C I + s K`` with ``K = -J H``, ``s = S z d`` and ``C``,
-    ``S`` from :func:`_cs` at ``delta = z**2 det(H) d**2``.  As ``C =
-    cos(omega z)`` and ``s = sin(omega z) / sqrt(det H)`` with ``omega = d
-    sqrt(det H)``, for complex ``z`` too, the z-derivative ``dF = -det(H) d
-    s I + d C K`` (``d K`` on rank one) needs no further scalar function.
+    A segment of length ``d`` inside ``[0, r]`` contributes the exact factor
+    ``F = C I + s K``, ``K = -J H``, with ``C = cos(omega z)``, ``s =
+    sin(omega z) / sqrt(det H)`` and ``omega = d sqrt(det H)`` (from
+    :func:`_cs` at ``delta = z**2 det(H) d**2``), so ``dF = -det(H) d s I +
+    d C K`` (``d K`` on rank one) needs no further scalar function.
 
     The one-column pass without the derivative is the zero scan of
-    :func:`find_zeros`, on a uniform real grid such as ``np.linspace``
-    makes (else :class:`ValueError`).  On real ``z`` the factor is ``cos(omega
-    z) I + sin(omega z) K'`` with ``omega = d sqrt(det H)`` and ``K' = K /
-    sqrt(det H)``, and ``I + z d K`` on rank one; so the scan takes ``Re e I
-    + Im e K'`` with the phases ``e`` of :func:`_grid_phases` (``1 + i z``
-    and ``K' = d K`` on rank one), about ``2 sqrt(n)`` exponentials per
-    segment in place of ``n`` cosines and ``n`` sines.  Each phase is off by
-    the roundoff of its argument, as in :func:`_cs`, plus the grid's
-    deviation from uniform, at most ``4 eps max|z|``.
+    :func:`find_zeros`, on a uniform real grid such as ``np.linspace`` makes
+    (else :class:`ValueError`).  It takes ``F = Re e I + Im e K / sqrt(det
+    H)`` from the phases ``e`` of :func:`_grid_phases` (``1 + i z`` and ``d
+    K`` on rank one): about ``2 sqrt(n)`` exponentials per segment in place
+    of ``n`` cosines and ``n`` sines, each off by the roundoff of its
+    argument plus the grid's deviation from uniform, at most ``4 eps max|z|``.
 
-    Block evaluation: the reached segments are cut into blocks of at most
-    ``_BLOCK_PAIRS`` segment-point pairs (at least one segment), and the
-    scalar functions and the entries of ``F`` (and ``dF``) are evaluated
-    for a whole block in a few array operations.  Column recurrence: the
-    sequential loop over the block's segments carries the entries of the
-    first ``columns`` columns of ``M`` (and of ``dM``) as arrays over the
-    points, and updates them with the 2x2 product written out entry by
-    entry, so no 2x2 factor is formed per segment.  The cap is a constant
-    rather than "all segments" because it bounds memory: the block arrays
-    grow with segments times points, and evaluating every segment at once
-    raised the peak memory of a 1000-segment spectral measure from 86 to
-    196 MiB and made it slower, since the arrays no longer stay in cache.
-    At a few thousand pairs the per-block overhead is already small
-    against the sequential loop.
+    The factors are evaluated for blocks of at most ``_BLOCK_PAIRS``
+    segment-point pairs in a few array operations; the cap bounds memory
+    (all segments at once raised a 1000-segment spectral measure's peak from
+    86 to 196 MiB, and ran slower).  The sequential loop carries the first
+    ``columns`` columns of ``M`` (and ``dM``) as arrays over the points, with
+    the 2x2 product written out; ``columns`` is 1 for the scan and
+    :func:`theta_and_derivative`, which read only the first column ``theta``.
 
-    ``columns`` is 2 for the whole matrix or 1 for its first column, the
-    only part :func:`theta_and_derivative` and the scan read.  Returns
-    arrays of shape ``z.shape + (2, columns)`` (real for real ``z``) and
-    ``None`` for the derivative unless it is asked for.
+    ``angle`` (real ``z``) carries the Prüfer angle of ``theta`` (see
+    :func:`_zero_count`): a segment adds ``pi floor(omega |z| / pi)`` (0 on
+    rank one) and the turn from ``(-1)^k theta`` before it to ``theta`` after
+    it, one ``atan2`` in the turn's direction, in ``[0, pi)`` as a rank-one
+    shear's turn is; roundoff near ``pi`` wraps it to near ``-pi``, where
+    ``2 pi`` is added back.  It keeps ``theta`` after every segment: few points.
+
+    Returns ``M`` of shape ``z.shape + (2, columns)`` (real for real ``z``),
+    then ``dM`` and the angle (shape ``z.shape``), each ``None`` unless asked.
     """
     z = np.asarray(z)
     shape = z.shape + (2, columns)
@@ -171,8 +165,7 @@ def _propagate(
     gamma = det * d * d
     h = H.matrices[:n]
     # K = -J H per segment, with a trailing axis for the points
-    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1)
-    K = K.reshape(-1, 2, 2, 1)
+    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1).reshape(-1, 2, 2, 1)
     if tables:
         root = np.sqrt(det)
         omega, rank_one = d * root, root == 0.0
@@ -180,6 +173,7 @@ def _propagate(
     # M[i, k] is entry (i, k) as an array over the points
     M = np.eye(2)[:, :columns, None]
     dM = np.zeros_like(M)
+    path = [np.broadcast_to(M, (2, columns, z.size))] if angle else None
     rows = max(1, _BLOCK_PAIRS // max(z.size, 1))
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
@@ -198,12 +192,21 @@ def _propagate(
             if g:
                 dM = g[0] * M[0] + g[1] * M[1] + (f0 * dM[0] + f1 * dM[1])
             M = f0 * M[0] + f1 * M[1]
+            if angle:
+                path.append(M)
 
     def points_first(A):
         A = np.broadcast_to(A, (2, columns, z.size))
         return np.moveaxis(A, -1, 0).astype(dtype, order="C").reshape(shape)
 
-    return points_first(M), points_first(dM) if derivative else None
+    phi = None
+    if angle:
+        half = np.floor(d * np.sqrt(det) * np.abs(z) / np.pi)
+        theta = (np.array(path)[:, :, 0] * [[1.0], [1j]]).sum(axis=1)  # theta_plus + i theta_minus
+        turn = -np.sign(z) * np.angle(theta[1:] * np.conj(theta[:-1]) * (-1.0) ** half)
+        turn[turn < -0.5 * np.pi] += 2.0 * np.pi
+        phi = (-np.sign(z) * np.sum(np.pi * half + turn, axis=0)).reshape(shape[:-2])
+    return points_first(M), points_first(dM) if derivative else None, phi
 
 
 def transfer_entries(H: Hamiltonian, r: float, z: np.ndarray) -> np.ndarray:
@@ -236,20 +239,19 @@ def theta_and_derivative(
     ``(theta_plus, theta_minus, dtheta_plus, dtheta_minus)`` with the
     shape of ``z``.  Only the first column is propagated.
     """
-    M, dM = _propagate(H, r, z, derivative=True, columns=1)
+    M, dM, _ = _propagate(H, r, z, derivative=True, columns=1)
     # [()] turns the 0-d results of a scalar z into scalars
     return M[..., 0, 0][()], M[..., 1, 0][()], dM[..., 0, 0][()], dM[..., 1, 0][()]
 
 
 def det_residual(H: Hamiltonian, z) -> float:
-    """Largest ``|det M(ell, z) - 1|`` over the spectral parameters ``z``.
+    """Largest ``|det M(ell, z) - 1| / (1 + |M|^2)`` over the spectral parameters ``z``.
 
     The exact segment factors have unit determinant, so this measures the
-    roundoff drift of one propagation to the endpoint.
+    drift of one propagation to the endpoint, by the rule that
+    :class:`~canspec.model.TransferMatrix` applies.
     """
-    M = transfer_entries(H, H.ell, np.asarray(z))
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return float(np.max(np.abs(det - 1.0))) if det.size else 0.0
+    return float(np.max(_det_drift(transfer_entries(H, H.ell, np.asarray(z))), initial=0.0))
 
 
 def exponential_type(H: Hamiltonian, r: float | None = None) -> float:
@@ -283,16 +285,15 @@ def type_inverse(H: Hamiltonian, s: float) -> float:
 
 
 #: Refinement passes before :func:`find_zeros` gives up; plain bisection would
-#: take ``log2(step / 1e-14)``, 45 at the default step of a type-pi weight.
+#: take ``log2(step / 1e-14)``, 45 at the scan step of a type-pi weight.
 _REFINE_PASSES = 64
 
 #: Scan values in the interpolant that seeds each bracket of :func:`find_zeros`,
-#: half of them on each side.  ``theta_minus(ell, .)`` is entire of exponential
-#: type ``tau`` and the default scan samples it at four times the Nyquist rate,
-#: so the interpolant converges geometrically: on a 1000-segment smooth weight
-#: the largest seed error over the 398 brackets away from the window ends is
-#: 1.5e-2 at the secant point and 9.5e-9 with 16 values (5.3e-6 at an end,
-#: where the stencil is one-sided).
+#: half on each side.  The scan samples the entire ``theta_minus(ell, .)`` at
+#: four times the Nyquist rate of its type, so the interpolant converges
+#: geometrically: on a 1000-segment smooth weight the largest seed error over the
+#: 398 inner brackets is 1.5e-2 at the secant point and 9.5e-9 with 16 values
+#: (5.3e-6 at an end, where the stencil is one-sided).
 _SEED_STENCIL = 16
 
 
@@ -304,7 +305,7 @@ def _interpolated_seeds(grid, vals, left, secant):
     shifted inside the grid at its ends (all points if the grid is shorter).
     The barycentric Lagrange interpolant through them, with the equispaced
     weights ``(-1)^j binom(m - 1, j)``, takes six Newton steps from the
-    secant point (two already reach roundoff at the default scan step), its
+    secant point (two already reach roundoff at the scan step), its
     derivative from the same barycentric sums (Berrut & Trefethen, SIAM
     Rev. 46, 2004).  A root that is not finite or not inside its open
     bracket falls back to the secant point.
@@ -336,9 +337,24 @@ def _median(values: np.ndarray) -> float:
     return float(part[n // 2] if n % 2 else 0.5 * (part[n // 2 - 1] + part[n // 2]))
 
 
-def find_zeros(
-    H: Hamiltonian, window: float, step: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _zero_count(H: Hamiltonian, window: float) -> tuple[int, int]:
+    """Bounds ``(low, high)`` on the number of zeros of ``theta_minus(ell, .)`` in ``[-W, W]``.
+
+    The Prüfer angle ``phi(ell, z)`` is 0 at ``z = 0``, strictly monotone in
+    ``z`` (``d phi/dz = -int theta^T H theta / |theta(ell)|^2``) and a
+    multiple of ``pi`` exactly at the zeros (Bailey, Everitt & Zettl,
+    SLEIGN2, ACM TOMS 27, 2001), so ``floor(|phi(-W)| / pi) + floor(|phi(W)|
+    / pi) + 1`` zeros lie in the window.  Zeros can sit on its edges (the free
+    weight's at ``+-200``), so each end counts ``|phi| -+ 1e-9 (1 + |phi|)``,
+    far above the angle's roundoff (below ``2e-16 |phi|`` on the benchmark
+    weights) and the ``1e-12`` slack of an edge zero in :func:`find_zeros`.
+    """
+    phi = np.abs(_propagate(H, H.ell, np.array([-window, window]), columns=1, angle=True)[2])
+    ends = (np.maximum(np.floor((phi + e * (1.0 + phi)) / np.pi), 0.0) for e in (-1e-9, 1e-9))
+    return tuple(int(np.sum(n)) + 1 for n in ends)
+
+
+def find_zeros(H: Hamiltonian, window: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All real zeros of ``theta_minus(ell, .)`` in ``[-window, window]``.
 
     Returns ``(zeros, theta_plus, dtheta_minus)``: the sorted zeros and,
@@ -346,31 +362,26 @@ def find_zeros(
     ``theta_minus(ell, .)``, bitwise what :func:`theta_and_derivative`
     gives at the returned zeros.
 
-    A sign-change scan brackets each root and seeds it at the root of a
-    local interpolant of the scan values (see :func:`_interpolated_seeds`);
-    ``step`` must stay below ``pi / (2 * type)``.  That skips no crossing
-    unless a segment is rank one: next to one, zeros can pair up closer than
-    the step, and the scan silently misses both (see the exact zero count on
-    ROADMAP.md).  The scan is the one-column pass of :func:`_propagate`,
-    whose factors come from phase tables, about ``2 sqrt(n)`` exponentials
-    per segment for ``n`` scan points.  It agrees with
+    A sign-change scan at step ``pi / (4 type)``, the one-column pass of
+    :func:`_propagate`, brackets the roots; it agrees with
     :func:`transfer_entries` within ``4 eps (segments + type * window)`` of
     ``max |theta_minus|``, with equal signs wherever ``|theta_minus|``
-    exceeds ``1e-9`` of its median (tested).
-    Each pass then propagates ``theta_minus`` and its z-derivative once at
-    the roots still moving; the sign shrinks each bracket, and a Newton
-    step that would leave it becomes the bracket midpoint.  Zeros found on
-    the scan grid and the origin (always included) keep the fixed bracket
-    ``x +- step``.  A root drops out of the passes once its Newton
-    correction is below ``1e-14 (1 + |x|)``; after ``_REFINE_PASSES`` passes
-    with roots still moving it raises :class:`NumericalError`.  Each root
-    keeps the values of its last evaluation, and only the roots that the
-    final Newton step moved are propagated once more.
+    exceeds ``1e-9`` of its median (tested).  Each bracket is seeded by
+    :func:`_interpolated_seeds`, then each pass propagates ``theta_minus``
+    and its z-derivative once at the roots still moving: the sign shrinks
+    each bracket, and a Newton step that would leave it becomes the bracket
+    midpoint.  Zeros on the scan grid and the origin (always included) keep
+    the bracket ``x +- step``.  A root stops once its Newton correction is
+    below ``1e-14 (1 + |x|)``; roots still moving after ``_REFINE_PASSES``
+    passes raise :class:`NumericalError`.  Each root keeps the values of its
+    last evaluation, and only the roots that the final Newton step moved are
+    propagated once more.
 
-    A weight of type 0 (every segment rank one) makes ``theta_minus`` a
-    polynomial in ``z`` whose zeros no scan step is known to separate, and
-    a window too wide for a finite scan grid at ``step`` is rejected too;
-    both raise :class:`ValidationError`.
+    The scan misses zeros that pair up closer than its step, as next to
+    rank-one segments, so a count outside the bounds of :func:`_zero_count`
+    raises :class:`NumericalError` naming both.  A weight of type 0, whose
+    ``theta_minus`` is a polynomial, and a window too wide for a finite scan
+    grid raise :class:`ValidationError`.
     """
     if not 0.0 < window < np.inf:
         raise ValidationError(f"window={window!r} must be positive and finite")
@@ -378,21 +389,11 @@ def find_zeros(
     lam = exponential_type(H, ell)
     if not lam > 0.0:
         raise ValidationError("weight has exponential type 0 (every segment is rank one)")
-    max_step = np.pi / (2.0 * lam)
-    if step is None:
-        step = 0.5 * max_step
-    if not 0.0 < step < np.inf:
-        raise ValidationError(f"scan step {step!r} must be positive and finite")
-    if step > max_step * (1 + 1e-9):
-        raise ValidationError(
-            f"scan step {step!r} exceeds pi/(2*type)={max_step!r}; zeros could be skipped"
-        )
-
+    step = np.pi / (4.0 * lam)
     count = np.ceil(2 * window / step)
     if not np.isfinite(count):
         raise ValidationError(f"window={window!r} over step={step!r} is not a finite scan")
-    n = int(count) + 1
-    grid = np.linspace(-window, window, n)
+    grid = np.linspace(-window, window, int(count) + 1)
     vals = _propagate(H, ell, grid, columns=1)[0][:, 1, 0]
 
     scale = max(_median(np.abs(vals)), 1e-300)
@@ -445,17 +446,16 @@ def find_zeros(
     if np.any(moved):
         tp[moved], _, _, dm[moved] = theta_and_derivative(H, ell, pos[moved])
 
-    gaps = np.diff(pos)
-    if gaps.size and np.max(gaps) > 1.5 * np.pi / lam:
-        warnings.warn(
-            "consecutive zeros further apart than 1.5*pi/type; scan step may be too coarse",
-            RuntimeWarning,
-            stacklevel=2,
+    low, high = _zero_count(H, window)
+    if not low <= pos.size <= high:
+        raise NumericalError(
+            f"the Prüfer angle counts {low if low == high else f'{low} to {high}'} zeros in "
+            f"[-{window:g}, {window:g}] and the scan found {pos.size}: it missed close zeros"
         )
     return pos, tp, dm
 
 
-def spectral_measure(H: Hamiltonian, window: float, step: float | None = None) -> SpectralMeasure:
+def spectral_measure(H: Hamiltonian, window: float) -> SpectralMeasure:
     """Principal spectral measure of the system, truncated to a window.
 
     Atoms sit at the real zeros of ``theta_minus(ell, .)``; each mass is
@@ -469,7 +469,7 @@ def spectral_measure(H: Hamiltonian, window: float, step: float | None = None) -
             "boundary segment proportional to the lower-right rank-one matrix; "
             "the measure atoms are not defined for such weights"
         )
-    zeros, tp, dm = find_zeros(H, window, step)
+    zeros, tp, dm = find_zeros(H, window)
     masses = -np.pi / (tp * dm)
     if np.any(masses <= 0):
         bad = zeros[masses <= 0]

@@ -357,6 +357,16 @@ class SpectralMeasure:
         return lattices
 
 
+def _det_drift(M: np.ndarray) -> np.ndarray:
+    """``|det M - 1| / (1 + |M|^2)`` (Frobenius norm) of 2x2 matrices ``M[..., :, :]``.
+
+    The roundoff of ``det M`` is ``eps |M|^2``, and ``|M|`` grows like a power
+    of ``|z|`` next to rank-one segments.
+    """
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return np.abs(det - 1.0) / (1.0 + np.sum(np.abs(M) ** 2, axis=(-2, -1)))
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """Fundamental 2x2 solution matrix at ``(r, z)`` with unit determinant."""
@@ -369,11 +379,10 @@ class TransferMatrix:
         m = np.asarray(self.entries, dtype=complex).copy()
         if m.shape != (2, 2):
             raise ValidationError("transfer matrix must be 2x2")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        norm2 = float(np.sum(np.abs(m) ** 2))
-        if abs(det - 1.0) > DET_TOL * (1.0 + norm2):
+        drift = float(_det_drift(m))
+        if drift > DET_TOL:
             raise InvariantViolation(
-                f"transfer matrix determinant drifted: |det-1|={abs(det - 1.0):.3e}"
+                f"transfer matrix determinant drifted: |det-1|/(1+|M|^2)={drift:.3e}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)

@@ -35,6 +35,7 @@ __all__ = [
     "roundtrip",
     "kernel_identity_check",
     "trace_identity_check",
+    "chain_data",
     "NonPWReport",
     "nonpw_example",
     "diag_necessary_condition",
@@ -214,6 +215,21 @@ def kernel_identity_check(H: Hamiltonian, mu: SpectralMeasure, s: float, w: comp
 _TAIL_SPAN = 128.0
 
 
+def _weight_integral(H: Hamiltonian, r: float) -> np.ndarray:
+    """``int_0^r H``, exact for a piecewise-constant weight."""
+    eff = np.clip(np.minimum(H.edges[1:], r) - H.edges[:-1], 0.0, None)
+    return np.einsum("n,nij->ij", eff, H.matrices)
+
+
+def chain_data(H: Hamiltonian, s: float) -> np.ndarray:
+    """Exact slice data ``int_0^zeta H`` at the chain point ``zeta = type_inverse(H, s)``.
+
+    The inverse pipeline's slice at bandwidth ``s`` estimates this 2x2
+    matrix: ``sine_at_zero`` its ``(0, 0)`` entry and ``norms / pi`` all of it.
+    """
+    return _weight_integral(H, forward.type_inverse(H, s))
+
+
 def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.ndarray:
     """Residuals of the three integrated-weight identities at position ``r``.
 
@@ -225,8 +241,7 @@ def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.nd
     free model at the exponential type of ``[0, r]``, summed to infinity
     in closed form by :func:`~canspec.inverse.lattice_tail_sums`.
     """
-    eff = np.clip(np.minimum(H.edges[1:], r) - H.edges[:-1], 0.0, None)
-    lhs = np.einsum("n,nij->ij", eff, H.matrices)
+    lhs = _weight_integral(H, r)
 
     def components(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tp, tm, dp, dm = forward.theta_and_derivative(H, r, ts)

@@ -107,6 +107,17 @@ class TestForwardCommand:
         assert "beyond window 1 " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missed_zeros_exit_3(self, tmp_path, capsys):
+        # [I, diag(2, 0), I]: the scan finds 5 of the 25 zeros in [-20, 20]
+        eye = np.eye(2)
+        path = tmp_path / "rank_one_inside.json"
+        H = Hamiltonian.from_lengths([1, 0.5, 1], [eye, np.diag([2.0, 0.0]), eye])
+        path.write_text(dumps_hamiltonian(H))
+        out = tmp_path / "out"
+        assert main(["forward", "--in", str(path), "--window", "20", "--out-dir", str(out)]) == 3
+        assert "counts 25 zeros" in capsys.readouterr().err
+        assert not (out / "measure.json").exists()
+
     def test_cold_start_loads_no_scipy(self, step_h_file, tmp_path):
         # a fresh interpreter: the test process has SciPy loaded already
         script = (
@@ -530,9 +541,6 @@ class TestZeroBandwidthExit2:
         [
             pytest.param(["forward", "--window", "nan"], id="forward-window-nan"),
             pytest.param(["forward", "--window", "-5"], id="forward-window-negative"),
-            pytest.param(["forward", "--step", "nan"], id="forward-step-nan"),
-            pytest.param(["forward", "--step", "0"], id="forward-step-zero"),
-            pytest.param(["forward", "--step", "-0.1"], id="forward-step-negative"),
             pytest.param(["roundtrip", "--window", "inf"], id="roundtrip-window-inf"),
             pytest.param(["inverse", *_INVERSE, "--bandwidth", "nan"], id="inverse-bandwidth-nan"),
             pytest.param(["inverse", *_INVERSE, "--bandwidth", "inf"], id="inverse-bandwidth-inf"),

@@ -113,6 +113,22 @@ class TestTraceIdentities:
             assert np.max(res) < 1e-3
 
 
+class TestChainData:
+    def test_free_weight_is_s_times_identity(self):
+        H = Hamiltonian.identity(np.pi)
+        for s in (0.0, 0.3, 2.0, np.pi):
+            np.testing.assert_allclose(oracles.chain_data(H, s), s * np.eye(2), rtol=0, atol=1e-15)
+
+    def test_step_at_its_type_is_the_whole_integral(self, step_hamiltonian):
+        H = step_hamiltonian
+        whole = np.einsum("n,nij->ij", H.lengths, H.matrices)
+        got = oracles.chain_data(H, forward.exponential_type(H))
+        np.testing.assert_allclose(got, whole, rtol=1e-15, atol=0)
+        # the first segment, of type sqrt(det) * length, ends at its chain point
+        first = oracles.chain_data(H, np.sqrt(H.determinants()[0]) * H.lengths[0])
+        np.testing.assert_allclose(first, H.lengths[0] * H.matrices[0], rtol=1e-14, atol=0)
+
+
 class TestNonPwExample:
     def test_partial_products_closed_form(self):
         rep = oracles.nonpw_example(0.1, 6)
