@@ -1,10 +1,10 @@
 """Direct spectral problem for piecewise-constant canonical systems.
 
-The first-order system ``J X' = z H X`` with a constant 2x2 weight on a
-segment has the exact propagator ``exp(d * A)`` with ``A = -z J H``.
-Since ``A`` is traceless, the exponential reduces to two entire scalar
-functions of ``delta = z**2 det(H) d**2``, which keeps the propagation
-spectrally exact at arbitrary ``|z|`` and preserves the determinant.
+On a segment of constant weight, ``J X' = z H X`` has the exact propagator
+``exp(-z d J H)``; its exponent is traceless, so it reduces to two entire
+scalar functions of ``delta = z**2 det(H) d**2``, exact at any ``|z|`` and
+with determinant 1.  One such pass over a real grid brackets the zeros of
+``theta_minus(ell, .)``, the atoms of the spectral measure, and counts them.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -110,9 +110,9 @@ _BLOCK_PAIRS = 4096
 
 
 def _propagate(
-    H: Hamiltonian, r: float, z, derivative: bool = False, columns: int = 2, angle: bool = False
+    H: Hamiltonian, r: float, z, derivative: bool = False, columns: int = 2
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Segment product ``M(r, z)`` and, on request, ``dM/dz`` and the Prüfer angle.
+    """Segment product ``M(r, z)``, on request ``dM/dz``, and the scan's zero counts.
 
     A segment of length ``d`` inside ``[0, r]`` contributes the exact factor
     ``F = C I + s K``, ``K = -J H``, with ``C = cos(omega z)``, ``s =
@@ -128,6 +128,13 @@ def _propagate(
     of ``n`` cosines and ``n`` sines, each off by the roundoff of its
     argument plus the grid's deviation from uniform, at most ``4 eps max|z|``.
 
+    The scan also returns Sturm's counts of the zeros of ``theta_minus(r,
+    .)`` from 0 to its ends ``z[0]``, ``z[-1]`` (Bailey, Everitt & Zettl,
+    SLEIGN2, ACM TOMS 27, 2001): a segment turns ``theta`` by ``floor(omega
+    |z| / pi)`` half-turns and less than one more, which crosses
+    ``theta_minus = 0`` where its sign before, flipped per half-turn and
+    nonzero, differs from its sign after.
+
     The factors are evaluated for blocks of at most ``_BLOCK_PAIRS``
     segment-point pairs in a few array operations; the cap bounds memory
     (all segments at once raised a 1000-segment spectral measure's peak from
@@ -136,15 +143,8 @@ def _propagate(
     the 2x2 product written out; ``columns`` is 1 for the scan and
     :func:`theta_and_derivative`, which read only the first column ``theta``.
 
-    ``angle`` (real ``z``) carries the Prüfer angle of ``theta`` (see
-    :func:`_zero_count`): a segment adds ``pi floor(omega |z| / pi)`` (0 on
-    rank one) and the turn from ``(-1)^k theta`` before it to ``theta`` after
-    it, one ``atan2`` in the turn's direction, in ``[0, pi)`` as a rank-one
-    shear's turn is; roundoff near ``pi`` wraps it to near ``-pi``, where
-    ``2 pi`` is added back.  It keeps ``theta`` after every segment: few points.
-
     Returns ``M`` of shape ``z.shape + (2, columns)`` (real for real ``z``),
-    then ``dM`` and the angle (shape ``z.shape``), each ``None`` unless asked.
+    then ``dM`` if asked and the two counts from the scan, else ``None``.
     """
     z = np.asarray(z)
     shape = z.shape + (2, columns)
@@ -157,6 +157,8 @@ def _propagate(
         spread = np.abs(z - (z[::run, None] + (z[:run] - z[0])).reshape(-1)[: z.size])
         if dtype is complex or np.any(spread > 4 * np.finfo(float).eps * np.max(np.abs(z))):
             raise ValueError("the one-column scan pass needs a uniform real grid")
+        # theta_minus at the two ends, from theta = (1, 0) and after each segment
+        edges, ends = np.array([0, z.size - 1]), [np.zeros(2)]
     lengths = _effective_lengths(H, r)
     # the segments reached by r are a prefix, each of positive length
     n = int(np.count_nonzero(lengths > 0))
@@ -173,7 +175,6 @@ def _propagate(
     # M[i, k] is entry (i, k) as an array over the points
     M = np.eye(2)[:, :columns, None]
     dM = np.zeros_like(M)
-    path = [np.broadcast_to(M, (2, columns, z.size))] if angle else None
     rows = max(1, _BLOCK_PAIRS // max(z.size, 1))
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
@@ -192,21 +193,19 @@ def _propagate(
             if g:
                 dM = g[0] * M[0] + g[1] * M[1] + (f0 * dM[0] + f1 * dM[1])
             M = f0 * M[0] + f1 * M[1]
-            if angle:
-                path.append(M)
+            if tables:
+                ends.append(M[1, 0, edges])
 
     def points_first(A):
         A = np.broadcast_to(A, (2, columns, z.size))
         return np.moveaxis(A, -1, 0).astype(dtype, order="C").reshape(shape)
 
-    phi = None
-    if angle:
-        half = np.floor(d * np.sqrt(det) * np.abs(z) / np.pi)
-        theta = (np.array(path)[:, :, 0] * [[1.0], [1j]]).sum(axis=1)  # theta_plus + i theta_minus
-        turn = -np.sign(z) * np.angle(theta[1:] * np.conj(theta[:-1]) * (-1.0) ** half)
-        turn[turn < -0.5 * np.pi] += 2.0 * np.pi
-        phi = (-np.sign(z) * np.sum(np.pi * half + turn, axis=0)).reshape(shape[:-2])
-    return points_first(M), points_first(dM) if derivative else None, phi
+    counts = None
+    if tables:
+        half, sign = np.floor(omega * np.abs(z[edges]) / np.pi), np.sign(ends)
+        before = sign[:-1] * (-1.0) ** half
+        counts = np.sum(half + ((before != sign[1:]) & (before != 0)), axis=0).astype(int)
+    return points_first(M), points_first(dM) if derivative else None, counts
 
 
 def transfer_entries(H: Hamiltonian, r: float, z: np.ndarray) -> np.ndarray:
@@ -328,30 +327,20 @@ def _interpolated_seeds(grid, vals, left, secant):
     return np.where(inside, t, secant)
 
 
-def _median(values: np.ndarray) -> float:
-    """Bitwise ``np.median`` of a nonempty 1-d array, NaN included, without ``numpy.ma``."""
-    n = values.size
-    part = np.partition(values, [(n - 1) // 2, n // 2, -1])
-    if np.isnan(part[-1]):
-        return float("nan")
-    return float(part[n // 2] if n % 2 else 0.5 * (part[n // 2 - 1] + part[n // 2]))
+def _scan(H: Hamiltonian, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``theta_minus(ell, .)`` on a scan grid symmetric about 0, and its zeros.
 
-
-def _zero_count(H: Hamiltonian, window: float) -> tuple[int, int]:
-    """Bounds ``(low, high)`` on the number of zeros of ``theta_minus(ell, .)`` in ``[-W, W]``.
-
-    The Prüfer angle ``phi(ell, z)`` is 0 at ``z = 0``, strictly monotone in
-    ``z`` (``d phi/dz = -int theta^T H theta / |theta(ell)|^2``) and a
-    multiple of ``pi`` exactly at the zeros (Bailey, Everitt & Zettl,
-    SLEIGN2, ACM TOMS 27, 2001), so ``floor(|phi(-W)| / pi) + floor(|phi(W)|
-    / pi) + 1`` zeros lie in the window.  Zeros can sit on its edges (the free
-    weight's at ``+-200``), so each end counts ``|phi| -+ 1e-9 (1 + |phi|)``,
-    far above the angle's roundoff (below ``2e-16 |phi|`` on the benchmark
-    weights) and the ``1e-12`` slack of an edge zero in :func:`find_zeros`.
+    Returns the values, their points on a zero (``|theta_minus| <= 1e-9
+    |theta|``) and bounds ``(low, high)`` on the zeros in the grid's span:
+    the origin plus the Sturm counts ``N`` of :func:`_propagate` at the ends,
+    which count an end on a zero iff ``sign theta_plus = (-1)^N`` there.
     """
-    phi = np.abs(_propagate(H, H.ell, np.array([-window, window]), columns=1, angle=True)[2])
-    ends = (np.maximum(np.floor((phi + e * (1.0 + phi)) / np.pi), 0.0) for e in (-1e-9, 1e-9))
-    return tuple(int(np.sum(n)) + 1 for n in ends)
+    M, _, counts = _propagate(H, H.ell, grid, columns=1)
+    tp, tm = M[:, 0, 0], M[:, 1, 0]
+    on_zero = np.abs(tm) <= 1e-9 * np.hypot(tp, tm)
+    edge = on_zero[[0, -1]]
+    low = int(np.sum(counts) - np.sum(edge & (tp[[0, -1]] * (-1.0) ** counts > 0))) + 1
+    return tm, on_zero, low, low + int(np.sum(edge))
 
 
 def find_zeros(H: Hamiltonian, window: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -362,24 +351,23 @@ def find_zeros(H: Hamiltonian, window: float) -> tuple[np.ndarray, np.ndarray, n
     ``theta_minus(ell, .)``, bitwise what :func:`theta_and_derivative`
     gives at the returned zeros.
 
-    A sign-change scan at step ``pi / (4 type)``, the one-column pass of
-    :func:`_propagate`, brackets the roots; it agrees with
-    :func:`transfer_entries` within ``4 eps (segments + type * window)`` of
-    ``max |theta_minus|``, with equal signs wherever ``|theta_minus|``
-    exceeds ``1e-9`` of its median (tested).  Each bracket is seeded by
+    The sign changes of :func:`_scan` at step ``pi / (4 type)`` bracket the
+    roots, the origin among them (``d theta_minus/dz = -int h11 < 0`` there);
+    the scan agrees with :func:`transfer_entries` within ``4 eps (segments +
+    type * window)`` of ``max |theta_minus|``, with equal signs wherever
+    ``|theta_minus| > 1e-9 |theta|`` (tested).  Each bracket is seeded by
     :func:`_interpolated_seeds`, then each pass propagates ``theta_minus``
     and its z-derivative once at the roots still moving: the sign shrinks
     each bracket, and a Newton step that would leave it becomes the bracket
-    midpoint.  Zeros on the scan grid and the origin (always included) keep
-    the bracket ``x +- step``.  A root stops once its Newton correction is
-    below ``1e-14 (1 + |x|)``; roots still moving after ``_REFINE_PASSES``
-    passes raise :class:`NumericalError`.  Each root keeps the values of its
-    last evaluation, and only the roots that the final Newton step moved are
-    propagated once more.
+    midpoint (``x +- step`` for a grid point on a zero).  A root stops once
+    its Newton correction is below ``1e-14 (1 + |x|)``; roots still moving
+    after ``_REFINE_PASSES`` passes raise :class:`NumericalError`.  Each
+    root keeps the values of its last evaluation, and only the roots that
+    the final Newton step moved are propagated once more.
 
     The scan misses zeros that pair up closer than its step, as next to
-    rank-one segments, so a count outside the bounds of :func:`_zero_count`
-    raises :class:`NumericalError` naming both.  A weight of type 0, whose
+    rank-one segments, so a count outside its Sturm bounds raises
+    :class:`NumericalError` naming both.  A weight of type 0, whose
     ``theta_minus`` is a polynomial, and a window too wide for a finite scan
     grid raise :class:`ValidationError`.
     """
@@ -394,16 +382,12 @@ def find_zeros(H: Hamiltonian, window: float) -> tuple[np.ndarray, np.ndarray, n
     if not np.isfinite(count):
         raise ValidationError(f"window={window!r} over step={step!r} is not a finite scan")
     grid = np.linspace(-window, window, int(count) + 1)
-    vals = _propagate(H, ell, grid, columns=1)[0][:, 1, 0]
-
-    scale = max(_median(np.abs(vals)), 1e-300)
-    on_zero = np.abs(vals) <= 1e-9 * scale
-
+    vals, on_zero, low, high = _scan(H, grid)
     sign = np.sign(vals)
     left = np.flatnonzero((sign[:-1] * sign[1:] < 0) & ~on_zero[:-1] & ~on_zero[1:])
     lo, hi = grid[left], grid[left + 1]
     flo, fhi = vals[left], vals[left + 1]
-    fixed = np.concatenate([grid[on_zero], [0.0]])
+    fixed = grid[on_zero]
     seeds = _interpolated_seeds(grid, vals, left, lo - flo * (hi - lo) / (fhi - flo))
     x = np.concatenate([seeds, fixed])
     lo = np.concatenate([lo, fixed - step])
@@ -436,9 +420,6 @@ def find_zeros(H: Hamiltonian, window: float) -> tuple[np.ndarray, np.ndarray, n
     zeros[np.abs(zeros) < ZERO_ATOM_TOL] = 0.0
     keep = np.flatnonzero(np.abs(zeros) <= window * (1 + 1e-12))
     keep = keep[np.argsort(zeros[keep])]
-    # the origin is the only root found twice, and both copies are exactly 0;
-    # deduplicated here as np.unique would (it imports numpy.ma)
-    keep = keep[np.append(True, zeros[keep][1:] != zeros[keep][:-1])]
     pos, tp, dm = zeros[keep], tp[keep], dm[keep]
     # the kernel's value at a point does not depend on the other points of
     # the call, so this equals a propagation at every returned zero
@@ -446,11 +427,10 @@ def find_zeros(H: Hamiltonian, window: float) -> tuple[np.ndarray, np.ndarray, n
     if np.any(moved):
         tp[moved], _, _, dm[moved] = theta_and_derivative(H, ell, pos[moved])
 
-    low, high = _zero_count(H, window)
     if not low <= pos.size <= high:
         raise NumericalError(
-            f"the Prüfer angle counts {low if low == high else f'{low} to {high}'} zeros in "
-            f"[-{window:g}, {window:g}] and the scan found {pos.size}: it missed close zeros"
+            f"the scan counts {low if low == high else f'{low} to {high}'} zeros in [-{window:g}, "
+            f"{window:g}] by Sturm's rule and found {pos.size}: it missed close zeros"
         )
     return pos, tp, dm
 

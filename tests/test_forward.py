@@ -272,13 +272,16 @@ class TestScan:
     def test_scan_matches_transfer_entries(self, name, window, wide_workload):
         H = scan_weight(name, wide_workload)
         grid = scan_grid(H, window)
-        M, dM, phi = forward._propagate(H, H.ell, grid, columns=1)
-        assert M.shape == (grid.size, 2, 1) and dM is None and phi is None
+        M, dM, counts = forward._propagate(H, H.ell, grid, columns=1)
+        assert M.shape == (grid.size, 2, 1) and dM is None
+        # the Sturm counts at the two ends of the grid
+        assert counts.shape == (2,) and counts.dtype.kind == "i" and np.all(counts >= 0)
         scan = M[:, 1, 0]
-        ref = forward.transfer_entries(H, H.ell, grid)[..., 1, 0]
+        ref = forward.transfer_entries(H, H.ell, grid)
+        tp, ref = ref[:, 0, 0], ref[:, 1, 0]
         size = np.max(np.abs(ref))
         assert np.max(np.abs(scan - ref)) <= 4.0 * roundoff_scale(H, window) * size
-        clear = np.abs(ref) > 1e-9 * np.median(np.abs(ref))
+        clear = np.abs(ref) > 1e-9 * np.hypot(tp, ref)
         assert np.array_equal(np.sign(scan[clear]), np.sign(ref[clear]))
 
     @pytest.mark.parametrize(
@@ -400,6 +403,17 @@ class TestFindZeros:
         zeros, _, _ = forward.find_zeros(step_hamiltonian, 3.0)
         assert 0.0 in zeros
 
+    @pytest.mark.parametrize("window, n", [(20.1, 41), (200.1, 401)])
+    def test_origin_between_grid_points(self, window, n):
+        # an odd number of scan cells: the origin is inside a sign change, not
+        # a grid point, and the scan finds it like any other zero
+        H = Hamiltonian.identity(np.pi)
+        assert 0.0 not in scan_grid(H, window)
+        mu = forward.spectral_measure(H, window)
+        assert mu.positions.size == n and np.count_nonzero(mu.positions == 0.0) == 1
+        np.testing.assert_allclose(mu.positions, np.arange(n) - n // 2, rtol=0, atol=1e-12)
+        assert np.array_equal(mu.masses, np.full(n, 1.0))
+
     @pytest.mark.parametrize("seed, segments", [(0, 50), (1, 120), (2, 200)])
     def test_matches_bisection_reference(self, seed, segments):
         H = smooth_weight(seed, segments)
@@ -413,8 +427,8 @@ class TestFindZeros:
         # interpolated seeds and per-root stopping keep the derivative passes near
         # two points per zero (five before them).  The scan carries one column,
         # and its phase tables take at most 2 ceil(sqrt(n)) + 2 phases per segment
-        # where cosines and sines would take 2 n.  The zero count adds one
-        # two-point pass at +-window
+        # where cosines and sines would take 2 n.  It also counts the zeros, so
+        # it is the only pass without the derivative
         H = smooth_weight(3, 200)
         joint_passes = {"calls": 0, "points": 0}
         evaluated = [0]
@@ -435,11 +449,11 @@ class TestFindZeros:
 
                 return counted
 
-        def plain_pass(H, r, z, derivative=False, columns=2, angle=False):
+        def plain_pass(H, r, z, derivative=False, columns=2):
             before = evaluated[0]
-            out = propagate(H, r, z, derivative, columns, angle)
+            out = propagate(H, r, z, derivative, columns)
             if not derivative:
-                scans.append((columns, np.size(z), evaluated[0] - before, angle))
+                scans.append((columns, np.size(z), evaluated[0] - before))
             return out
 
         def count(*args):
@@ -451,10 +465,9 @@ class TestFindZeros:
         monkeypatch.setattr(forward, "_propagate", plain_pass)
         monkeypatch.setattr(forward, "theta_and_derivative", count)
         zeros, _, _ = forward.find_zeros(H, 60.0)
-        assert [scan[3] for scan in scans] == [False, True]
-        assert scans[1][:2] == (1, 2)
-        columns, n, phases, _ = scans[0]
-        assert columns == 1
+        assert len(scans) == 1
+        columns, n, phases = scans[0]
+        assert columns == 1 and n == scan_grid(H, 60.0).size
         assert phases <= (2 * int(np.ceil(np.sqrt(n))) + 2) * H.nsegments
         assert joint_passes["calls"] <= 6
         assert joint_passes["points"] <= 2.5 * zeros.size
@@ -516,6 +529,8 @@ def count_weight(name, workloads):
     if name == "alternation":
         # twelve unit segments, I and diag(2, 0) in turn
         return Hamiltonian.from_lengths([1.0] * 12, [I, rank_one] * 6)
+    if name.startswith("free-"):
+        return Hamiltonian.identity(float(name[5:]))
     if name == "gap":
         # its largest zero gap at window 200 is 1.543 pi/type, and no zero is missed
         tilted = np.array([[0.55241224, 0.2873928], [0.2873928, 0.81546721]])
@@ -525,14 +540,17 @@ def count_weight(name, workloads):
 
 
 class TestZeroCount:
-    """The Prüfer-angle count of the zeros in the window certifies ``find_zeros``."""
+    """The Sturm count of the scan certifies ``find_zeros``."""
 
     # counts checked against a sign count at step pi/(64 type) and, on the
-    # rank-one weights, at step 1e-3
+    # rank-one weights, at step 1e-3; the free weights' zeros are the multiples
+    # of pi/ell
     @pytest.mark.parametrize(
         "name, window, count",
         [
             ("free", 200.0, 401),
+            ("free-1", 200.0 * np.pi, 401),
+            ("free-2.5", 300.0, 477),
             ("step", 200.0, 255),
             ("smooth-1000", 200.0, 400),
             ("wide", 400.0, 800),
@@ -542,10 +560,30 @@ class TestZeroCount:
         ],
     )
     def test_count(self, name, window, count, wide_workload):
-        low, high = forward._zero_count(count_weight(name, wide_workload), window)
-        # the free weight's atoms at +-200 sit on the window edges, where the
-        # angle is a multiple of pi to roundoff: each edge may count or not
-        assert (low, high) == ((count - 2, count) if name == "free" else (count, count))
+        H = count_weight(name, wide_workload)
+        low, high = forward._scan(H, scan_grid(H, window))[2:]
+        # the atoms of free pi at +-200 and free 1 at +-200 pi sit on the window
+        # edges, where theta_minus vanishes to roundoff: each edge may count or not
+        edges = 2 if name in ("free", "free-1") else 0
+        assert (low, high) == (count - edges, count)
+
+    @pytest.mark.parametrize("k, raw", [(5, 9), (6, 13)])
+    def test_window_edge_on_a_zero(self, step_hamiltonian, k, raw):
+        # the step's zeros are the multiples of pi/2, so both edges of the window
+        # k pi/2 are on a zero; their Sturm counts include them at k = 6 and not
+        # at k = 5, and the sign of theta_plus there tells which
+        H = step_hamiltonian
+        window = float(forward.find_zeros(H, 10.0)[0][6 + k])
+        assert window == pytest.approx(k * np.pi / 2, rel=1e-15)
+        grid = scan_grid(H, window)
+        counts = forward._propagate(H, H.ell, grid, columns=1)[2]
+        assert np.sum(counts) + 1 == raw
+        # just inside and just outside the edges the counts are exact
+        below, above = (forward._scan(H, scan_grid(H, window + d))[2:] for d in (-1e-9, 1e-9))
+        assert below == (2 * k - 1,) * 2 and above == (2 * k + 1,) * 2
+        assert forward._scan(H, grid)[2:] == (2 * k - 1, 2 * k + 1)
+        zeros = forward.find_zeros(H, window)[0]
+        assert zeros.size == 2 * k + 1 and zeros[-1] == -zeros[0] == window
 
     @pytest.mark.parametrize("name, count, found", [("rank-one", 25, 5), ("alternation", 83, 39)])
     def test_missed_pairs_raise(self, name, count, found, wide_workload):
@@ -603,9 +641,9 @@ def random_weights(draw):
 
 
 #: Bound on ``forward.det_residual``, ``|det M - 1| / (1 + |M|^2)``, on the
-#: property weights.  Calibration: the largest of the 25 draws of
-#: TestFindZerosProperties that return zeros is 6.2e-15 (12 segments, |M| up to
-#: 1.3e5).  As ``|M|^2 <= 4 max|M_ij|^2``, it never allows more than 2.5e-14
+#: property weights.  Calibration: the largest of the 24 draws of
+#: TestFindZerosProperties that return zeros is 6.3e-15 (12 segments at window
+#: 5, |M| up to 952).  As ``|M|^2 <= 4 max|M_ij|^2``, it never allows more than 2.5e-14
 #: beyond the former ``max(1e-10, 1e-13 max|M_ij|^2)``, and far less at small |M|.
 DET_RESIDUAL_BOUND = 2.5e-14
 
@@ -613,29 +651,29 @@ DET_RESIDUAL_BOUND = 2.5e-14
 class TestFindZerosProperties:
     """``find_zeros`` on random weights against a dense sign count and plain bisection."""
 
-    WINDOW = 20.0
-
     # Rank-one segments put pairs of zeros closer than the scan step, and the
     # scan misses both zeros of such a pair (bisection_zeros at the scan step
-    # misses them too); the Prüfer count then raises instead.
+    # misses them too); the Sturm count then raises instead.  The window puts
+    # the origin on the scan grid or inside a sign change.
     @settings(max_examples=30)
-    @given(random_weights())
-    def test_zeros_and_masses(self, H):
+    @given(random_weights(), st.floats(5.0, 30.0))
+    def test_zeros_and_masses(self, H, window):
         assume(H.is_compatible())
-        dense = bisection_zeros(H, self.WINDOW, step=1e-3, passes=50).size
-        ref = bisection_zeros(H, self.WINDOW)
+        dense = bisection_zeros(H, window, step=1e-3, passes=50).size
+        ref = bisection_zeros(H, window)
         try:
-            zeros, tp, dm = forward.find_zeros(H, self.WINDOW)
+            zeros, tp, dm = forward.find_zeros(H, window)
         except NumericalError as exc:
             assert f"counts {dense} zeros" in str(exc) and dense > ref.size
             return
         assert zeros.size == dense == ref.size
+        assert np.count_nonzero(zeros == 0.0) == 1
         assert np.all(np.abs(zeros - ref) <= 1e-13 * (1.0 + np.abs(ref)))
         masses = -np.pi / (tp * dm)
         ref_tp, _, _, ref_dm = forward.theta_and_derivative(H, H.ell, zeros)
         assert np.all(masses > 0)
         assert np.array_equal(masses, -np.pi / (ref_tp * ref_dm))
-        probes = np.concatenate([zeros, [-self.WINDOW, self.WINDOW]])
+        probes = np.concatenate([zeros, [-window, window]])
         assert forward.det_residual(H, probes) <= DET_RESIDUAL_BOUND
 
 
