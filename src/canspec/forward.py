@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -492,8 +493,28 @@ def weyl_function(H: Hamiltonian, z: complex) -> WeylValue:
 #: largest relative error of the tail model at ``z = i`` (calibration in the README)
 TAIL_MODEL_TOL = 0.15
 
+
+def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
+    """Exact ``B_0, B_2, ..., B_2n``: entry ``k`` is ``B_2k``.
+
+    From ``sum_(k <= m) C(m + 1, k) B_k = 0`` (DLMF 24.5.3) at even ``m``,
+    with ``B_1 = -1/2`` and ``B_k = 0`` at the other odd ``k``.
+    """
+    table = [Fraction(1)]
+    for m in range(2, 2 * n + 1, 2):
+        total = 1 - Fraction(m + 1, 2)
+        for k in range(1, m // 2):
+            total += math.comb(m + 1, 2 * k) * table[k]
+        table.append(-total / (m + 1))
+    return tuple(table)
+
+
+#: ``B_2k`` for ``k = 0..25``, the one table of the asymptotic series here
+#: and of the Euler-Maclaurin corrections of :mod:`canspec.inverse`
+_BERNOULLI = _bernoulli_numbers(25)
+
 #: ``B_2k / (2k)`` for ``k = 1..7``: the terms of the digamma's asymptotic series
-_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_PSI_SERIES = tuple(float(b / (2 * k)) for k, b in enumerate(_BERNOULLI[1:8], 1))
 
 
 def _digamma(z: complex) -> complex:

@@ -8,26 +8,30 @@ position of type ``s``, the chain point.  One interpolant of the
 integrated weight over the chain points, differenced on a uniform
 position grid, gives the weight as its derivative in position.  The
 interpolant is a monotone cubic (PCHIP) written out here, equal to
-SciPy's ``PchipInterpolator`` to the bit, so that this module loads only
-``scipy.linalg`` and ``scipy.special``.
+SciPy's ``PchipInterpolator`` to the bit, and the special functions of the
+tail sums are written out too, so that this module loads only
+``scipy.linalg``.
 
 Windowed measures lose slowly decaying tails in every measure sum.  All
 sums here are completed with the free lattice model at the fitted type
 ``SpectralMeasure.type`` (atom parity fixes the sign pattern of the cosine
 data), which is exact on the free fixture and a recorded heuristic
 otherwise.  The model tails are summed to infinity in closed form: a
-Hurwitz zeta for the non-oscillating part, and a short explicit head plus
-an Euler-Maclaurin remainder for the parts oscillating at ``s`` and ``2s``.
+Hurwitz zeta ``zeta(2, q)`` (the trigamma) for the non-oscillating part,
+and a short explicit head plus an Euler-Maclaurin remainder, whose integral
+is a scaled exponential integral, for the parts oscillating at ``s`` and
+``2s``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
+from .forward import _BERNOULLI
 from .model import (
     PSD_SLACK,
     GridConfig,
@@ -55,6 +59,57 @@ __all__ = [
 _LATTICE_TERMS = 64
 _EM_ORDER = 25
 
+#: ``B_2k`` for ``k = 1..8``: the terms of the trigamma's asymptotic series
+_TRIGAMMA_SERIES = tuple(float(b) for b in _BERNOULLI[1:9])
+
+
+def _trigamma(q: float) -> float:
+    """Trigamma ``psi'(q) = zeta(2, q)`` for ``q > 0``.
+
+    The recurrence ``psi'(q) = psi'(q + 1) + 1/q^2`` (DLMF 5.15.5) moves
+    ``q`` out to ``q >= 16``, where ``psi'(q) = 1/q + 1/(2q^2) + sum_k
+    B_2k / q^(2k+1)`` (DLMF 5.15.8) is summed to eight terms; the first
+    omitted term is below ``4e-19`` of the value.
+    """
+    shift = 0.0
+    while q < 16.0:
+        shift += 1.0 / (q * q)
+        q += 1.0
+    w = 1.0 / (q * q)
+    series = 0.0
+    for coef in reversed(_TRIGAMMA_SERIES):
+        series = (series + coef) * w
+    return shift + (1.0 + 0.5 / q + series) / q
+
+
+def _scaled_e1(z: complex) -> complex:
+    """Scaled exponential integral ``exp(z) E1(z)`` for ``Re z >= 0``, ``z != 0``.
+
+    For ``|z| <= 2`` the series ``E1(z) = -gamma - log z - sum_k (-z)^k /
+    (k k!)`` (DLMF 6.6.2), to 24 terms; beyond, the even part of the
+    continued fraction ``exp(z) E1(z) = 1/(z + 1 - 1/(z + 3 - 4/(z + 5 -
+    ...)))`` (DLMF 6.9.1) by the modified Lentz method (Numerical Recipes,
+    3rd ed., section 5.2), to roundoff.
+    """
+    if abs(z) <= 2.0:
+        term, total = 1.0, 0.0
+        for k in range(1, 25):
+            term *= -z / k
+            total += term / k
+        return cmath.exp(z) * (-np.euler_gamma - cmath.log(z) - total)
+    b = z + 1.0
+    value = d = 1.0 / b
+    # C_1 = b_1 + 1/C_0 with the start C_0 -> 0; stop within two ulps of 1
+    c, delta, n = math.inf, 0.0, 0
+    while abs(delta - 1.0) > 4e-16:
+        n += 1
+        b += 2.0
+        d = 1.0 / (b - n * n * d)
+        c = b - n * n / c
+        delta = c * d
+        value *= delta
+    return value
+
 
 def _em_correction_matrix() -> np.ndarray:
     """``K`` with ``sum_k B_2k/(2k) f_(2k-1) = (a^i) @ K @ (q^-(j+2))``.
@@ -67,10 +122,10 @@ def _em_correction_matrix() -> np.ndarray:
     """
     i = np.arange(2 * _EM_ORDER)
     weights = np.zeros(4 * _EM_ORDER)
-    weights[1 : 2 * _EM_ORDER : 2] = scipy.special.bernoulli(2 * _EM_ORDER)[2::2] / np.arange(
-        2, 2 * _EM_ORDER + 1, 2
-    )
-    rows = 1j**i / scipy.special.factorial(i)
+    weights[1 : 2 * _EM_ORDER : 2] = [
+        float(b / (2 * k)) for k, b in enumerate(_BERNOULLI[1 : _EM_ORDER + 1], 1)
+    ]
+    rows = 1j**i / np.array([float(math.factorial(k)) for k in i])
     columns = (-1.0) ** i * (i + 1)
     return weights[i[:, None] + i[None, :]] * rows[:, None] * columns[None, :]
 
@@ -83,24 +138,35 @@ def _lerch_remainder(theta: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``sum_{i >= 0} exp(1j theta i) / (q + i)^2`` for ``|theta| <= pi`` and large ``q``.
 
     One row per phase ``theta``, one column per start ``q``.  Euler-Maclaurin
-    on ``F(x) = exp(1j theta x) / (q + x)^2``: the integral (sine and cosine
-    integrals), ``F(0)/2`` and the Bernoulli corrections ``B_2k/(2k)
-    f_(2k-1)``, where ``f`` are the Taylor coefficients of ``F`` at 0 (one
-    fixed matrix product, :func:`_em_correction_matrix`).  The corrections
-    shrink like ``(theta/2pi)^2k`` plus powers of ``1/q`` uniformly in
-    ``theta``; at resonance (``theta = 0``) this is the asymptotic series of
-    the Hurwitz zeta ``zeta(2, q)``, so nothing grows as ``theta``
-    approaches it.
+    on ``F(x) = exp(1j theta x) / (q + x)^2``: the integral ``1/q + 1j a
+    exp(z) E1(z)`` at ``z = -1j a q``, ``a = |theta|`` (:func:`_scaled_e1`,
+    with no sine or cosine integrals, so nothing cancels against ``pi/2``),
+    ``F(0)/2`` and the Bernoulli corrections ``B_2k/(2k) f_(2k-1)``, where
+    ``f`` are the Taylor coefficients of ``F`` at 0 (one fixed matrix
+    product, :func:`_em_correction_matrix`).  The corrections shrink like
+    ``(theta/2pi)^2k`` plus powers of ``1/q`` uniformly in ``theta``; at
+    resonance (``theta = 0``) this is the asymptotic series of the Hurwitz
+    zeta ``zeta(2, q)``, so nothing grows as ``theta`` approaches it.
     """
     a = np.abs(theta)[:, None]
-    x = a * q
-    resonant = x == 0.0
-    si, ci = scipy.special.sici(np.where(resonant, 1.0, x))
-    oscillating = 1j * a * np.exp(-1j * x) * (-ci + 1j * (0.5 * np.pi - si))
-    oscillating[resonant] = 0.0  # a * log(a q) -> 0: the integral is 1/q alone
+    # a exp(z) E1(z) -> 0 like a log(a q): at resonance the integral is 1/q alone
+    scaled = [[_scaled_e1(complex(0.0, -x)) if x else 0.0 for x in row] for row in a * q]
     corrections = (a**_EM_POWERS @ _EM_MATRIX) @ ((1.0 / q[:, None]) ** (_EM_POWERS + 2)).T
-    value = oscillating + (1.0 / q + 0.5 / q**2) - corrections
+    value = 1j * a * np.array(scaled) + (1.0 / q + 0.5 / q**2) - corrections
     return np.where(theta[:, None] < 0, np.conj(value), value)
+
+
+def _lattice_parts(first: np.ndarray, step: float) -> tuple:
+    """The parts of :func:`lattice_tail_sums` that depend on the lattices alone.
+
+    ``(first, step, tau^-2 of the explicit terms, remainder starts,
+    zeta(2, first/step)/step^2)``, the arguments of :func:`_lattice_sums`
+    after ``s``.
+    """
+    tau = first[:, None] + step * np.arange(_LATTICE_TERMS)
+    end = (first + step * _LATTICE_TERMS) / step
+    plain = np.array([_trigamma(q) for q in first / step]) / step**2
+    return first, step, tau.T**-2.0, end, plain
 
 
 def lattice_tail_sums(s: float, first: np.ndarray, step: float):
@@ -115,19 +181,22 @@ def lattice_tail_sums(s: float, first: np.ndarray, step: float):
     array pass: the phases ``exp(1j omega first) exp(1j omega step i)``,
     ``_LATTICE_TERMS`` explicit terms as one matrix product, then
     :func:`_lerch_remainder` with the phase per step ``omega * step``
-    reduced to ``[-pi, pi)``.
+    reduced to ``[-pi, pi)``.  The parts that do not depend on ``s`` come
+    from :func:`_lattice_parts`, which a caller at many ``s`` runs once.
     """
+    return _lattice_sums(s, *_lattice_parts(first, step))
+
+
+def _lattice_sums(s, first, step, inverse_squares, end, plain):
+    """:func:`lattice_tail_sums` at ``s`` from the parts of :func:`_lattice_parts`."""
     omega = np.array([s, 2.0 * s])
     start = np.exp(1j * np.multiply.outer(omega, first))
     turn = np.exp(1j * np.multiply.outer(omega * step, np.arange(_LATTICE_TERMS + 1)))
-    tau = first[:, None] + step * np.arange(_LATTICE_TERMS)
     theta = np.remainder(omega * step + np.pi, 2.0 * np.pi) - np.pi
-    end = (first + step * _LATTICE_TERMS) / step
     one, two = start * (
-        turn[:, :-1] @ tau.T**-2.0
+        turn[:, :-1] @ inverse_squares
         + turn[:, -1:] * _lerch_remainder(theta, end) / step**2
     )
-    plain = scipy.special.zeta(2.0, first / step) / step**2
     return (
         0.5 * (plain - two.real),
         1.5 * plain + 0.5 * two.real - 2.0 * one.real,
@@ -297,8 +366,10 @@ class RecoveryPipeline:
         self.a = cfg.bandwidth
         self.lattice = mu.type
         self.r_eff = float(np.max(np.abs(mu.positions)))
-        # rows side, first, mass of the model lattices beyond the window
+        # rows side, first, mass of the model lattices beyond the window, and
+        # the parts of their tail sums that are the same at every bandwidth
         self.tail_lattices = np.array(mu.tail_lattices(np.pi / self.lattice)).T
+        self.tail_parts = _lattice_parts(self.tail_lattices[1], 2.0 * np.pi / self.lattice)
 
         half_a = cfg.basis_half_size(self.a)
         self.a_edge = np.pi * half_a / self.a
@@ -349,12 +420,13 @@ class RecoveryPipeline:
         The model continues the atoms to infinity over
         :meth:`~canspec.model.SpectralMeasure.tail_lattices` (alternating
         masses correlate with the alternating component values).  One
-        :func:`lattice_tail_sums` call sums the four lattices as an array;
-        the diagonal holds their mass-weighted squared sine and cosine
-        sums, the off-diagonal the side- and mass-weighted cross sum.
+        :func:`lattice_tail_sums` pass, from the lattice parts built in
+        ``__init__``, sums the four lattices as an array; the diagonal
+        holds their mass-weighted squared sine and cosine sums, the
+        off-diagonal the side- and mass-weighted cross sum.
         """
-        side, first, mass = self.tail_lattices
-        sine2, cosine2, cross = lattice_tail_sums(s, first, 2.0 * np.pi / self.lattice)
+        side, _, mass = self.tail_lattices
+        sine2, cosine2, cross = _lattice_sums(s, *self.tail_parts)
         off = (side * mass) @ cross
         return np.array([[mass @ sine2, off], [off, mass @ cosine2]])
 

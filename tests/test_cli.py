@@ -190,7 +190,7 @@ class TestInverseCommand:
         H = load_hamiltonian(out / "hamiltonian.json")
         assert np.max(np.abs(H.matrices - np.eye(2))) <= 1e-12
 
-    def test_cold_start_loads_only_linalg_and_special(self, free_mu_file, tmp_path):
+    def test_cold_start_loads_only_linalg(self, free_mu_file, tmp_path):
         # a fresh interpreter: the test process has SciPy loaded already
         script = (
             "import json, sys\n"
@@ -198,7 +198,8 @@ class TestInverseCommand:
             "rc = canspec.cli.main(['inverse', '--in', sys.argv[1], '--c', '0',"
             " '--pw-trunc', '16', '--s-samples', '9', '--r-samples', '17',"
             " '--out-dir', sys.argv[2] + '/rec'])\n"
-            "heavy = ('scipy.interpolate', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
+            "heavy = ('scipy.interpolate', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse',"
+            " 'scipy.special')\n"
             "def loaded():\n"
             "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules} & set(heavy))\n"
             "after_inverse = loaded()\n"

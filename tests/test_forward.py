@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -868,6 +870,30 @@ class TestDigamma:
         window_sum = float(np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi)
         residual_ref = float(forward.weyl_function(H, 1j).m.imag) - window_sum - tail
         assert abs(tail_residual(H, mu) - residual_ref) <= 1e-16
+
+
+class TestBernoulliTable:
+    """``forward._BERNOULLI``, the one exact table of the asymptotic series."""
+
+    def test_exact_values(self):
+        table = forward._BERNOULLI
+        assert len(table) == 26
+        assert table[:7] == (
+            1, Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+            Fraction(5, 66), Fraction(-691, 2730),
+        )
+        assert table[13] == Fraction(8553103, 6)
+        assert table[25] == Fraction(495057205241079648212477525, 66)
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for k, b in enumerate(forward._BERNOULLI):
+            assert b == Fraction(*(int(v) for v in mp.bernfrac(2 * k)))
+
+    def test_digamma_series_keeps_its_bits(self):
+        # the literal terms before the table: herglotz_c and the zeros stay bitwise
+        literal = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+        assert forward._PSI_SERIES == literal
 
 
 def quadrature_grid(H, r):

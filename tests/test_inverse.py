@@ -12,8 +12,11 @@ from canspec import forward, oracles
 from canspec.inverse import (
     RecoveryPipeline,
     _free_model,
+    _lerch_remainder,
     _pchip,
+    _scaled_e1,
     _top_eigenprojection,
+    _trigamma,
     boundary_cosine_values,
     lattice_tail_sums,
     recentering_moment,
@@ -219,6 +222,48 @@ class TestLatticeTailSums:
         for g, w in zip(got, want):
             assert g.shape == first.shape
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.max(np.abs(w)))
+
+
+#: worst relative error of ``_lerch_remainder`` against mpmath on the grid of
+#: TestSpecialFunctions is 9.4e-13 (theta 2, q 1000); with SciPy's sine and
+#: cosine integrals it was 1.6e-10, from cancelling Si against pi/2
+LERCH_REMAINDER_BOUND = 2e-12
+
+
+class TestSpecialFunctions:
+    """The tail sums' special functions against mpmath at 30 digits."""
+
+    def test_lerch_remainder(self):
+        mp = pytest.importorskip("mpmath")
+        theta = np.array([0.05, 0.7, 2.0, -3.0, 3.1])
+        q = np.array([65.0, 164.0, 300.0, 1000.0])
+        got = _lerch_remainder(theta, q)
+        with mp.workdps(30):
+            want = np.array(
+                [[complex(mp.lerchphi(mp.expj(t), 2, v)) for v in q] for t in theta]
+            )
+        assert np.max(np.abs(got - want) / np.abs(want)) <= LERCH_REMAINDER_BOUND
+
+    @pytest.mark.parametrize("direction", [-1j, 1.0], ids=["imaginary", "real"])
+    def test_scaled_e1(self, direction):
+        # the tail sums call it at z = -1j x; the series stops at |z| = 2
+        mp = pytest.importorskip("mpmath")
+        x = np.concatenate([np.geomspace(1e-6, 1e4, 200), [1.99, 2.0, 2.01, 2.1]])
+        got = np.array([_scaled_e1(complex(direction * v)) for v in x])
+        with mp.workdps(30):
+            want = np.array(
+                [complex(mp.exp(z) * mp.e1(z)) for z in (mp.mpc(direction * v) for v in x)]
+            )
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-14
+
+    def test_trigamma(self):
+        # the recurrence runs below q = 16, the series above
+        mp = pytest.importorskip("mpmath")
+        q = np.concatenate([np.geomspace(1e-2, 1e6, 200), [15.5, 16.0, 16.5]])
+        got = np.array([_trigamma(v) for v in q])
+        with mp.workdps(30):
+            want = np.array([float(mp.zeta(2, v)) for v in q])
+        assert np.max(np.abs(got - want) / want) <= 2e-15
 
 
 class TestRecenteringMoment:
