@@ -16,11 +16,11 @@ Windowed measures lose slowly decaying tails in every measure sum.  All
 sums here are completed with the free lattice model at the fitted type
 ``SpectralMeasure.type`` (atom parity fixes the sign pattern of the cosine
 data), which is exact on the free fixture and a recorded heuristic
-otherwise.  The model tails are summed to infinity in closed form: a
-Hurwitz zeta ``zeta(2, q)`` (the trigamma) for the non-oscillating part,
-and a short explicit head plus an Euler-Maclaurin remainder, whose integral
-is a scaled exponential integral, for the parts oscillating at ``s`` and
-``2s``.
+otherwise.  The model tails are summed to infinity in closed form, in one
+array pass over the frequencies ``0``, ``s`` and ``2s``: a short explicit
+head plus an Euler-Maclaurin remainder, whose integral is a scaled
+exponential integral.  The resonant row at ``0`` is the Hurwitz zeta
+``zeta(2, q)``, its remainder the zeta's asymptotic series.
 """
 
 from __future__ import annotations
@@ -53,34 +53,11 @@ __all__ = [
 ]
 
 
-#: Explicit terms of an oscillating lattice sum before its analytic
-#: remainder.  They move the remainder's start ``q`` past 64, where
-#: ``_EM_ORDER`` Bernoulli corrections reach roundoff for every phase.
+#: Explicit terms of a lattice sum before its analytic remainder.  They move
+#: the remainder's start ``q`` past 64, where ``_EM_ORDER`` Bernoulli
+#: corrections reach roundoff for every phase.
 _LATTICE_TERMS = 64
 _EM_ORDER = 25
-
-#: ``B_2k`` for ``k = 1..8``: the terms of the trigamma's asymptotic series
-_TRIGAMMA_SERIES = tuple(float(b) for b in _BERNOULLI[1:9])
-
-
-def _trigamma(q: float) -> float:
-    """Trigamma ``psi'(q) = zeta(2, q)`` for ``q > 0``.
-
-    The recurrence ``psi'(q) = psi'(q + 1) + 1/q^2`` (DLMF 5.15.5) moves
-    ``q`` out to ``q >= 16``, where ``psi'(q) = 1/q + 1/(2q^2) + sum_k
-    B_2k / q^(2k+1)`` (DLMF 5.15.8) is summed to eight terms; the first
-    omitted term is below ``4e-19`` of the value.
-    """
-    shift = 0.0
-    while q < 16.0:
-        shift += 1.0 / (q * q)
-        q += 1.0
-    w = 1.0 / (q * q)
-    series = 0.0
-    for coef in reversed(_TRIGAMMA_SERIES):
-        series = (series + coef) * w
-    return shift + (1.0 + 0.5 / q + series) / q
-
 
 def _scaled_e1(z: complex) -> complex:
     """Scaled exponential integral ``exp(z) E1(z)`` for ``Re z >= 0``, ``z != 0``.
@@ -156,17 +133,24 @@ def _lerch_remainder(theta: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(theta[:, None] < 0, np.conj(value), value)
 
 
-def _lattice_parts(first: np.ndarray, step: float) -> tuple:
-    """The parts of :func:`lattice_tail_sums` that depend on the lattices alone.
+def _lattice_rows(omega: np.ndarray, first: np.ndarray, step: float) -> np.ndarray:
+    """``sum_{i >= 0} exp(1j omega tau_i) / tau_i^2`` on the lattices ``tau_i = first + step i``.
 
-    ``(first, step, tau^-2 of the explicit terms, remainder starts,
-    zeta(2, first/step)/step^2)``, the arguments of :func:`_lattice_sums`
-    after ``s``.
+    One row per frequency ``omega``, one column per entry of ``first``, in
+    one array pass: the phases ``exp(1j omega first) exp(1j omega step i)``,
+    ``_LATTICE_TERMS`` explicit terms as one matrix product, then
+    :func:`_lerch_remainder` with the phase per step ``omega * step``
+    reduced to ``[-pi, pi)``.  A row at ``omega = 0`` is the Hurwitz zeta
+    ``zeta(2, first/step)/step^2``.
     """
     tau = first[:, None] + step * np.arange(_LATTICE_TERMS)
+    start = np.exp(1j * np.multiply.outer(omega, first))
+    turn = np.exp(1j * np.multiply.outer(omega * step, np.arange(_LATTICE_TERMS + 1)))
+    theta = np.remainder(omega * step + np.pi, 2.0 * np.pi) - np.pi
     end = (first + step * _LATTICE_TERMS) / step
-    plain = np.array([_trigamma(q) for q in first / step]) / step**2
-    return first, step, tau.T**-2.0, end, plain
+    return start * (
+        turn[:, :-1] @ tau.T**-2.0 + turn[:, -1:] * _lerch_remainder(theta, end) / step**2
+    )
 
 
 def lattice_tail_sums(s: float, first: np.ndarray, step: float):
@@ -175,31 +159,15 @@ def lattice_tail_sums(s: float, first: np.ndarray, step: float):
     One lattice ``tau_i = first + step i``, ``i >= 0``, per entry of the
     1-d array ``first``; each sum is an array of that shape.  With
     ``sin^2 = (1 - cos 2st)/2``, ``(cos st - 1)^2 = 3/2 + cos(2st)/2 - 2 cos
-    st`` and ``sin st (cos st - 1) = sin(2st)/2 - sin st`` every sum is a
-    Hurwitz zeta or an oscillating sum ``sum exp(1j omega tau_i)/tau_i^2``
-    at ``omega = s`` or ``2s``.  Both frequencies and all lattices are one
-    array pass: the phases ``exp(1j omega first) exp(1j omega step i)``,
-    ``_LATTICE_TERMS`` explicit terms as one matrix product, then
-    :func:`_lerch_remainder` with the phase per step ``omega * step``
-    reduced to ``[-pi, pi)``.  The parts that do not depend on ``s`` come
-    from :func:`_lattice_parts`, which a caller at many ``s`` runs once.
+    st`` and ``sin st (cos st - 1) = sin(2st)/2 - sin st`` every sum combines
+    ``sum exp(1j omega tau_i)/tau_i^2`` at ``omega = 0``, ``s`` and ``2s``:
+    one :func:`_lattice_rows` pass, whose resonant ``0`` row is the Hurwitz
+    zeta.
     """
-    return _lattice_sums(s, *_lattice_parts(first, step))
-
-
-def _lattice_sums(s, first, step, inverse_squares, end, plain):
-    """:func:`lattice_tail_sums` at ``s`` from the parts of :func:`_lattice_parts`."""
-    omega = np.array([s, 2.0 * s])
-    start = np.exp(1j * np.multiply.outer(omega, first))
-    turn = np.exp(1j * np.multiply.outer(omega * step, np.arange(_LATTICE_TERMS + 1)))
-    theta = np.remainder(omega * step + np.pi, 2.0 * np.pi) - np.pi
-    one, two = start * (
-        turn[:, :-1] @ inverse_squares
-        + turn[:, -1:] * _lerch_remainder(theta, end) / step**2
-    )
+    zero, one, two = _lattice_rows(np.array([0.0, s, 2.0 * s]), first, step)
     return (
-        0.5 * (plain - two.real),
-        1.5 * plain + 0.5 * two.real - 2.0 * one.real,
+        0.5 * (zero.real - two.real),
+        1.5 * zero.real + 0.5 * two.real - 2.0 * one.real,
         0.5 * two.imag - one.imag,
     )
 
@@ -366,10 +334,8 @@ class RecoveryPipeline:
         self.a = cfg.bandwidth
         self.lattice = mu.type
         self.r_eff = float(np.max(np.abs(mu.positions)))
-        # rows side, first, mass of the model lattices beyond the window, and
-        # the parts of their tail sums that are the same at every bandwidth
+        # rows side, first, mass of the model lattices beyond the window
         self.tail_lattices = np.array(mu.tail_lattices(np.pi / self.lattice)).T
-        self.tail_parts = _lattice_parts(self.tail_lattices[1], 2.0 * np.pi / self.lattice)
 
         half_a = cfg.basis_half_size(self.a)
         self.a_edge = np.pi * half_a / self.a
@@ -420,13 +386,12 @@ class RecoveryPipeline:
         The model continues the atoms to infinity over
         :meth:`~canspec.model.SpectralMeasure.tail_lattices` (alternating
         masses correlate with the alternating component values).  One
-        :func:`lattice_tail_sums` pass, from the lattice parts built in
-        ``__init__``, sums the four lattices as an array; the diagonal
-        holds their mass-weighted squared sine and cosine sums, the
-        off-diagonal the side- and mass-weighted cross sum.
+        :func:`lattice_tail_sums` pass sums the four lattices as an array;
+        the diagonal holds their mass-weighted squared sine and cosine sums,
+        the off-diagonal the side- and mass-weighted cross sum.
         """
-        side, _, mass = self.tail_lattices
-        sine2, cosine2, cross = _lattice_sums(s, *self.tail_parts)
+        side, first, mass = self.tail_lattices
+        sine2, cosine2, cross = lattice_tail_sums(s, first, 2.0 * np.pi / self.lattice)
         off = (side * mass) @ cross
         return np.array([[mass @ sine2, off], [off, mass @ cosine2]])
 

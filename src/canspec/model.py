@@ -379,8 +379,10 @@ class TransferMatrix:
         m = np.asarray(self.entries, dtype=complex).copy()
         if m.shape != (2, 2):
             raise ValidationError("transfer matrix must be 2x2")
+        if not np.all(np.isfinite(m)):
+            raise NumericalError(f"transfer matrix is not finite at z={self.z!r}: {m.tolist()!r}")
         drift = float(_det_drift(m))
-        if drift > DET_TOL:
+        if not drift <= DET_TOL:
             raise InvariantViolation(
                 f"transfer matrix determinant drifted: |det-1|/(1+|M|^2)={drift:.3e}"
             )
@@ -415,8 +417,10 @@ class GridConfig:
     r_samples: int
 
     def __post_init__(self):
-        if not 0.0 < self.bandwidth < np.inf:
-            raise ValidationError(f"bandwidth {self.bandwidth!r} must be positive and finite")
+        for name in ("bandwidth", "measure_window"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValidationError(f"{name} {value!r} must be positive and finite")
         for name in ("s_samples", "pw_truncation", "r_samples"):
             try:
                 operator.index(getattr(self, name))
@@ -429,6 +433,7 @@ class GridConfig:
         if self.r_samples < 9:
             raise ValidationError("r_samples too small")
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
+        object.__setattr__(self, "measure_window", float(self.measure_window))
 
     @cached_property
     def s_grid(self) -> np.ndarray:
@@ -455,8 +460,9 @@ class GridConfig:
         Clamped so every node stays safely inside the measure window; at
         very small bandwidths this may leave only the center function.
         """
-        cap = int(np.floor(0.95 * self.measure_window * s / np.pi))
-        return max(0, min(self.pw_truncation, cap))
+        # clamped in floating point, where a huge ``s`` makes the cap inf
+        cap = np.floor(0.95 * self.measure_window * float(s) / np.pi)
+        return max(0, int(min(float(self.pw_truncation), cap)))
 
 
 @dataclass(frozen=True)

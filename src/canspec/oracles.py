@@ -217,8 +217,7 @@ _TAIL_SPAN = 128.0
 
 def _weight_integral(H: Hamiltonian, r: float) -> np.ndarray:
     """``int_0^r H``, exact for a piecewise-constant weight."""
-    eff = np.clip(np.minimum(H.edges[1:], r) - H.edges[:-1], 0.0, None)
-    return np.einsum("n,nij->ij", eff, H.matrices)
+    return np.einsum("n,nij->ij", forward._effective_lengths(H, r), H.matrices)
 
 
 def chain_data(H: Hamiltonian, s: float) -> np.ndarray:

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .model import ComparabilityError, SpectralMeasure, ValidationError
+from .model import ComparabilityError, NumericalError, SpectralMeasure, ValidationError
 
 __all__ = [
     "PWBasis",
@@ -231,18 +231,23 @@ def _section(mu: SpectralMeasure, s: float, half_size: int, pairing=None):
             f"basis node {outer_node:.6g} falls outside the measure window {mu.window:.6g}"
         )
     points, weights = mu.completion_lattice
-    # one sinc matrix per section: the atom block, then the lattice block
-    sinc = basis.functions_at(np.concatenate([mu.positions, points]))
-    phi, lat = sinc[:, : mu.positions.size], sinc[:, mu.positions.size :]
-    v = phi @ (mu.masses * np.sin(basis.s * mu.positions))
-    diag = np.square(phi) @ mu.masses
-    paired = lat @ pairing if pairing is not None and points.size else None
-    if points.size:
-        v += lat @ (weights * np.sin(basis.s * points))
-        # window plus lattice first: exactly 0 where the atoms are the lattice;
-        # the lattice block is not read again, so it is squared in place
-        diag = 1.0 + (diag + np.square(lat, out=lat) @ weights)
-    v /= basis._node_factors
+    # a bandwidth far beyond the measure's scale overflows s t; the check
+    # below turns the non-finite section into an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one sinc matrix per section: the atom block, then the lattice block
+        sinc = basis.functions_at(np.concatenate([mu.positions, points]))
+        phi, lat = sinc[:, : mu.positions.size], sinc[:, mu.positions.size :]
+        v = phi @ (mu.masses * np.sin(basis.s * mu.positions))
+        diag = np.square(phi) @ mu.masses
+        paired = lat @ pairing if pairing is not None and points.size else None
+        if points.size:
+            v += lat @ (weights * np.sin(basis.s * points))
+            # window plus lattice first: exactly 0 where the atoms are the lattice;
+            # the lattice block is not read again, so it is squared in place
+            diag = 1.0 + (diag + np.square(lat, out=lat) @ weights)
+        v /= basis._node_factors
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(diag))):
+        raise NumericalError(f"section at bandwidth {basis.s!r} is not finite")
     gram = _divided_differences(v)
     np.fill_diagonal(gram, diag)
     return basis, gram, phi, paired

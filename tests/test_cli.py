@@ -573,15 +573,28 @@ class TestZeroBandwidthExit2:
 
 class TestHugeFiniteNumbersExit3:
     @pytest.mark.parametrize(
-        "extra",
-        [["--c", "1e308"], ["--c", "1e200"], ["--bandwidth", "1e300"]],
-        ids=["c-1e308", "c-1e200", "bandwidth-1e300"],
+        "extra,message",
+        [
+            (["--c", "1e308"], "boundary cosine data overflowed"),
+            (["--c", "1e200"], "boundary cosine data overflowed"),
+            (["--bandwidth", "1e300"], "boundary cosine data overflowed"),
+            # the basis cap 0.95 window s / pi overflows, then s t in the section
+            (["--bandwidth", "1e308"], "section at bandwidth 1e+308 is not finite"),
+        ],
+        ids=["c-1e308", "c-1e200", "bandwidth-1e300", "bandwidth-1e308"],
     )
-    def test_inverse(self, free_mu_file, tmp_path, capsys, extra):
+    def test_inverse(self, free_mu_file, tmp_path, capsys, extra, message):
         code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, *extra,
                      "--out-dir", str(tmp_path)])
         assert code == 3
-        assert "boundary cosine data overflowed" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_framebounds(self, free_mu_file, tmp_path, capsys):
+        code = main(["framebounds", "--in", str(free_mu_file), "--s", "1e308",
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "section at bandwidth 1e+308 is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "framebounds.json").exists()
 
     def test_large_c_recovers(self, free_mu_file, tmp_path):
         # the recovered length pi (2 + c^2) / 2 is huge but finite

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,14 @@ class TestPropagate:
     def test_transfer_matrix_invariant_guard(self):
         with pytest.raises(InvariantViolation):
             TransferMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("z", [800j, np.inf, np.nan, 1e300], ids=str)
+    def test_non_finite_entries_raise(self, z):
+        # cosh(800) overflows, and cos and sin of inf or 1e300 are nan: the
+        # determinant gate reads nan there; a nan z warns of nothing
+        warns = contextlib.nullcontext() if np.isnan(z) else pytest.warns(RuntimeWarning)
+        with pytest.raises(NumericalError, match="not finite"), warns:
+            forward.propagate(Hamiltonian.identity(1.0), 1.0, z)
 
     def test_section5_partial_products(self):
         # exact two-valued lacunary products: diag(h^{-k/2}, h^{k/2})

@@ -12,11 +12,11 @@ from canspec import forward, oracles
 from canspec.inverse import (
     RecoveryPipeline,
     _free_model,
+    _lattice_rows,
     _lerch_remainder,
     _pchip,
     _scaled_e1,
     _top_eigenprojection,
-    _trigamma,
     boundary_cosine_values,
     lattice_tail_sums,
     recentering_moment,
@@ -235,7 +235,7 @@ class TestSpecialFunctions:
 
     def test_lerch_remainder(self):
         mp = pytest.importorskip("mpmath")
-        theta = np.array([0.05, 0.7, 2.0, -3.0, 3.1])
+        theta = np.array([0.0, 0.05, 0.7, 2.0, -3.0, 3.1])
         q = np.array([65.0, 164.0, 300.0, 1000.0])
         got = _lerch_remainder(theta, q)
         with mp.workdps(30):
@@ -256,14 +256,16 @@ class TestSpecialFunctions:
             )
         assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-14
 
-    def test_trigamma(self):
-        # the recurrence runs below q = 16, the series above
+    def test_resonant_row_is_hurwitz_zeta(self):
+        # the omega = 0 row of the lattice pass: 64 explicit terms, then the
+        # remainder at theta = 0, which is the zeta's asymptotic series
         mp = pytest.importorskip("mpmath")
         q = np.concatenate([np.geomspace(1e-2, 1e6, 200), [15.5, 16.0, 16.5]])
-        got = np.array([_trigamma(v) for v in q])
+        got = _lattice_rows(np.array([0.0]), q, 1.0)[0]
         with mp.workdps(30):
             want = np.array([float(mp.zeta(2, v)) for v in q])
-        assert np.max(np.abs(got - want) / want) <= 2e-15
+        assert not np.any(got.imag)
+        assert np.max(np.abs(got.real - want) / want) <= 2e-15
 
 
 class TestRecenteringMoment:

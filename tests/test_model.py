@@ -318,6 +318,17 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             cfg.s_grid[0] = 1.0
 
+    @pytest.mark.parametrize("window", [np.inf, np.nan, 0.0, -5.0])
+    def test_measure_window_must_be_positive_and_finite(self, window):
+        # a window of 0 or -5 would leave a one-function basis at every bandwidth
+        with pytest.raises(ValidationError, match="measure_window .* must be positive and finite"):
+            GridConfig.for_bandwidth(np.pi, measure_window=window)
+
+    def test_basis_half_size_at_huge_bandwidth(self):
+        # 0.95 window s / pi overflows to inf, which the truncation clamps
+        cfg = GridConfig.for_bandwidth(1e308, pw_truncation=256)
+        assert cfg.basis_half_size(1e308) == 256
+
     def test_basis_half_size_clamps_to_window(self):
         cfg = GridConfig.for_bandwidth(np.pi, measure_window=200.0, pw_truncation=256)
         assert cfg.basis_half_size(np.pi) == 190
