@@ -80,6 +80,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 def _check_gates(diagnostics: dict, tol_override: float | None) -> list[str]:
     """Names of breached invariant gates (tolerances are never loosened).
 
+    A value passes only when it is at most its tolerance, so NaN breaches.
     With ``tol_override`` the would-be verdict at the override is printed
     alongside, but the returned breaches always use the built-in gates.
     """
@@ -88,8 +89,8 @@ def _check_gates(diagnostics: dict, tol_override: float | None) -> list[str]:
         if key not in diagnostics:
             continue
         val = float(diagnostics[key])
-        if val > tol:
-            breaches.append(f"{key}={val:.3e} > {tol:.1e}")
+        if not val <= tol:
+            breaches.append(f"{key}={val:.3e}, not <= {tol:.1e}")
         if tol_override is not None:
             verdict = "pass" if val <= tol_override else "fail"
             print(
@@ -137,8 +138,8 @@ def _reconstruction_outputs(out: Output, result, prefix: str = "") -> None:
     )
     _write_csv(
         out(f"{prefix}chain.csv"),
-        ["s", "position"],
-        [result.zeta_table[:, 0], result.zeta_table[:, 1]],
+        ["s", "position", "n11", "n12", "n22", "sine_norm_residual"],
+        list(result.zeta_table.T),
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -494,18 +493,25 @@ def weyl_function(H: Hamiltonian, z: complex) -> WeylValue:
 TAIL_MODEL_TOL = 0.15
 
 
-def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
-    """Exact ``B_0, B_2, ..., B_2n``: entry ``k`` is ``B_2k``.
+def _bernoulli_numbers(n: int) -> tuple[tuple[int, int], ...]:
+    """Exact ``B_0, B_2, ..., B_2n`` as reduced ``(numerator, denominator)`` pairs.
 
-    From ``sum_(k <= m) C(m + 1, k) B_k = 0`` (DLMF 24.5.3) at even ``m``,
-    with ``B_1 = -1/2`` and ``B_k = 0`` at the other odd ``k``.
+    Entry ``k`` is ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))`` for ``k >=
+    1``, from the tangent numbers ``T_k`` (the derivatives of ``tan`` at 0),
+    which the integer recurrence of Brent and Harvey (arXiv:1108.0286,
+    Algorithm TangentNumbers) builds in place.
     """
-    table = [Fraction(1)]
-    for m in range(2, 2 * n + 1, 2):
-        total = 1 - Fraction(m + 1, 2)
-        for k in range(1, m // 2):
-            total += math.comb(m + 1, 2 * k) * table[k]
-        table.append(-total / (m + 1))
+    tangent = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    table = [(1, 1)]
+    for k in range(1, n + 1):
+        num, den = (-1) ** (k - 1) * 2 * k * tangent[k], 4**k * (4**k - 1)
+        g = math.gcd(num, den)
+        table.append((num // g, den // g))
     return tuple(table)
 
 
@@ -514,7 +520,8 @@ def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
 _BERNOULLI = _bernoulli_numbers(25)
 
 #: ``B_2k / (2k)`` for ``k = 1..7``: the terms of the digamma's asymptotic series
-_PSI_SERIES = tuple(float(b / (2 * k)) for k, b in enumerate(_BERNOULLI[1:8], 1))
+#: (int/int division rounds correctly)
+_PSI_SERIES = tuple(num / (2 * k * den) for k, (num, den) in enumerate(_BERNOULLI[1:8], 1))
 
 
 def _digamma(z: complex) -> complex:

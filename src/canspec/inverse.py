@@ -3,14 +3,18 @@
 The pipeline inverts the sectioned quadratic form at a family of
 bandwidths ``s``.  At each ``s`` one two-column solve recovers a
 sine-type and a cosine-type component on the support of the measure;
-their 2x2 measure Gram over pi is the integrated weight up to the
-position of type ``s``, the chain point.  One interpolant of the
-integrated weight over the chain points, differenced on a uniform
-position grid, gives the weight as its derivative in position.  The
-interpolant is a monotone cubic (PCHIP) written out here, equal to
-SciPy's ``PchipInterpolator`` to the bit, and the special functions of the
-tail sums are written out too, so that this module loads only
-``scipy.linalg``.
+their 2x2 measure Gram over pi is the integrated weight ``N`` up to the
+position of type ``s``, the chain point ``zeta``.  It runs in two steps.
+First the slice table, one row per bandwidth from ``s = 0``: ``s``,
+``zeta``, ``N11``, ``N12``, ``N22`` and the sine-norm residual.  Then the
+weight from that table alone: one interpolant of the integrated weight
+over the chain points, differenced on a uniform position grid, gives the
+weight as its derivative in position.  One section is alive at a time:
+the full-bandwidth section is released before its slopes are evaluated,
+and each slice keeps only its row.  The interpolant is a monotone cubic
+(PCHIP) written out here, equal to SciPy's ``PchipInterpolator`` to the
+bit, and the special functions of the tail sums are written out too, so
+that this module loads only ``scipy.linalg``.
 
 Windowed measures lose slowly decaying tails in every measure sum.  All
 sums here are completed with the free lattice model at the fitted type
@@ -100,7 +104,7 @@ def _em_correction_matrix() -> np.ndarray:
     i = np.arange(2 * _EM_ORDER)
     weights = np.zeros(4 * _EM_ORDER)
     weights[1 : 2 * _EM_ORDER : 2] = [
-        float(b / (2 * k)) for k, b in enumerate(_BERNOULLI[1 : _EM_ORDER + 1], 1)
+        num / (2 * k * den) for k, (num, den) in enumerate(_BERNOULLI[1 : _EM_ORDER + 1], 1)
     ]
     rows = 1j**i / np.array([float(math.factorial(k)) for k in i])
     columns = (-1.0) ** i * (i + 1)
@@ -238,6 +242,7 @@ class BandwidthSlice:
 
     Component values are indexed like the measure atoms.  ``norms`` is their
     tail-completed 2x2 measure Gram; ``norms / pi`` is ``int_0^zeta H``.
+    ``row`` is all that :meth:`RecoveryPipeline.run` keeps of it.
     """
 
     s: float
@@ -256,14 +261,10 @@ class BandwidthSlice:
         return abs(self.norms[0, 0] / np.pi - self.sine_at_zero)
 
     @property
-    def definitional_residual(self) -> float:
-        """Residual of ``2 zeta = sine(0) + (1/pi) ||cosine||^2``.
-
-        ``zeta`` is assembled from the same two numbers, so this checks that
-        arithmetic and is roundoff by construction; it does not certify the
-        chain map ``s -> zeta(s)``.
-        """
-        return abs(2.0 * self.zeta - self.sine_at_zero - self.norms[1, 1] / np.pi)
+    def row(self) -> tuple:
+        """Slice table row: ``s, zeta, N11 = sine(0), N12, N22`` (``N = norms / pi``), residual."""
+        n12, n22 = self.norms[0, 1] / np.pi, self.norms[1, 1] / np.pi
+        return self.s, self.zeta, self.sine_at_zero, n12, n22, self.sine_norm_residual
 
 
 def _top_eigenprojection(h11, h12, half_gap):
@@ -321,8 +322,11 @@ class RecoveryPipeline:
     measures must supply it (the measure alone does not determine it).
     ``__init__`` builds the full-bandwidth boundary data (slope data,
     boundary cosine values, the cosine weights on the in-core completion
-    lattice); each slice builds and solves its own section from it.
-    Nothing else is kept, so a pipeline does not change after ``__init__``.
+    lattice), releasing the full-bandwidth section before the slopes; each
+    slice builds and solves its own section from it.  ``run`` takes two
+    steps, the slice table and the assembly from it, with one section
+    alive at a time.  Nothing else is kept, so a pipeline does not change
+    after ``__init__``.
     """
 
     def __init__(self, mu: SpectralMeasure, c: float, cfg: GridConfig):
@@ -343,6 +347,9 @@ class RecoveryPipeline:
         rhs = np.zeros(a_op.basis.size)
         rhs[a_op.basis.center] = np.sqrt(np.pi * self.a)
         a_coeffs = apply_inverse(a_op, rhs)
+        # the slopes need only the basis: the section is released before them
+        a_basis = a_op.basis
+        del a_op
 
         # the trusted core: the full-bandwidth basis reach plus half a lattice
         # spacing; it always holds the origin atom, so its slope is an entry here
@@ -355,7 +362,7 @@ class RecoveryPipeline:
         # here; the masses are positive, so a finite measure norm of the
         # cosine data also means finite values
         with np.errstate(over="ignore", invalid="ignore"):
-            self.slope_values = a_op.basis.derivatives_at(pts).T @ a_coeffs
+            self.slope_values = a_basis.derivatives_at(pts).T @ a_coeffs
             self.boundary_cosine = boundary_cosine_values(
                 pts, masses, self.c, self.moment, self.slope_values
             )
@@ -444,12 +451,12 @@ class RecoveryPipeline:
     # -- full recovery ----------------------------------------------------
 
     def run(self) -> ReconstructionResult:
+        """The slice table, each row filled as its slice is computed, then the weight from it."""
         cfg = self.cfg
-        s_grid = np.concatenate([[0.0], cfg.s_grid])
-        slices = [self.slice_at(s) for s in cfg.s_grid]
-        zetas = np.concatenate([[0.0], [sl.zeta for sl in slices]])
-        h11_int = np.concatenate([[0.0], [sl.sine_at_zero for sl in slices]])
-        offdiag_int = np.concatenate([[0.0], [sl.norms[0, 1] / np.pi for sl in slices]])
+        table = np.zeros((cfg.s_samples, 6))
+        for row, s in zip(table[1:], cfg.s_grid):
+            row[:] = self.slice_at(s).row
+        s_grid, zetas, h11_int, _, n22, residuals = table.T
 
         if np.any(np.diff(zetas) <= 0):
             raise NumericalError(
@@ -459,7 +466,7 @@ class RecoveryPipeline:
         ell = float(zetas[-1])
         r_grid = np.linspace(0.0, ell, cfg.r_samples)
         dr = r_grid[1] - r_grid[0]
-        integrated = _pchip(zetas, np.column_stack([h11_int, offdiag_int]), r_grid)
+        integrated = _pchip(zetas, table[:, 2:4], r_grid)
         h11, h12 = np.diff(integrated, axis=0).T / dr
         h22 = 2.0 - h11
 
@@ -481,8 +488,10 @@ class RecoveryPipeline:
         krein_err = float(np.max(np.abs(np.interp(zetas, r_grid, krein) - s_grid))) / self.a
 
         diagnostics = {
-            "sine_norm_residual_max": max(sl.sine_norm_residual for sl in slices),
-            "definitional_residual_max": max(sl.definitional_residual for sl in slices),
+            "sine_norm_residual_max": np.max(residuals),
+            # 2 zeta = N11 + N22 is how zeta is assembled: roundoff by
+            # construction, a check of that arithmetic, not of the chain map
+            "definitional_residual_max": np.max(np.abs(2.0 * zetas - h11_int - n22)),
             "psd_projection_max": float(np.max(projection)) if len(projection) else 0.0,
             "psd_projection_bad_fraction": bad_fraction,
             "krein_relative_error": krein_err,
@@ -498,5 +507,5 @@ class RecoveryPipeline:
                 f"reconstruction rejected (diagnostics: {plain})"
             )
 
-        return ReconstructionResult(ham, np.column_stack([s_grid, zetas]), diagnostics)
+        return ReconstructionResult(ham, table, diagnostics)
 

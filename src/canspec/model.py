@@ -470,8 +470,11 @@ class ReconstructionResult:
     """Output of the inverse pipeline.
 
     ``hamiltonian`` is trace-2 piecewise constant on the recovered
-    interval; ``zeta_table`` holds the chain points as ``(s, position(s))``
-    rows, and ``diagnostics`` carries every residual computed along the way.
+    interval.  ``zeta_table`` is the slice table, one row per bandwidth
+    from ``s = 0``, with the columns ``s``, the chain point ``position(s)``,
+    the integrated weight ``int_0^position H`` as ``n11``, ``n12`` and
+    ``n22``, and the slice's sine-norm residual; ``[:, :2]`` are the chain
+    points.  ``diagnostics`` carries every residual computed along the way.
     """
 
     hamiltonian: Hamiltonian

@@ -167,7 +167,9 @@ class PWBasis:
         s, nodes = self.s, self.nodes
         with np.errstate(divide="ignore", invalid="ignore"):  # exact hits are redone below
             np.reciprocal(out, out=out)
-            out *= s * np.cos(s * points) - np.sin(s * points) * out
+            # s cos(sp) - sin(sp) out, in one temporary
+            slope = np.sin(s * points) * out
+            out *= np.subtract(s * np.cos(s * points), slope, out=slope)
         out *= self._node_factors[:, None]
         out[row, near] = np.sqrt(np.pi / s) * sinc_kernel_dt(s, nodes[row], points[near])
         return out

@@ -131,7 +131,7 @@ def test_criterion_06_chain_position(free_roundtrip, step_measure, step_hamilton
     zeta_err = float(np.max(np.abs(zetas - s_grid)))
     consistency = result.diagnostics["definitional_residual_max"]
     step = _step_pipe(step_hamiltonian, step_measure)
-    step_zetas = np.array([step.slice_at(s).zeta for s in step.cfg.s_grid])
+    step_zetas = step.run().zeta_table[1:, 1]
     increasing = bool(np.all(np.diff(zetas) > 0) and np.all(np.diff(step_zetas) > 0))
     ok = zeta_err <= 1e-4 and consistency <= 1e-6 and increasing
     _report(

@@ -9,7 +9,9 @@ import pytest
 
 from canspec import cli, forward, oracles
 from canspec.cli import main
+from canspec.inverse import RecoveryPipeline
 from canspec.model import (
+    GridConfig,
     Hamiltonian,
     SpectralMeasure,
     dumps_hamiltonian,
@@ -127,11 +129,12 @@ class TestForwardCommand:
             " '--out-dir', sys.argv[2]])\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "ma = [m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')]\n"
+            "exact = [m for m in sys.modules if m in ('fractions', 'decimal')]\n"
             "import canspec\n"
             "lazy = [canspec.RecoveryPipeline.__name__, canspec.frame_bounds.__name__]\n"
             "listed = set(canspec.__all__) <= set(dir(canspec))\n"
-            "print(json.dumps({'rc': rc, 'scipy': loaded, 'ma': ma, 'lazy': lazy,"
-            " 'listed': listed}))\n"
+            "print(json.dumps({'rc': rc, 'scipy': loaded, 'ma': ma, 'exact': exact,"
+            " 'lazy': lazy, 'listed': listed}))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run(
@@ -144,6 +147,7 @@ class TestForwardCommand:
             "rc": 0,
             "scipy": [],
             "ma": [],
+            "exact": [],
             "lazy": ["RecoveryPipeline", "frame_bounds"],
             "listed": True,
         }
@@ -180,6 +184,20 @@ class TestInverseCommand:
         csv = (out / "hamiltonian.csv").read_text().splitlines()
         assert csv[0].split() == ["r", "h11", "h12", "h22"]
         assert len(csv) == H.nsegments + 1
+
+    def test_chain_csv_is_the_slice_table(self, free_mu_file, tmp_path):
+        out = tmp_path / "rec"
+        grid = dict(pw_truncation=64, s_samples=17, r_samples=33)
+        args = ["--pw-trunc", "64", "--s-samples", "17", "--r-samples", "33"]
+        main(["inverse", "--in", str(free_mu_file), "--c", "0", *args, "--out-dir", str(out)])
+        mu = load_measure(free_mu_file)
+        cfg = GridConfig.for_bandwidth(mu.type, measure_window=mu.window, **grid)
+        table = RecoveryPipeline(mu, c=0.0, cfg=cfg).run().zeta_table
+        header, *rows = (out / "chain.csv").read_text().splitlines()
+        assert header.split("\t") == ["s", "position", "n11", "n12", "n22", "sine_norm_residual"]
+        # 17 significant digits: the table comes back bit for bit
+        got = np.array([[float(v) for v in row.split("\t")] for row in rows])
+        assert got.tobytes() == table.tobytes()
 
     def test_atoms_short_of_window_recover_identity(self, tmp_path):
         # unit atoms on -40..40 in a window of 60 are the free measure
@@ -360,6 +378,12 @@ class TestInvariantGate:
         required = {"framebounds": ["--in", str(free_mu_file)], "example-nonpw": ["--h", "0.1"]}
         args = [command, *required.get(command, []), "--tol-override", "1"]
         assert main(args + ["--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", list(cli._GATES))
+    def test_nan_breaches_every_gate(self, key):
+        # NaN compares false both ways: a gate passes only a value at most its tolerance
+        breaches = cli._check_gates({key: float("nan")}, None)
+        assert breaches == [f"{key}=nan, not <= {cli._GATES[key]:.1e}"]
 
     def test_help_returns_0(self, capsys):
         assert main(["forward", "--help"]) == 0

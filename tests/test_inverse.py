@@ -22,7 +22,7 @@ from canspec.inverse import (
     recentering_moment,
 )
 from canspec.model import GridConfig, Hamiltonian, NumericalError, SpectralMeasure, normalize_trace
-from canspec.pwspace import PWBasis
+from canspec.pwspace import PWBasis, build_operator
 
 
 @pytest.fixture(scope="module")
@@ -402,13 +402,12 @@ class TestProjectedCosine:
 
 class TestChainPosition:
     def test_free_identity_map(self, free_pipeline):
-        pipe = free_pipeline
-        for s in pipe.cfg.s_grid:
-            assert abs(pipe.slice_at(s).zeta - s) < 1e-4
+        s, zeta = free_pipeline.run().zeta_table[:, :2].T
+        assert np.max(np.abs(zeta - s)) < 1e-4
 
     def test_zero_at_zero(self, free_pipeline):
-        # the chain table starts at the origin: zeta(0) = 0
-        assert tuple(free_pipeline.run().zeta_table[0]) == (0.0, 0.0)
+        # the slice table starts at the origin: zeta(0) = 0, and N(0) = 0
+        assert tuple(free_pipeline.run().zeta_table[0]) == (0.0,) * 6
 
     def test_strictly_increasing_on_fixtures(self, free_pipeline, step_pipeline):
         for pipe in (free_pipeline, step_pipeline):
@@ -559,8 +558,7 @@ class TestAssembly:
         cum = np.vstack([[0.0, 0.0], cum])
         zetas = res.zeta_table[1:, 1]
         got = np.column_stack([np.interp(zetas, H.edges, cum[:, j]) for j in range(2)])
-        slices = [step_pipeline.slice_at(s) for s in step_pipeline.cfg.s_grid]
-        want = np.array([[sl.sine_at_zero, sl.norms[0, 1] / np.pi] for sl in slices])
+        want = res.zeta_table[1:, 2:4]
         assert np.max(np.abs(got[:, 0] - want[:, 0])) < 3e-5
         assert np.max(np.abs(got[:, 1] - want[:, 1])) < 1e-15
 
@@ -572,11 +570,59 @@ class TestAssembly:
             res = pipe.run()
             want = max(
                 abs(forward.exponential_type(res.hamiltonian, zeta) - s)
-                for s, zeta in res.zeta_table
+                for s, zeta in res.zeta_table[:, :2]
             ) / pipe.a
             errors.append(res.diagnostics["krein_relative_error"])
             assert errors[-1] == pytest.approx(want, rel=1e-9, abs=1e-14)
         assert errors[0] <= 1e-13
+
+
+def _traced_peak(f):
+    """``f()`` and the peak of its traced allocations above those alive before it."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    out = f()
+    return out, tracemalloc.get_traced_memory()[1] - before
+
+
+class TestSliceTable:
+    """``zeta_table``, the slice table: ``run``'s one intermediate, a row per bandwidth."""
+
+    def test_rows_are_the_slices_bitwise(self, free_pipeline, step_pipeline):
+        for pipe in (free_pipeline, step_pipeline):
+            res = pipe.run()
+            table = res.zeta_table
+            assert table.shape == (pipe.cfg.s_samples, 6)
+            residual, definitional = [], []
+            for row, s in zip(table[1:], pipe.cfg.s_grid):
+                sl = pipe.slice_at(s)
+                n22 = sl.norms[1, 1] / np.pi
+                want = [s, sl.zeta, sl.sine_at_zero, sl.norms[0, 1] / np.pi, n22]
+                assert row.tobytes() == np.array(want + [sl.sine_norm_residual]).tobytes()
+                residual.append(sl.sine_norm_residual)
+                definitional.append(abs(2.0 * sl.zeta - sl.sine_at_zero - n22))
+            # the gated diagnostics read the table and keep their bits
+            assert res.diagnostics["sine_norm_residual_max"] == max(residual)
+            assert res.diagnostics["definitional_residual_max"] == max(definitional)
+
+    def test_one_section_alive_at_a_time(self, free_pi):
+        # construction peaks no higher than the full-bandwidth section alone,
+        # and run() adds the table: no slice outlives its row; the slack holds
+        # the small per-slice arrays and the factor's finiteness check
+        _, mu, _ = free_pi
+        cfg = GridConfig.for_bandwidth(np.pi, s_samples=129, measure_window=200.0)
+        slack = 2**19
+        tracemalloc.start()
+        try:
+            RecoveryPipeline(mu, c=0.0, cfg=cfg)  # the measure's cached lattices
+            half = cfg.basis_half_size(np.pi)
+            section = _traced_peak(lambda: build_operator(mu, np.pi, half))[1]
+            pipe, init = _traced_peak(lambda: RecoveryPipeline(mu, c=0.0, cfg=cfg))
+            res, run = _traced_peak(pipe.run)
+        finally:
+            tracemalloc.stop()
+        assert init <= section + slack
+        assert run <= section + res.zeta_table.nbytes + slack
 
 
 class TestReconstruct:
