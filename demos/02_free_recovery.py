@@ -14,8 +14,9 @@ from canspec.oracles import free_fixture
 H_true, mu, c = free_fixture(np.pi, window=200.0)
 print(f"input: {mu.positions.size} atoms at the integers, masses 1, c = {c}")
 
+# the bandwidth is the measure's own type, pi here
 cfg = GridConfig.for_bandwidth(
-    np.pi, s_samples=33, pw_truncation=128, measure_window=200.0, r_samples=65
+    mu.type, s_samples=33, pw_truncation=128, measure_window=mu.window, r_samples=65
 )
 res = RecoveryPipeline(mu, c=c, cfg=cfg).run()
 H = res.hamiltonian

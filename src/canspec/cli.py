@@ -153,13 +153,10 @@ def _cmd_inverse(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]
         if c == 0.0:
             print(
                 "warning: no additive Herglotz constant supplied; using c=0 "
-                "(pass --c when the measure is not symmetric)",
+                "(pass --c=VALUE when the measure is not symmetric)",
                 file=sys.stderr,
             )
-    a = opts["bandwidth"]
-    cfg = GridConfig.for_bandwidth(
-        mu.type if a is None else a, measure_window=mu.window, **_grid(opts)
-    )
+    cfg = GridConfig.for_bandwidth(mu.type, measure_window=mu.window, **_grid(opts))
     result = RecoveryPipeline(mu, c=c, cfg=cfg).run()
     _reconstruction_outputs(out, result)
     diagnostics = dict(result.diagnostics)
@@ -341,8 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inverse", help="recover a weight from a measure")
     common(p, gated=True)
-    p.add_argument("--c", type=float, default=None, help="additive Herglotz constant")
-    p.add_argument("--bandwidth", type=float, default=None)
+    p.add_argument("--c", type=float, default=None,
+                   help="additive Herglotz constant; a negative one as --c=VALUE (--c=-1e-3)")
     grid(p)
 
     p = sub.add_parser("roundtrip", help="forward then inverse with error report")

@@ -139,12 +139,12 @@ def roundtrip(H: Hamiltonian, window: float = 200.0, **grid) -> RoundtripReport:
     (the interior sup drops 2% of the interval at both ends, where
     one-sided effects dominate).  ``window`` is the measure window; the
     ``grid`` keywords (``pw_truncation``, ``s_samples``, ``r_samples``) go to
-    :meth:`~canspec.model.GridConfig.for_bandwidth` at the weight's type,
-    which supplies the ones left out.
+    :meth:`~canspec.model.GridConfig.for_bandwidth` at the measure's fitted
+    type, as ``canspec inverse`` does, which supplies the ones left out.
     """
     Ht, _ = normalize_trace(H)
     mu = forward.spectral_measure(Ht, window)
-    cfg = GridConfig.for_bandwidth(forward.exponential_type(Ht), measure_window=window, **grid)
+    cfg = GridConfig.for_bandwidth(mu.type, measure_window=mu.window, **grid)
     result = RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg).run()
     Hr = result.hamiltonian
 

@@ -286,7 +286,7 @@ def build_operator(mu: SpectralMeasure, s: float, half_size: int, pairing=None) 
     """
     basis, gram, phi, paired = _section(mu, s, half_size, pairing)
     try:
-        cho = scipy.linalg.cho_factor(gram)
+        cho = scipy.linalg.cho_factor(gram, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise ComparabilityError(
             f"measure not comparable on the bandwidth-{s:g} space at truncation "
@@ -296,29 +296,29 @@ def build_operator(mu: SpectralMeasure, s: float, half_size: int, pairing=None) 
 
 
 def apply_inverse(op: PWOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram @ x = rhs`` for ``rhs`` of shape ``(n,)`` or ``(n, k)``.
+    """Solve ``gram @ x = rhs`` for real or complex ``rhs`` of shape ``(n,)`` or ``(n, k)``.
 
-    Each column whose back-substitution leaves a relative residual above
-    ``1e-12`` gets one step of iterative refinement; one still above
-    ``1e-10`` raises ``ComparabilityError``.  A complex ``rhs`` is solved
-    as its real and imaginary parts, two real columns of the same block.
+    ``rhs`` must be finite; the factor is, since ``build_operator`` raises on
+    a section that is not, so LAPACK runs unchecked.  Each column whose
+    back-substitution leaves a relative residual above ``1e-12`` gets one
+    step of iterative refinement; one still above ``1e-10`` raises
+    ``ComparabilityError``.
     """
     rhs = np.asarray(rhs)
     if rhs.shape[0] != op.gram.shape[0]:
         raise ValidationError("right-hand side size does not match the operator")
+    if not np.all(np.isfinite(rhs)):
+        raise ValidationError("right-hand side is not finite")
     b = rhs.reshape(rhs.shape[0], -1)
-    b = np.hstack([b.real, b.imag]) if np.iscomplexobj(b) else b
-    x = scipy.linalg.cho_solve(op._cho, b)
+    x = scipy.linalg.cho_solve(op._cho, b, check_finite=False)
     b_norm = np.linalg.norm(b, axis=0)
     res = op.gram @ x - b
-    fail = np.linalg.norm(res, axis=0) > 1e-12 * b_norm
+    fail = ~(np.linalg.norm(res, axis=0) <= 1e-12 * b_norm)
     if np.any(fail):
-        x[:, fail] -= scipy.linalg.cho_solve(op._cho, res[:, fail])
+        x[:, fail] -= scipy.linalg.cho_solve(op._cho, res[:, fail], check_finite=False)
         rel = np.max(np.linalg.norm(op.gram @ x[:, fail] - b[:, fail], axis=0) / b_norm[fail])
-        if rel > 1e-10:
+        if not rel <= 1e-10:
             raise ComparabilityError(f"inverse application failed: relative residual {rel:.3e}")
-    if np.iscomplexobj(rhs):
-        x = x[:, : x.shape[1] // 2] + 1j * x[:, x.shape[1] // 2 :]
     return x.reshape(rhs.shape)
 
 
@@ -334,5 +334,5 @@ def frame_bounds(mu: SpectralMeasure, s: float, half_size: int) -> tuple[float, 
     _, gram, _, _ = _section(mu, s, half_size)
     # the full spectrum: LAPACK's index-subset drivers fail to
     # converge on sections that equal the identity to roundoff
-    evals = scipy.linalg.eigvalsh(gram)
+    evals = scipy.linalg.eigvalsh(gram, check_finite=False)
     return float(evals[0]), float(evals[-1])

@@ -252,9 +252,10 @@ class TestInverseCommand:
         assert code == 2
 
     def test_section_that_is_not_positive_definite_exits_3(self, gap_mu_file, tmp_path, capsys):
+        # at the gap measure's own type, 2.29
         code = main(
             [
-                "inverse", "--in", str(gap_mu_file), "--c", "0", "--bandwidth", str(np.pi),
+                "inverse", "--in", str(gap_mu_file), "--c", "0",
                 "--pw-trunc", "40", "--out-dir", str(tmp_path / "rec"),
             ]
         )
@@ -267,17 +268,41 @@ class TestInverseCommand:
         code = main(["inverse", "--in", str(free_mu_file), "--pw-trunc", "16", "--s-samples", "9",
                      "--r-samples", "17", "--out-dir", str(tmp_path)])
         assert code == 0
-        assert capsys.readouterr().err.startswith(
-            "warning: no additive Herglotz constant supplied"
-        )
+        err = capsys.readouterr().err
+        assert err.startswith("warning: no additive Herglotz constant supplied")
+        assert "--c=VALUE" in err
 
-    def test_invariant_violation_in_command_exits_4(self, free_mu_file, tmp_path, capsys):
-        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--bandwidth", "1e6",
-                     "--out-dir", str(tmp_path)])
+    def test_invariant_violation_in_command_exits_4(self, tmp_path, capsys):
+        # the free measure at window 200 plus one unit atom at t = 10.5
+        _, mu, _ = oracles.free_fixture(np.pi, 200.0)
+        positions, masses = np.append(mu.positions, 10.5), np.append(mu.masses, 1.0)
+        order = np.argsort(positions)
+        path = tmp_path / "inserted.json"
+        path.write_text(dumps_measure(SpectralMeasure(positions[order], masses[order], mu.window)))
+        code = main(["inverse", "--in", str(path), "--c", "0", "--out-dir", str(tmp_path / "rec")])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("invariant breach: PSD projection exceeded")
         assert "np.float64(" not in err
+
+    def test_bandwidth_is_not_an_option(self, free_mu_file, tmp_path, capsys):
+        # the measure's type is the bandwidth
+        out = tmp_path / "rec"
+        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--bandwidth", "1.0",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "unrecognized arguments: --bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_c_in_exponent_form(self, free_mu_file, tmp_path):
+        # argparse before Python 3.13 reads a bare -1e-3 as a flag, so --c=VALUE
+        assert cli._build_parser().parse_args(["inverse", "--in", "m", "--c=-1e-3"]).c == -1e-3
+        out = tmp_path / "rec"
+        assert main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--c=-1e-3",
+                     "--out-dir", str(out)]) == 0
+        # the recovered length is pi (2 + c^2) / 2
+        ell = load_hamiltonian(out / "hamiltonian.json").ell
+        assert ell == pytest.approx(np.pi * (2 + 1e-6) / 2, rel=1e-12)
 
 
 class TestRoundtripCommand:
@@ -550,12 +575,6 @@ _INVERSE = ["--c", "0", "--pw-trunc", "16", "--s-samples", "9", "--r-samples", "
 
 
 class TestZeroBandwidthExit2:
-    def test_inverse(self, free_mu_file, tmp_path):
-        code = main(["inverse", "--in", str(free_mu_file), "--c", "0", "--bandwidth", "0",
-                     "--pw-trunc", "16", "--s-samples", "9", "--r-samples", "17",
-                     "--out-dir", str(tmp_path)])
-        assert code == 2
-
     def test_framebounds(self, free_mu_file, tmp_path):
         code = main(["framebounds", "--in", str(free_mu_file), "--s", "0",
                      "--pw-trunc", "16", "--out-dir", str(tmp_path)])
@@ -567,8 +586,6 @@ class TestZeroBandwidthExit2:
             pytest.param(["forward", "--window", "nan"], id="forward-window-nan"),
             pytest.param(["forward", "--window", "-5"], id="forward-window-negative"),
             pytest.param(["roundtrip", "--window", "inf"], id="roundtrip-window-inf"),
-            pytest.param(["inverse", *_INVERSE, "--bandwidth", "nan"], id="inverse-bandwidth-nan"),
-            pytest.param(["inverse", *_INVERSE, "--bandwidth", "inf"], id="inverse-bandwidth-inf"),
             pytest.param(["inverse", *_INVERSE, "--c", "nan"], id="inverse-c-nan"),
             pytest.param(["inverse", *_INVERSE, "--c", "inf"], id="inverse-c-inf"),
             pytest.param(["framebounds", "--pw-trunc", "16", "--s", "nan"], id="framebounds-s-nan"),
@@ -601,11 +618,8 @@ class TestHugeFiniteNumbersExit3:
         [
             (["--c", "1e308"], "boundary cosine data overflowed"),
             (["--c", "1e200"], "boundary cosine data overflowed"),
-            (["--bandwidth", "1e300"], "boundary cosine data overflowed"),
-            # the basis cap 0.95 window s / pi overflows, then s t in the section
-            (["--bandwidth", "1e308"], "section at bandwidth 1e+308 is not finite"),
         ],
-        ids=["c-1e308", "c-1e200", "bandwidth-1e300", "bandwidth-1e308"],
+        ids=["c-1e308", "c-1e200"],
     )
     def test_inverse(self, free_mu_file, tmp_path, capsys, extra, message):
         code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, *extra,

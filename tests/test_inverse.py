@@ -608,10 +608,10 @@ class TestSliceTable:
     def test_one_section_alive_at_a_time(self, free_pi):
         # construction peaks no higher than the full-bandwidth section alone,
         # and run() adds the table: no slice outlives its row; the slack holds
-        # the small per-slice arrays and the factor's finiteness check
+        # the small per-slice arrays
         _, mu, _ = free_pi
         cfg = GridConfig.for_bandwidth(np.pi, s_samples=129, measure_window=200.0)
-        slack = 2**19
+        slack = 2**17
         tracemalloc.start()
         try:
             RecoveryPipeline(mu, c=0.0, cfg=cfg)  # the measure's cached lattices
@@ -677,6 +677,13 @@ class TestReconstruct:
         cfg = GridConfig.for_bandwidth(a, s_samples=9, pw_truncation=16, measure_window=50.0)
         with pytest.raises(NumericalError, match="boundary cosine data overflowed"):
             RecoveryPipeline(mu, c=c, cfg=cfg)
+
+    def test_section_at_huge_bandwidth_rejected(self):
+        # the basis cap 0.95 window s / pi overflows, then s t in the section
+        _, mu, _ = oracles.free_fixture(np.pi, 50.0)
+        cfg = GridConfig.for_bandwidth(1e308, s_samples=9, pw_truncation=16, measure_window=50.0)
+        with pytest.raises(NumericalError, match=r"section at bandwidth 1e\+308 is not finite"):
+            RecoveryPipeline(mu, c=0.0, cfg=cfg)
 
     def test_degenerate_measure_rejected(self):
         # starving most atoms of mass breaks bounded invertibility

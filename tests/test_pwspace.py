@@ -435,6 +435,22 @@ class TestApplyInverse:
         with pytest.raises(ComparabilityError, match="inverse application failed"):
             apply_inverse(op, np.linspace(-1, 1, op.basis.size))
 
+    def test_nan_factor_fails_the_residual_gates(self, step_measure_small):
+        # NaN passes no gate: the solve is unchecked, the residual is not
+        op = build_operator(step_measure_small, 1.8, 20)
+        nan_factor = (np.full_like(op.gram, np.nan), False)
+        op = pwspace.PWOperator(op.basis, op.gram, op.atom_matrix, nan_factor)
+        with pytest.raises(ComparabilityError, match="relative residual nan"):
+            apply_inverse(op, np.linspace(-1, 1, op.basis.size))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_nonfinite_right_hand_side(self, step_measure_small, bad):
+        op = build_operator(step_measure_small, 1.8, 20)
+        rhs = np.ones(op.basis.size, dtype=type(bad))
+        rhs[3] = bad
+        with pytest.raises(ValidationError, match="right-hand side is not finite"):
+            apply_inverse(op, rhs)
+
     def test_size_mismatch(self, step_measure_small):
         op = build_operator(step_measure_small, 1.8, 20)
         with pytest.raises(ValidationError):
