@@ -36,6 +36,10 @@ for i in range(center - 3, center + 4):
 free_spacing = np.pi / exponential_type(Ht)
 gaps = np.diff(mu.positions)[-10:]
 print(f"\nouter atom spacing {gaps.mean():.6f} vs free spacing pi/type = {free_spacing:.6f}")
+print(
+    f"the tail model continues the atoms at the fitted type mu.type = {mu.type:.9f}, "
+    f"spacing pi/mu.type = {np.pi / mu.type:.9f} (pi/exponential_type = {free_spacing:.9f})"
+)
 
 m = weyl_function(Ht, 0.5 + 1.0j)
 print(f"\nWeyl function at 0.5+1i: {m.m:.6f} (positive imaginary part)")

@@ -551,23 +551,23 @@ def herglotz_constants(H: Hamiltonian, mu: SpectralMeasure) -> tuple[float, floa
     no linear term (L. de Branges, 1968; C. Remling, *Spectral Theory of
     Canonical Systems*, 2018): ``c = Re m(i)`` and ``Im m(i) = (1/pi) *
     sum mass/(1+t^2)`` over all atoms.  The atoms beyond the window are
-    modelled by :meth:`~canspec.model.SpectralMeasure.tail_lattices` at
-    the spacing ``h = pi / type``, each lattice ``first + 2h j`` summed in
+    modelled by :attr:`~canspec.model.SpectralMeasure.tail_lattices` at the
+    spacing ``h = pi / mu.type``, each lattice ``first + 2h j`` summed in
     closed form as ``Im psi((first + i)/(2h)) / (2h)`` (:func:`_digamma`).
     ``r = (Im m(i) - window sum - tail) / tail`` is the model's relative
-    error; above :data:`TAIL_MODEL_TOL` the window is too small and raises
-    :class:`NumericalError`, and a weight of type 0 :class:`ValidationError`.
+    error; above :data:`TAIL_MODEL_TOL`, or on a lone atom, which fits no
+    type, the window is too small and raises :class:`NumericalError`.
     """
-    lam = exponential_type(H)
-    if not lam > 0.0:
-        raise ValidationError("weight has exponential type 0: no lattice continues the atoms")
+    if mu.positions.size < 2:
+        raise NumericalError(
+            f"the tail model beyond window {mu.window:g} needs two atoms; enlarge the window"
+        )
     m_i = weyl_function(H, 1j).m
     c = float(m_i.real)
     window_sum = float(np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi)
-    spacing = np.pi / lam
-    step = 2.0 * spacing
+    step = 2.0 * np.pi / mu.type
     tail = 0.0
-    for _, first, mass in mu.tail_lattices(spacing):
+    for _, first, mass in mu.tail_lattices:
         tail += mass * _digamma((first + 1j) / step).imag / (step * np.pi)
     r = (float(m_i.imag) - window_sum - tail) / tail
     if not abs(r) <= TAIL_MODEL_TOL:

@@ -338,8 +338,6 @@ class RecoveryPipeline:
         self.a = cfg.bandwidth
         self.lattice = mu.type
         self.r_eff = float(np.max(np.abs(mu.positions)))
-        # rows side, first, mass of the model lattices beyond the window
-        self.tail_lattices = np.array(mu.tail_lattices(np.pi / self.lattice)).T
 
         half_a = cfg.basis_half_size(self.a)
         self.a_edge = np.pi * half_a / self.a
@@ -391,13 +389,13 @@ class RecoveryPipeline:
         """Lattice-model tail of the 2x2 measure Gram beyond the window.
 
         The model continues the atoms to infinity over
-        :meth:`~canspec.model.SpectralMeasure.tail_lattices` (alternating
+        :attr:`~canspec.model.SpectralMeasure.tail_lattices` (alternating
         masses correlate with the alternating component values).  One
         :func:`lattice_tail_sums` pass sums the four lattices as an array;
         the diagonal holds their mass-weighted squared sine and cosine sums,
         the off-diagonal the side- and mass-weighted cross sum.
         """
-        side, first, mass = self.tail_lattices
+        side, first, mass = self.mu.tail_lattices.T
         sine2, cosine2, cross = lattice_tail_sums(s, first, 2.0 * np.pi / self.lattice)
         off = (side * mass) @ cross
         return np.array([[mass @ sine2, off], [off, mass @ cosine2]])

@@ -333,28 +333,30 @@ class SpectralMeasure:
             array.setflags(write=False)
         return points, weights
 
-    def tail_lattices(self, spacing: float) -> list[tuple[float, float, float]]:
-        """Lattices that continue the atoms beyond the window, as ``(side, first, mass)``.
+    @cached_property
+    def tail_lattices(self) -> np.ndarray:
+        """The measure's one tail model, read-only rows ``(side, first, mass)``, shape ``(4, 3)``.
 
-        On each side (``side`` is ``1.0``, then ``-1.0``) the continuation
-        starts from the outermost atom ``A`` at the given spacing ``h``, so
-        it inherits the asymptotic phase of the zero sequence.  Asymptotic
-        masses may alternate between two values, so it continues the
-        parity pattern of the outer band (the outer quarter of the atoms
-        sorted outward, 2 to 32 of them): the atoms ``A + h, A + 3h, ...``
-        carry the mean mass of the band's other parity and ``A + 2h, A +
-        4h, ...`` the mean of the outermost atom's parity.  Each parity is
-        the lattice ``|t| = first + 2h i``, ``i >= 0``.
+        Lattices continuing the atoms beyond the window, summed by the Herglotz
+        constants, the Gram tails and the trace identities.  On each side
+        (``side`` ``1.0`` in rows 0-1, ``-1.0`` in rows 2-3) they start from the
+        outermost atom ``A`` at the spacing ``h = pi / type``, inheriting the
+        asymptotic phase of the zero sequence, and continue the parity pattern of
+        the outer band (the outer quarter of the atoms sorted outward, 2 to 32 of
+        them), as asymptotic masses may alternate: ``A + h, A + 3h, ...`` carry
+        the mean mass of the band's other parity, ``A + 2h, A + 4h, ...`` that of
+        the outermost atom's.  Each parity is the lattice ``|t| = first + 2h i``.
         """
-        lattices = []
-        for side in (1.0, -1.0):
+        spacing = np.pi / self.type
+        table = np.empty((4, 3))
+        for row, side in ((0, 1.0), (2, -1.0)):
             order = np.argsort(side * self.positions)
             anchor = float((side * self.positions)[order][-1])
             band = self.masses[order][-min(32, max(2, order.size // 4)) :]
-            m_after = float(np.mean(band[-1::-2]))
-            m_next = float(np.mean(band[-2::-2])) if band.size > 1 else m_after
-            lattices += [(side, anchor + spacing, m_next), (side, anchor + 2.0 * spacing, m_after)]
-        return lattices
+            table[row] = side, anchor + spacing, np.mean(band[-2::-2])
+            table[row + 1] = side, anchor + 2.0 * spacing, np.mean(band[-1::-2])
+        table.setflags(write=False)
+        return table
 
 
 def _det_drift(M: np.ndarray) -> np.ndarray:
@@ -446,12 +448,13 @@ class GridConfig:
     def for_bandwidth(
         cls,
         a: float,
+        *,
+        measure_window: float,
         s_samples: int = 129,
         pw_truncation: int = 256,
-        measure_window: float = 200.0,
         r_samples: int = 257,
     ) -> "GridConfig":
-        """The configuration at bandwidth ``a`` with the default grid sizes."""
+        """The configuration at bandwidth ``a`` in the measure's window, default grid sizes."""
         return cls(a, s_samples, pw_truncation, measure_window, r_samples)
 
     def basis_half_size(self, s: float) -> int:

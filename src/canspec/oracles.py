@@ -234,7 +234,8 @@ def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.nd
 
     The left sides are exact segment integrals of the weight entries; the
     right sides are measure sums of solution components, extended beyond
-    the window over :meth:`~canspec.model.SpectralMeasure.tail_lattices`
+    the window over :attr:`~canspec.model.SpectralMeasure.tail_lattices`,
+    the tail model that the recovery sums, at spacing ``pi / mu.type``,
     with the solver evaluated at the synthetic atoms below ``_TAIL_SPAN``
     windows plus one spacing.  Beyond that span the components follow the
     free model at the exponential type of ``[0, r]``, summed to infinity
@@ -258,9 +259,8 @@ def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.nd
     s = forward.exponential_type(H, r)
     spacing = np.pi / mu.type
     step = 2.0 * spacing
-    lattices = mu.tail_lattices(spacing)
     remainders = []
-    for side, first, mass in lattices:
+    for side, first, mass in mu.tail_lattices:
         taus = np.arange(first, _TAIL_SPAN * mu.window + spacing, step)
         g1, g2 = components(side * taus)
         s11 += mass * float(np.sum(g1 * g1))
@@ -268,7 +268,7 @@ def trace_identity_check(H: Hamiltonian, mu: SpectralMeasure, r: float) -> np.nd
         s12 += mass * float(np.sum(g1 * g2))
         remainders.append(first + step * taus.size)
     # model remainders beyond the span: f1 = -sin(st)/t, f2 = (cos st - 1)/t
-    side, _, mass = np.array(lattices).T
+    side, _, mass = mu.tail_lattices.T
     sine2, cosine2, cross = lattice_tail_sums(s, np.array(remainders), step)
     s11 += mass @ sine2
     s22 += mass @ cosine2

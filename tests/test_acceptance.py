@@ -125,12 +125,12 @@ def test_criterion_05_herglotz_constants():
     )
 
 
-def test_criterion_06_chain_position(free_roundtrip, step_measure, step_hamiltonian):
+def test_criterion_06_chain_position(free_roundtrip, step_measure):
     _, result, _ = free_roundtrip
     s_grid, zetas = result.zeta_table[1:, 0], result.zeta_table[1:, 1]
     zeta_err = float(np.max(np.abs(zetas - s_grid)))
     consistency = result.diagnostics["definitional_residual_max"]
-    step = _step_pipe(step_hamiltonian, step_measure)
+    step = _step_pipe(step_measure)
     step_zetas = step.run().zeta_table[1:, 1]
     increasing = bool(np.all(np.diff(zetas) > 0) and np.all(np.diff(step_zetas) > 0))
     ok = zeta_err <= 1e-4 and consistency <= 1e-6 and increasing
@@ -143,10 +143,9 @@ def test_criterion_06_chain_position(free_roundtrip, step_measure, step_hamilton
     )
 
 
-def _step_pipe(step_hamiltonian, step_measure):
-    a = forward.exponential_type(step_hamiltonian)
+def _step_pipe(step_measure):
     cfg = GridConfig.for_bandwidth(
-        a, s_samples=17, pw_truncation=128, measure_window=step_measure.window
+        step_measure.type, s_samples=17, pw_truncation=128, measure_window=step_measure.window
     )
     return RecoveryPipeline(step_measure, c=step_measure.herglotz_c, cfg=cfg)
 

@@ -103,10 +103,12 @@ class TestForwardCommand:
         assert 0.05 < abs(diag["tail_model_residual"]) <= forward.TAIL_MODEL_TOL
 
     def test_too_small_window_exits_3(self, step_h_file, tmp_path, capsys):
+        # window 1 holds the origin atom alone, which fits no type for the tail model
         out = tmp_path / "out"
         args = ["forward", "--in", str(step_h_file), "--window", "1", "--out-dir", str(out)]
         assert main(args) == 3
-        assert "beyond window 1 " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "beyond window 1 needs two atoms" in err
         assert not out.exists()
 
     def test_missed_zeros_exit_3(self, tmp_path, capsys):
@@ -284,6 +286,15 @@ class TestInverseCommand:
         err = capsys.readouterr().err
         assert err.startswith("invariant breach: PSD projection exceeded")
         assert "np.float64(" not in err
+
+    def test_lone_atom_exits_2(self, tmp_path, capsys):
+        # one atom fits no type, and the type sets the bandwidth
+        path = tmp_path / "lone.json"
+        path.write_text(dumps_measure(SpectralMeasure(np.zeros(1), np.ones(1), 1.0)))
+        out = tmp_path / "out"
+        assert main(["inverse", "--in", str(path), "--c", "0", "--out-dir", str(out)]) == 2
+        assert "single atom" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bandwidth_is_not_an_option(self, free_mu_file, tmp_path, capsys):
         # the measure's type is the bandwidth

@@ -407,8 +407,9 @@ class TestFindZeros:
             forward.find_zeros(H, 5.0)
         with pytest.raises(ValidationError, match="type 0"):
             forward.spectral_measure(H, 5.0)
+        # a lone atom fits no type: the tail model has no spacing, whatever the weight
         mu = SpectralMeasure(np.array([0.0]), np.array([1.0]), 5.0)
-        with pytest.raises(ValidationError, match="type 0"):
+        with pytest.raises(NumericalError, match="beyond window 5 needs two atoms"):
             forward.herglotz_constants(H, mu)
 
     def test_zero_always_included(self, step_hamiltonian):
@@ -834,9 +835,25 @@ class TestHerglotzConstants:
         mu = forward.spectral_measure(H, 200.0)
         assert abs(forward.herglotz_constants(H, mu)[1]) <= forward.TAIL_MODEL_TOL
 
+    def test_tail_is_the_measures_tail_lattices(self):
+        # the step split at 1.2 of 2: its fitted type is not its exact type, and
+        # the tail is the lattice model at the fitted spacing that the inverse sums
+        split = [(0.0, 1.2, 1.2, 0.0, 1 / 1.2), (1.2, 2.0, 1 / 1.2, 0.0, 1.2)]
+        H = normalize_trace(Hamiltonian.from_segments(split))[0]
+        mu = forward.spectral_measure(H, 200.0)
+        assert mu.type != forward.exponential_type(H)
+        step = 2.0 * np.pi / mu.type
+        tail = sum(
+            mass * scipy.special.psi((first + 1j) / step).imag / (step * np.pi)
+            for _, first, mass in mu.tail_lattices
+        )
+        window_sum = np.sum(mu.masses / (1.0 + mu.positions**2)) / np.pi
+        r = (forward.weyl_function(H, 1j).m.imag - window_sum - tail) / tail
+        assert abs(forward.herglotz_constants(H, mu)[1] - r) <= 1e-12
+
     @pytest.mark.parametrize("weight, window", [("step", 1.0), ("found", 10.0), ("found", 20.0)])
     def test_too_small_window_raises(self, step_hamiltonian, weight, window):
-        # a lone atom (-21.7%) and the found weight at -32.6% and +36.4%
+        # a lone atom, which fits no type, and the found weight at -32.4% and +36.5%
         H = step_hamiltonian if weight == "step" else found_weight()
         with pytest.raises(NumericalError, match=rf"tail model beyond window {window:g} "):
             forward.spectral_measure(H, window)
@@ -852,9 +869,8 @@ def weight_and_measure(request, step_hamiltonian, step_measure):
 
 def herglotz_tail_terms(H, mu):
     """``(z, mass, step)`` of each lattice sum ``mass Im psi(z) / (step pi)`` of the tail."""
-    spacing = np.pi / forward.exponential_type(H)
-    step = 2.0 * spacing
-    return [((first + 1j) / step, mass, step) for _, first, mass in mu.tail_lattices(spacing)]
+    step = 2.0 * np.pi / mu.type
+    return [((first + 1j) / step, mass, step) for _, first, mass in mu.tail_lattices]
 
 
 class TestDigamma:

@@ -49,27 +49,24 @@ def smooth_pipeline():
     ]
     H, _ = normalize_trace(Hamiltonian.from_segments(segments))
     mu = forward.spectral_measure(H, 400.0)
-    a = forward.exponential_type(H)
-    cfg = GridConfig.for_bandwidth(a, s_samples=9, pw_truncation=64, measure_window=400.0)
+    cfg = GridConfig.for_bandwidth(mu.type, s_samples=9, pw_truncation=64, measure_window=400.0)
     return RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg)
 
 
 @pytest.fixture(scope="module")
-def step_pipeline(step_hamiltonian, step_measure):
-    a = forward.exponential_type(step_hamiltonian)
+def step_pipeline(step_measure):
     cfg = GridConfig.for_bandwidth(
-        a, s_samples=17, pw_truncation=256, measure_window=step_measure.window
+        step_measure.type, s_samples=17, pw_truncation=256, measure_window=step_measure.window
     )
     return RecoveryPipeline(step_measure, c=step_measure.herglotz_c, cfg=cfg)
 
 
 @pytest.fixture(scope="module")
-def wide_pipeline(wide_hamiltonian, wide_measure, wide_workload):
+def wide_pipeline(wide_measure, wide_workload):
     """The pipeline of the wide-roundtrip benchmark, seed 0, instance 0."""
     settings = dict(wide_workload.WIDE_SETTINGS)
     window = settings.pop("window")
-    a = forward.exponential_type(wide_hamiltonian)
-    cfg = GridConfig.for_bandwidth(a, measure_window=window, **settings)
+    cfg = GridConfig.for_bandwidth(wide_measure.type, measure_window=window, **settings)
     return RecoveryPipeline(wide_measure, c=wide_measure.herglotz_c, cfg=cfg)
 
 
@@ -170,10 +167,9 @@ def _reference_slice(pipe, s):
 
     free = np.column_stack(_free_model(s, t))
     values = free + phi.T @ (coeffs - model)
-    spacing = np.pi / lam
     tails = np.zeros((2, 2))
-    for side, first, mass in mu.tail_lattices(spacing):
-        sine2, cosine2, cross = _scalar_lattice_tail_sums(s, first, 2.0 * spacing)
+    for side, first, mass in mu.tail_lattices:
+        sine2, cosine2, cross = _scalar_lattice_tail_sums(s, first, 2.0 * np.pi / lam)
         tails += mass * np.array([[sine2, side * cross], [side * cross, cosine2]])
     norms = values.T @ (m[:, None] * values) + tails
     edge = np.pi * basis.half_size / s
@@ -353,8 +349,7 @@ class TestBoundaryCosineOrigin:
         Ht, _ = normalize_trace(H)
         mu = forward.spectral_measure(Ht, 60.0)
         cfg = GridConfig.for_bandwidth(
-            forward.exponential_type(Ht), s_samples=9, pw_truncation=64,
-            measure_window=60.0,
+            mu.type, s_samples=9, pw_truncation=64, measure_window=60.0
         )
         pipe = RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg)
         pts = mu.positions[pipe.core_mask]
@@ -493,9 +488,7 @@ class TestSliceData:
             }[name]
             H, _ = normalize_trace(H)
             mu = forward.spectral_measure(H, 200.0)
-        cfg = GridConfig.for_bandwidth(
-            forward.exponential_type(H), measure_window=mu.window, **grid
-        )
+        cfg = GridConfig.for_bandwidth(mu.type, measure_window=mu.window, **grid)
         pipe = RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg)
         err = np.zeros(3)
         for s in cfg.s_grid:
@@ -802,7 +795,7 @@ class TestBandMassPair:
         mu = SpectralMeasure(k.astype(float), masses, 20.5)
         for side in (1.0, -1.0):
             (_, first_next, m_next), (_, first_after, m_after) = [
-                lat for lat in mu.tail_lattices(1.0) if lat[0] == side
+                lat for lat in mu.tail_lattices if lat[0] == side
             ]
             assert (first_next, first_after) == (21.0, 22.0)
             assert m_after == pytest.approx(2.0)  # same parity as the outermost atom
@@ -811,7 +804,7 @@ class TestBandMassPair:
     def test_constant_pattern(self):
         k = np.arange(-15, 15)
         mu = SpectralMeasure(k.astype(float), np.full(k.size, 0.7), 15.5)
-        masses = [mass for _, _, mass in mu.tail_lattices(1.0)]
+        masses = [mass for _, _, mass in mu.tail_lattices]
         assert masses == pytest.approx([0.7] * 4)
 
 
@@ -821,7 +814,7 @@ def _brute_force_tails(pipe, s, terms=2**22, chunk=2**19):
     error of that remainder (exact only where the oscillation averages)."""
     spacing = np.pi / pipe.lattice
     sine = cosine = cross = bound = 0.0
-    for side, first, mass in pipe.mu.tail_lattices(spacing):
+    for side, first, mass in pipe.mu.tail_lattices:
         for start in range(0, terms // 2, chunk // 2):
             t = side * (first + 2.0 * spacing * np.arange(start, start + chunk // 2))
             sv = np.sin(s * t) / t

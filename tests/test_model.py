@@ -175,11 +175,19 @@ class TestSpectralMeasureInvariants:
         assert forward.spectral_measure(Hamiltonian.identity(np.pi), 200.0).type == np.pi
 
     def test_tail_lattices_anchor_at_outermost_atoms(self):
+        # the least-squares slope of the atoms is 1.6, so the spacing pi / type is 1.6
         mu = SpectralMeasure(np.array([-3.0, -1.0, 0.0, 2.0]), np.ones(4), 5.0)
-        lattices = mu.tail_lattices(0.5)
-        assert [(side, first) for side, first, _ in lattices] == [
-            (1.0, 2.5), (1.0, 3.0), (-1.0, 3.5), (-1.0, 4.0)
-        ]
+        assert np.pi / mu.type == pytest.approx(1.6, rel=1e-15)
+        lattices = mu.tail_lattices
+        assert lattices.shape == (4, 3)
+        np.testing.assert_array_equal(lattices[:, 0], [1.0, 1.0, -1.0, -1.0])
+        np.testing.assert_allclose(lattices[:, 1], [3.6, 5.2, 4.6, 6.2], rtol=1e-15)
+
+    def test_tail_lattices_cached_and_read_only(self, step_measure):
+        lattices = step_measure.tail_lattices
+        assert step_measure.tail_lattices is lattices
+        with pytest.raises(ValueError):
+            lattices[0, 2] = 1.0
 
 
 def _reference_completion_lattice(mu):
@@ -279,12 +287,12 @@ class TestNormalizeTrace:
 class TestGridConfig:
     def test_small_truncation_rejected(self):
         with pytest.raises(ValidationError):
-            GridConfig.for_bandwidth(np.pi, pw_truncation=4)
+            GridConfig.for_bandwidth(np.pi, measure_window=200.0, pw_truncation=4)
 
     def test_s_grid_must_increase(self):
         # a negative bandwidth gives a decreasing grid of negative points
         with pytest.raises(ValidationError):
-            GridConfig.for_bandwidth(-1.0)
+            GridConfig.for_bandwidth(-1.0, measure_window=200.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_s_grid_must_be_finite(self, bad):
@@ -298,7 +306,7 @@ class TestGridConfig:
     def test_non_integer_sizes_rejected(self, sizes):
         name = next(iter(sizes))
         with pytest.raises(ValidationError, match=f"{name}=.* is not an integer"):
-            GridConfig.for_bandwidth(3.14, **sizes)
+            GridConfig.for_bandwidth(3.14, measure_window=200.0, **sizes)
 
     def test_non_integer_roundtrip_samples_rejected(self):
         with pytest.raises(ValidationError, match="r_samples=17.5 is not an integer"):
@@ -306,11 +314,11 @@ class TestGridConfig:
 
     def test_two_s_samples_rejected(self):
         with pytest.raises(ValidationError, match="s_samples"):
-            GridConfig.for_bandwidth(np.pi, s_samples=2)
+            GridConfig.for_bandwidth(np.pi, measure_window=200.0, s_samples=2)
 
     @pytest.mark.parametrize("a,n", [(np.pi, 129), (2.0, 65), (0.7, 3)])
     def test_s_grid_is_the_uniform_grid(self, a, n):
-        cfg = GridConfig.for_bandwidth(a, s_samples=n)
+        cfg = GridConfig.for_bandwidth(a, measure_window=200.0, s_samples=n)
         want = np.linspace(0.0, a, n)[1:]
         assert cfg.s_grid.tobytes() == want.tobytes()
         assert cfg.s_grid[-1] == cfg.bandwidth == a
@@ -326,8 +334,13 @@ class TestGridConfig:
 
     def test_basis_half_size_at_huge_bandwidth(self):
         # 0.95 window s / pi overflows to inf, which the truncation clamps
-        cfg = GridConfig.for_bandwidth(1e308, pw_truncation=256)
+        cfg = GridConfig.for_bandwidth(1e308, measure_window=200.0, pw_truncation=256)
         assert cfg.basis_half_size(1e308) == 256
+
+    def test_measure_window_is_required(self):
+        # no default window: the basis must stay inside the measure's own window
+        with pytest.raises(TypeError, match="measure_window"):
+            GridConfig.for_bandwidth(np.pi)
 
     def test_basis_half_size_clamps_to_window(self):
         cfg = GridConfig.for_bandwidth(np.pi, measure_window=200.0, pw_truncation=256)
@@ -337,7 +350,7 @@ class TestGridConfig:
         assert cfg2.basis_half_size(np.pi) == 256
 
     def test_bandwidth_property(self):
-        cfg = GridConfig.for_bandwidth(2.0, s_samples=65)
+        cfg = GridConfig.for_bandwidth(2.0, measure_window=200.0, s_samples=65)
         assert cfg.bandwidth == pytest.approx(2.0)
         assert cfg.s_grid.size == 64
 
