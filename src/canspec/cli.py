@@ -23,6 +23,7 @@ import numpy as np
 
 from . import forward
 from .model import (
+    DET_TOL,
     GridConfig,
     Hamiltonian,
     InvariantViolation,
@@ -49,7 +50,7 @@ _EXIT_INVARIANT = 4
 _GATES = {
     "sine_norm_residual_max": 1e-4,
     "definitional_residual_max": 1e-6,
-    "max_det_residual": 1e-10,
+    "max_det_residual": DET_TOL,
 }
 
 
@@ -147,17 +148,8 @@ def _cmd_inverse(opts: dict, inputs: tuple[Path, ...], out: Output) -> list[str]
     from .inverse import RecoveryPipeline
 
     mu = load_measure(inputs[0])
-    c = opts["c"]
-    if c is None:
-        c = mu.herglotz_c
-        if c == 0.0:
-            print(
-                "warning: no additive Herglotz constant supplied; using c=0 "
-                "(pass --c=VALUE when the measure is not symmetric)",
-                file=sys.stderr,
-            )
     cfg = GridConfig.for_bandwidth(mu.type, measure_window=mu.window, **_grid(opts))
-    result = RecoveryPipeline(mu, c=c, cfg=cfg).run()
+    result = RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg).run()
     _reconstruction_outputs(out, result)
     diagnostics = dict(result.diagnostics)
     _write_json(out("diagnostics.json"), diagnostics)
@@ -338,8 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inverse", help="recover a weight from a measure")
     common(p, gated=True)
-    p.add_argument("--c", type=float, default=None,
-                   help="additive Herglotz constant; a negative one as --c=VALUE (--c=-1e-3)")
     grid(p)
 
     p = sub.add_parser("roundtrip", help="forward then inverse with error report")

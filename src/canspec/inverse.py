@@ -318,8 +318,8 @@ class RecoveryPipeline:
 
     ``RecoveryPipeline(mu, c, cfg).run()`` recovers the trace-2 weight whose
     spectral measure is ``mu``.  ``c`` is the additive Herglotz constant of
-    the Weyl function; round trips obtain it from the forward solver, raw
-    measures must supply it (the measure alone does not determine it).
+    the Weyl function, which the atoms alone do not determine: ``canspec
+    inverse`` and round trips pass the measure's own ``mu.herglotz_c``.
     ``__init__`` builds the full-bandwidth boundary data (slope data,
     boundary cosine values, the cosine weights on the in-core completion
     lattice), releasing the full-bandwidth section before the slopes; each

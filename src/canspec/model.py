@@ -11,8 +11,11 @@ JSON formats (all floats written with 17 significant digits):
 
 * Hamiltonian: ``{"ell": f, "segments": [{"r0": f, "r1": f,
   "h": [[h11, h12], [h12, h22]]}]}``
-* Measure: ``{"window": f, "c": f, "atoms": [{"t": f, "mass": f}]}``; the
-  ``"b"`` of an older file is dropped if at most ``1e-4``, else rejected
+* Measure: ``{"window": f, "c": f, "atoms": [{"t": f, "mass": f}]}``, ``"c"``
+  required; the ``"b"`` of an older file is dropped if at most ``1e-4``, else
+  rejected
+
+Every ``f`` is a JSON number: booleans and strings are rejected.
 """
 
 from __future__ import annotations
@@ -490,6 +493,13 @@ class ReconstructionResult:
 # ---------------------------------------------------------------------------
 
 
+def _number(x) -> float:
+    """``x`` if it is a JSON number: ``parse_int=float`` reads every one as a float."""
+    if type(x) is not float:
+        raise ValidationError(f"expected a JSON number, got {x!r}")
+    return x
+
+
 def dumps_hamiltonian(H: Hamiltonian) -> str:
     parts = [f'{{"ell": {_fmt(H.ell)}, "segments": [']
     seg_strs = []
@@ -509,18 +519,16 @@ def loads_hamiltonian(text: str) -> Hamiltonian:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot parse Hamiltonian JSON: {exc}") from exc
     try:
-        ell = float(doc["ell"])
+        ell = _number(doc["ell"])
         segments = []
         for seg in doc["segments"]:
             h = seg["h"]
-            if abs(float(h[0][1]) - float(h[1][0])) > 0:
+            if abs(_number(h[0][1]) - _number(h[1][0])) > 0:
                 raise ValidationError("segment matrix is not symmetric in file")
             segments.append(
-                (float(seg["r0"]), float(seg["r1"]), float(h[0][0]), float(h[0][1]), float(h[1][1]))
+                tuple(map(_number, (seg["r0"], seg["r1"], h[0][0], h[0][1], h[1][1])))
             )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: {exc!r}") from exc
     H = Hamiltonian.from_segments(segments)
     if abs(H.ell - ell) > _TILING_TOL * (1.0 + abs(ell)):
@@ -552,12 +560,12 @@ def loads_measure(text: str) -> SpectralMeasure:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot parse measure JSON: {exc}") from exc
     try:
-        pos = np.array([float(a["t"]) for a in doc["atoms"]])
-        mass = np.array([float(a["mass"]) for a in doc["atoms"]])
-        window = float(doc["window"])
-        b = float(doc.get("b", 0.0))
-        c = float(doc.get("c", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        pos = np.array([_number(a["t"]) for a in doc["atoms"]])
+        mass = np.array([_number(a["mass"]) for a in doc["atoms"]])
+        window = _number(doc["window"])
+        b = _number(doc.get("b", 0.0))
+        c = _number(doc["c"])
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed measure JSON: {exc!r}") from exc
     if not abs(b) <= 1e-4:  # older files hold estimate noise of a b that is 0 by theorem
         raise ValidationError(

@@ -168,16 +168,17 @@ class TestForwardCommand:
 
 
 class TestInverseCommand:
-    def test_free_measure_recovers_identity(self, free_mu_file, tmp_path):
+    def test_free_measure_recovers_identity(self, free_mu_file, tmp_path, capsys):
         out = tmp_path / "rec"
         code = main(
             [
-                "inverse", "--in", str(free_mu_file), "--c", "0",
+                "inverse", "--in", str(free_mu_file),
                 "--pw-trunc", "64", "--s-samples", "17", "--r-samples", "33",
                 "--out-dir", str(out),
             ]
         )
         assert code == 0
+        assert capsys.readouterr().err == ""  # the file's c = 0 draws no warning
         H = load_hamiltonian(out / "hamiltonian.json")
         assert H.ell == pytest.approx(np.pi, abs=1e-3)
         mids = 0.5 * (H.edges[:-1] + H.edges[1:])
@@ -191,10 +192,10 @@ class TestInverseCommand:
         out = tmp_path / "rec"
         grid = dict(pw_truncation=64, s_samples=17, r_samples=33)
         args = ["--pw-trunc", "64", "--s-samples", "17", "--r-samples", "33"]
-        main(["inverse", "--in", str(free_mu_file), "--c", "0", *args, "--out-dir", str(out)])
+        main(["inverse", "--in", str(free_mu_file), *args, "--out-dir", str(out)])
         mu = load_measure(free_mu_file)
         cfg = GridConfig.for_bandwidth(mu.type, measure_window=mu.window, **grid)
-        table = RecoveryPipeline(mu, c=0.0, cfg=cfg).run().zeta_table
+        table = RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg).run().zeta_table
         header, *rows = (out / "chain.csv").read_text().splitlines()
         assert header.split("\t") == ["s", "position", "n11", "n12", "n22", "sine_norm_residual"]
         # 17 significant digits: the table comes back bit for bit
@@ -206,7 +207,7 @@ class TestInverseCommand:
         path = tmp_path / "short.json"
         path.write_text(dumps_measure(SpectralMeasure(np.arange(-40, 41.0), np.ones(81), 60.0)))
         out = tmp_path / "rec"
-        assert main(["inverse", "--in", str(path), "--c", "0", "--out-dir", str(out)]) == 0
+        assert main(["inverse", "--in", str(path), "--out-dir", str(out)]) == 0
         H = load_hamiltonian(out / "hamiltonian.json")
         assert np.max(np.abs(H.matrices - np.eye(2))) <= 1e-12
 
@@ -215,7 +216,7 @@ class TestInverseCommand:
         script = (
             "import json, sys\n"
             "import canspec.inverse, canspec.oracles, canspec.cli\n"
-            "rc = canspec.cli.main(['inverse', '--in', sys.argv[1], '--c', '0',"
+            "rc = canspec.cli.main(['inverse', '--in', sys.argv[1],"
             " '--pw-trunc', '16', '--s-samples', '9', '--r-samples', '17',"
             " '--out-dir', sys.argv[2] + '/rec'])\n"
             "heavy = ('scipy.interpolate', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse',"
@@ -246,7 +247,7 @@ class TestInverseCommand:
         path.write_text(dumps_measure(mu))
         code = main(
             [
-                "inverse", "--in", str(path), "--c", "0",
+                "inverse", "--in", str(path),
                 "--pw-trunc", "64", "--s-samples", "17", "--r-samples", "33",
                 "--out-dir", str(tmp_path),
             ]
@@ -257,7 +258,7 @@ class TestInverseCommand:
         # at the gap measure's own type, 2.29
         code = main(
             [
-                "inverse", "--in", str(gap_mu_file), "--c", "0",
+                "inverse", "--in", str(gap_mu_file),
                 "--pw-trunc", "40", "--out-dir", str(tmp_path / "rec"),
             ]
         )
@@ -266,13 +267,41 @@ class TestInverseCommand:
         assert err.startswith("numerical failure [inverse]: ")
         assert "factorization failed" in err
 
-    def test_missing_c_on_symmetric_measure_warns(self, free_mu_file, tmp_path, capsys):
-        code = main(["inverse", "--in", str(free_mu_file), "--pw-trunc", "16", "--s-samples", "9",
-                     "--r-samples", "17", "--out-dir", str(tmp_path)])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert err.startswith("warning: no additive Herglotz constant supplied")
-        assert "--c=VALUE" in err
+    def test_measure_without_c_exits_2(self, free_mu_file, tmp_path, capsys):
+        doc = json.loads(free_mu_file.read_text())
+        del doc["c"]
+        free_mu_file.write_text(json.dumps(doc))
+        out = tmp_path / "rec"
+        assert main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--out-dir", str(out)]) == 2
+        assert "KeyError('c')" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_c_recovers_as_roundtrip_does(self, tmp_path):
+        # rotated segments have c = 0.1284; both recoveries breach the sine-norm gate
+        rot = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]) for a in (0.3, 1.1)]
+        H = Hamiltonian.from_lengths([1, 1], [r @ np.diag([1.3, 1 / 1.3]) @ r.T for r in rot])
+        path = tmp_path / "rotated.json"
+        path.write_text(dumps_hamiltonian(H))
+        grid = ["--pw-trunc", "64", "--s-samples", "17", "--r-samples", "33"]
+        rt, fwd, rec = tmp_path / "rt", tmp_path / "fwd", tmp_path / "rec"
+        assert main(["roundtrip", "--in", str(path), "--window", "60", *grid,
+                     "--out-dir", str(rt)]) == 4
+        assert main(["forward", "--in", str(rt / "normalized_input.json"), "--window", "60",
+                     "--out-dir", str(fwd)]) == 0
+        assert load_measure(fwd / "measure.json").herglotz_c == pytest.approx(0.1284, abs=1e-4)
+        assert main(["inverse", "--in", str(fwd / "measure.json"), *grid,
+                     "--out-dir", str(rec)]) == 4
+        for name in ("hamiltonian.json", "chain.csv"):
+            assert (rec / name).read_bytes() == (rt / f"recovered_{name}").read_bytes()
+
+    def test_c_is_not_an_option(self, free_mu_file, tmp_path, capsys):
+        # the measure file holds c
+        out = tmp_path / "rec"
+        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--c", "0",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "unrecognized arguments: --c" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invariant_violation_in_command_exits_4(self, tmp_path, capsys):
         # the free measure at window 200 plus one unit atom at t = 10.5
@@ -281,7 +310,7 @@ class TestInverseCommand:
         order = np.argsort(positions)
         path = tmp_path / "inserted.json"
         path.write_text(dumps_measure(SpectralMeasure(positions[order], masses[order], mu.window)))
-        code = main(["inverse", "--in", str(path), "--c", "0", "--out-dir", str(tmp_path / "rec")])
+        code = main(["inverse", "--in", str(path), "--out-dir", str(tmp_path / "rec")])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("invariant breach: PSD projection exceeded")
@@ -292,7 +321,7 @@ class TestInverseCommand:
         path = tmp_path / "lone.json"
         path.write_text(dumps_measure(SpectralMeasure(np.zeros(1), np.ones(1), 1.0)))
         out = tmp_path / "out"
-        assert main(["inverse", "--in", str(path), "--c", "0", "--out-dir", str(out)]) == 2
+        assert main(["inverse", "--in", str(path), "--out-dir", str(out)]) == 2
         assert "single atom" in capsys.readouterr().err
         assert not out.exists()
 
@@ -306,11 +335,9 @@ class TestInverseCommand:
         assert not out.exists()
 
     def test_negative_c_in_exponent_form(self, free_mu_file, tmp_path):
-        # argparse before Python 3.13 reads a bare -1e-3 as a flag, so --c=VALUE
-        assert cli._build_parser().parse_args(["inverse", "--in", "m", "--c=-1e-3"]).c == -1e-3
+        _set(free_mu_file, ["c"], -1e-3)
         out = tmp_path / "rec"
-        assert main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--c=-1e-3",
-                     "--out-dir", str(out)]) == 0
+        assert main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--out-dir", str(out)]) == 0
         # the recovered length is pi (2 + c^2) / 2
         ell = load_hamiltonian(out / "hamiltonian.json").ell
         assert ell == pytest.approx(np.pi * (2 + 1e-6) / 2, rel=1e-12)
@@ -519,16 +546,19 @@ class TestCanonicalJsonOutputs:
 
     def test_hamiltonian_json_has_17_digits(self, free_mu_file, tmp_path):
         out = tmp_path / "rec"
-        assert main(["inverse", "--in", str(free_mu_file), "--c", "0", "--pw-trunc", "64",
+        assert main(["inverse", "--in", str(free_mu_file), "--pw-trunc", "64",
                      "--s-samples", "17", "--r-samples", "33", "--out-dir", str(out)]) == 0
         path = out / "hamiltonian.json"
         assert path.read_text() == dumps_hamiltonian(load_hamiltonian(path)) + "\n"
 
 
-def _set(doc, keys, value):
+def _set(path, keys, value):
+    """Set the entry at ``keys`` of the JSON file ``path`` to ``value``."""
+    doc = node = json.loads(path.read_text())
     for key in keys[:-1]:
-        doc = doc[key]
-    doc[keys[-1]] = value
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(doc))
 
 
 class TestBadNumbersExit2:
@@ -542,22 +572,23 @@ class TestBadNumbersExit2:
             (["atoms", 3, "mass"], float("nan")),
             (["atoms", 3, "t"], "x"),
             (["atoms", -1, "t"], float("inf")),
+            (["c"], float("nan")),
+            (["c"], "1e-3"),
+            (["window"], True),
+            (["atoms", 3, "mass"], True),
         ],
-        ids=["window-str", "window-inf", "b-nan", "c-inf", "mass-nan", "t-str", "t-inf"],
+        ids=["window-str", "window-inf", "b-nan", "c-inf", "mass-nan", "t-str", "t-inf",
+             "c-nan", "c-numeric-str", "window-bool", "mass-bool"],
     )
     def test_measure(self, free_mu_file, tmp_path, keys, value):
-        doc = json.loads(free_mu_file.read_text())
-        _set(doc, keys, value)
-        free_mu_file.write_text(json.dumps(doc))
-        code = main(["inverse", "--in", str(free_mu_file), "--c", "0", "--pw-trunc", "16",
-                     "--s-samples", "9", "--r-samples", "17", "--out-dir", str(tmp_path)])
-        assert code == 2
+        _set(free_mu_file, keys, value)
+        out = tmp_path / "rec"
+        assert main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_measure_with_linear_term(self, free_mu_file, tmp_path, capsys):
         # b = 0.5 needs an initial e2 e2^T interval, which the recovery cannot represent
-        doc = json.loads(free_mu_file.read_text())
-        doc["b"] = 0.5
-        free_mu_file.write_text(json.dumps(doc))
+        _set(free_mu_file, ["b"], 0.5)
         out = tmp_path / "out"
         assert main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--out-dir", str(out)]) == 2
         assert "linear Herglotz term" in capsys.readouterr().err
@@ -570,19 +601,19 @@ class TestBadNumbersExit2:
             (["ell"], "abc"),
             (["segments", 0, "h", 0, 0], float("nan")),
             (["segments", 0, "h", 1, 1], float("inf")),
+            (["segments", 0, "r0"], False),
+            (["segments", 0, "h", 1, 1], "1"),
         ],
-        ids=["r1-str", "ell-str", "h11-nan", "h22-inf"],
+        ids=["r1-str", "ell-str", "h11-nan", "h22-inf", "r0-bool", "h22-numeric-str"],
     )
     def test_hamiltonian(self, free_h_file, tmp_path, keys, value):
-        doc = json.loads(free_h_file.read_text())
-        _set(doc, keys, value)
-        free_h_file.write_text(json.dumps(doc))
+        _set(free_h_file, keys, value)
         code = main(["forward", "--in", str(free_h_file), "--window", "10",
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
 
-_INVERSE = ["--c", "0", "--pw-trunc", "16", "--s-samples", "9", "--r-samples", "17"]
+_INVERSE = ["--pw-trunc", "16", "--s-samples", "9", "--r-samples", "17"]
 
 
 class TestZeroBandwidthExit2:
@@ -597,8 +628,6 @@ class TestZeroBandwidthExit2:
             pytest.param(["forward", "--window", "nan"], id="forward-window-nan"),
             pytest.param(["forward", "--window", "-5"], id="forward-window-negative"),
             pytest.param(["roundtrip", "--window", "inf"], id="roundtrip-window-inf"),
-            pytest.param(["inverse", *_INVERSE, "--c", "nan"], id="inverse-c-nan"),
-            pytest.param(["inverse", *_INVERSE, "--c", "inf"], id="inverse-c-inf"),
             pytest.param(["framebounds", "--pw-trunc", "16", "--s", "nan"], id="framebounds-s-nan"),
             pytest.param(["framebounds", "--pw-trunc", "16", "--s", "inf"], id="framebounds-s-inf"),
             pytest.param(["check-diag", "--s", "nan"], id="check-diag-s-nan"),
@@ -624,19 +653,12 @@ class TestZeroBandwidthExit2:
 
 
 class TestHugeFiniteNumbersExit3:
-    @pytest.mark.parametrize(
-        "extra,message",
-        [
-            (["--c", "1e308"], "boundary cosine data overflowed"),
-            (["--c", "1e200"], "boundary cosine data overflowed"),
-        ],
-        ids=["c-1e308", "c-1e200"],
-    )
-    def test_inverse(self, free_mu_file, tmp_path, capsys, extra, message):
-        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, *extra,
-                     "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("c", [1e308, 1e200], ids=["c-1e308", "c-1e200"])
+    def test_inverse(self, free_mu_file, tmp_path, capsys, c):
+        _set(free_mu_file, ["c"], c)
+        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--out-dir", str(tmp_path)])
         assert code == 3
-        assert message in capsys.readouterr().err
+        assert "boundary cosine data overflowed" in capsys.readouterr().err
 
     def test_framebounds(self, free_mu_file, tmp_path, capsys):
         code = main(["framebounds", "--in", str(free_mu_file), "--s", "1e308",
@@ -647,8 +669,8 @@ class TestHugeFiniteNumbersExit3:
 
     def test_large_c_recovers(self, free_mu_file, tmp_path):
         # the recovered length pi (2 + c^2) / 2 is huge but finite
-        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--c", "1e20",
-                     "--out-dir", str(tmp_path)])
+        _set(free_mu_file, ["c"], 1e20)
+        code = main(["inverse", "--in", str(free_mu_file), *_INVERSE, "--out-dir", str(tmp_path)])
         assert code == 0
         ell = load_hamiltonian(tmp_path / "hamiltonian.json").ell
         assert ell == pytest.approx(np.pi * (2 + 1e40) / 2, rel=1e-6)

@@ -133,6 +133,36 @@ class TestJsonRoundTrip:
         assert dumps_measure(mu2) == text
         assert set(json.loads(text)) == {"window", "c", "atoms"}
 
+    def test_measure_without_c_rejected(self):
+        with pytest.raises(ValidationError, match="KeyError\\('c'\\)"):
+            loads_measure('{"window": 10.0, "atoms": [{"t": 0.0, "mass": 1.0}]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"window": 10.0, "c": 0.0, "atoms": [{"t": false, "mass": true}]}',
+            '{"window": 10.0, "c": "1e-3", "atoms": [{"t": 0.0, "mass": 1.0}]}',
+            '{"window": 10.0, "b": false, "c": 0.0, "atoms": [{"t": 0.0, "mass": 1.0}]}',
+        ],
+        ids=["atom-bool", "c-str", "b-bool"],
+    )
+    def test_measure_numbers_must_be_json_numbers(self, text):
+        with pytest.raises(ValidationError, match="expected a JSON number"):
+            loads_measure(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"ell": true, "segments": [{"r0": false, "r1": true,'
+            ' "h": [[true, false], [false, "1"]]}]}',
+            '{"ell": 1.0, "segments": [{"r0": 0, "r1": 1.0, "h": [[1, 0], [0, "1"]]}]}',
+        ],
+        ids=["bool", "h22-str"],
+    )
+    def test_hamiltonian_numbers_must_be_json_numbers(self, text):
+        with pytest.raises(ValidationError, match="expected a JSON number"):
+            loads_hamiltonian(text)
+
     @staticmethod
     def legacy_measure(b):
         return f'{{"window": 10.0, "b": {b}, "c": 0.125, "atoms": [{{"t": 0.0, "mass": 1.0}}]}}'
