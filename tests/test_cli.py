@@ -623,22 +623,25 @@ class TestZeroBandwidthExit2:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "args",
+        "args,file_c",
         [
-            pytest.param(["forward", "--window", "nan"], id="forward-window-nan"),
-            pytest.param(["forward", "--window", "-5"], id="forward-window-negative"),
-            pytest.param(["roundtrip", "--window", "inf"], id="roundtrip-window-inf"),
-            pytest.param(["framebounds", "--pw-trunc", "16", "--s", "nan"], id="framebounds-s-nan"),
-            pytest.param(["framebounds", "--pw-trunc", "16", "--s", "inf"], id="framebounds-s-inf"),
-            pytest.param(["check-diag", "--s", "nan"], id="check-diag-s-nan"),
-            pytest.param(["check-diag", "--s", "inf"], id="check-diag-s-inf"),
-            pytest.param(["inverse", *_INVERSE, "--s-samples", "-1"], id="inverse-s-samples-negative"),
-            pytest.param(["roundtrip", "--s-samples", "-3"], id="roundtrip-s-samples-negative"),
-            pytest.param(["forward", "--window", "1e308"], id="forward-window-no-finite-scan"),
+            pytest.param(["forward", "--window", "nan"], None, id="forward-window-nan"),
+            pytest.param(["forward", "--window", "-5"], None, id="forward-window-negative"),
+            pytest.param(["roundtrip", "--window", "inf"], None, id="roundtrip-window-inf"),
+            pytest.param(["framebounds", "--pw-trunc", "16", "--s", "nan"], None, id="framebounds-s-nan"),
+            pytest.param(["framebounds", "--pw-trunc", "16", "--s", "inf"], None, id="framebounds-s-inf"),
+            pytest.param(["check-diag", "--s", "nan"], None, id="check-diag-s-nan"),
+            pytest.param(["check-diag", "--s", "inf"], None, id="check-diag-s-inf"),
+            pytest.param(["inverse", *_INVERSE], float("inf"), id="inverse-c-inf"),
+            pytest.param(["inverse", *_INVERSE, "--s-samples", "-1"], None, id="inverse-s-samples-negative"),
+            pytest.param(["roundtrip", "--s-samples", "-3"], None, id="roundtrip-s-samples-negative"),
+            pytest.param(["forward", "--window", "1e308"], None, id="forward-window-no-finite-scan"),
         ],
     )
-    def test_exits_2(self, free_h_file, free_mu_file, tmp_path, args):
-        # a later repeat of an option overrides the earlier one
+    def test_exits_2(self, free_h_file, free_mu_file, tmp_path, args, file_c):
+        # a later repeat of an option overrides the earlier one; c is read from the file
+        if file_c is not None:
+            _set(free_mu_file, ["c"], file_c)
         inputs = {"forward": free_h_file, "roundtrip": free_h_file,
                   "inverse": free_mu_file, "framebounds": free_mu_file}
         extra = ["--in", str(inputs[args[0]])] if args[0] in inputs else []
