@@ -58,6 +58,8 @@ def _cs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = np.sqrt(delta)
     c = np.cos(w)
     small = np.abs(delta) < 1e-12
+    if not small.any():
+        return c, np.sin(w) / w
     w[small] = 1.0
     s = np.sin(w) / w
     s[small] = 1.0 - delta[small] / 6.0
@@ -70,20 +72,6 @@ def _effective_lengths(H: Hamiltonian, r: float) -> np.ndarray:
     if not -1e-15 <= r <= H.ell * (1 + 1e-12) + 1e-15:
         raise ValidationError(f"r={r!r} outside [0, {H.ell!r}]")
     return np.clip(np.minimum(H.edges[1:], r) - H.edges[:-1], 0.0, None)
-
-
-def _factor_columns(diagonal, scale, K):
-    """Columns of ``diagonal I + scale K`` for a block of segments.
-
-    ``diagonal`` and ``scale`` are ``(segments, points)`` arrays and ``K``
-    is ``(segments, 2, 2, 1)``.  Returns the two columns, each of shape
-    ``(segments, 2, 1, points)``: row ``j`` is the column of segment ``j``
-    in the layout that :func:`_propagate` carries.
-    """
-    F = scale[:, None, None] * K
-    F[:, 0, 0] += diagonal
-    F[:, 1, 1] += diagonal
-    return F[:, :, 0, None], F[:, :, 1, None]
 
 
 def _grid_phases(z, run, omega, rank_one):
@@ -105,8 +93,14 @@ def _grid_phases(z, run, omega, rank_one):
     return phase
 
 
-#: Segment-point pairs whose factors :func:`_propagate` evaluates at once.
+#: Segment-point pairs whose factors :func:`_propagate` evaluates at once: on
+#: the derivative and two-column passes, and on the one-column scan.
 _BLOCK_PAIRS = 4096
+_SCAN_PAIRS = 4 * _BLOCK_PAIRS
+
+#: Most points of a :func:`find_zeros` scan grid, checked before it is made
+#: (128 MiB per float array over the grid)
+_SCAN_POINTS = 2**24
 
 
 def _propagate(
@@ -135,13 +129,17 @@ def _propagate(
     ``theta_minus = 0`` where its sign before, flipped per half-turn and
     nonzero, differs from its sign after.
 
-    The factors are evaluated for blocks of at most ``_BLOCK_PAIRS``
-    segment-point pairs in a few array operations; the cap bounds memory
-    (all segments at once raised a 1000-segment spectral measure's peak from
-    86 to 196 MiB, and ran slower).  The sequential loop carries the first
-    ``columns`` columns of ``M`` (and ``dM``) as arrays over the points, with
-    the 2x2 product written out; ``columns`` is 1 for the scan and
-    :func:`theta_and_derivative`, which read only the first column ``theta``.
+    The loop carries the first ``columns`` columns of ``M`` (and ``dM``) over
+    the points; ``columns`` is 1 for the scan and :func:`theta_and_derivative`,
+    which read only ``theta``.  A block's factors are built once in the layout
+    the loop reads, ``A[j, -1, k, i]`` entry ``(i, k)`` of segment ``j``'s
+    ``F`` and ``A[j, 0, k, i]`` that of ``dF``; two products and three sums
+    give ``M = F M`` and ``dM = (dF M) + (F dM)`` written out, so a point's
+    value does not depend on the other points of the call.  ``_BLOCK_PAIRS``
+    segment-point pairs per block bound memory (all segments at once raised a
+    1000-segment spectral measure's peak from 86 to 196 MiB); the scan's
+    thousands of points would leave a segment or two per block, so it takes
+    ``_SCAN_PAIRS``, and its factors hold no derivative.
 
     Returns ``M`` of shape ``z.shape + (2, columns)`` (real for real ``z``),
     then ``dM`` if asked and the two counts from the scan, else ``None``.
@@ -166,33 +164,39 @@ def _propagate(
     det = H.determinants()[:n, None]
     gamma = det * d * d
     h = H.matrices[:n]
-    # K = -J H per segment, with a trailing axis for the points
-    K = np.stack([h[:, 0, 1], h[:, 1, 1], -h[:, 0, 0], -h[:, 0, 1]], axis=-1).reshape(-1, 2, 2, 1)
+    # K = -J H per segment, K[j, k, i] entry (i, k), with axes for M's columns and the points
+    K = np.stack([h[:, 0, 1], -h[:, 0, 0], h[:, 1, 1], -h[:, 0, 1]], -1).reshape(-1, 2, 2, 1, 1)
     if tables:
         root = np.sqrt(det)
         omega, rank_one = d * root, root == 0.0
-        K = K * np.where(rank_one, d, 1.0 / np.where(rank_one, 1.0, root))[..., None, None]
+        K = K * np.where(rank_one, d, 1.0 / np.where(rank_one, 1.0, root))[..., None, None, None]
     # M[i, k] is entry (i, k) as an array over the points
     M = np.eye(2)[:, :columns, None]
     dM = np.zeros_like(M)
-    rows = max(1, _BLOCK_PAIRS // max(z.size, 1))
+    rows = max(1, (_SCAN_PAIRS if tables else _BLOCK_PAIRS) // max(z.size, 1))
+    factors = np.empty((min(rows, n), 2 if derivative else 1, 2, 2, 1, z.size), dtype)
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
         if tables:
             e = _grid_phases(z, run, omega[block], rank_one[block])
-            F = _factor_columns(e.real, e.imag, K[block])
+            c, s = e.real, e.imag
         else:
             c, s = _cs(z2 * gamma[block])
             s = s * z * d[block]
-            F = _factor_columns(c, s, K[block])
-        dF = ()
-        if derivative:
-            dF = _factor_columns(-(det[block] * d[block]) * s, d[block] * c, K[block])
-        # f0, f1: one segment's factor columns, each (2, 1, points); g: its derivative's
-        for f0, f1, *g in zip(*F, *dF):
-            if g:
-                dM = g[0] * M[0] + g[1] * M[1] + (f0 * dM[0] + f1 * dM[1])
-            M = f0 * M[0] + f1 * M[1]
+        pairs = [(-(det[block] * d[block]) * s, d[block] * c)] if derivative else []
+        A = factors[: len(c)]
+        for g, (diagonal, scale) in enumerate(pairs + [(c, s)]):
+            np.multiply(scale[:, None, None, None], K[block], out=A[:, g])
+            A[:, g, 0, 0, 0] += diagonal
+            A[:, g, 1, 1, 0] += diagonal
+        for f in A:
+            # (dF, F)[k, i] M[k] summed over k: dF M and the new M in one pass
+            fM = f * M[:, None]
+            fM = fM[:, 0] + fM[:, 1]
+            if derivative:
+                fdM = f[-1] * dM[:, None]
+                dM = fM[0] + (fdM[0] + fdM[1])
+            M = fM[-1]
             if tables:
                 ends.append(M[1, 0, edges])
 
@@ -368,8 +372,8 @@ def find_zeros(H: Hamiltonian, window: float) -> tuple[np.ndarray, np.ndarray, n
     The scan misses zeros that pair up closer than its step, as next to
     rank-one segments, so a count outside its Sturm bounds raises
     :class:`NumericalError` naming both.  A weight of type 0, whose
-    ``theta_minus`` is a polynomial, and a window too wide for a finite scan
-    grid raise :class:`ValidationError`.
+    ``theta_minus`` is a polynomial, and a window whose scan grid would
+    exceed ``_SCAN_POINTS`` points raise :class:`ValidationError`.
     """
     if not 0.0 < window < np.inf:
         raise ValidationError(f"window={window!r} must be positive and finite")
@@ -379,8 +383,11 @@ def find_zeros(H: Hamiltonian, window: float) -> tuple[np.ndarray, np.ndarray, n
         raise ValidationError("weight has exponential type 0 (every segment is rank one)")
     step = np.pi / (4.0 * lam)
     count = np.ceil(2 * window / step)
-    if not np.isfinite(count):
-        raise ValidationError(f"window={window!r} over step={step!r} is not a finite scan")
+    if not count + 1 <= _SCAN_POINTS:
+        raise ValidationError(
+            f"window={window!r} needs {count + 1:g} scan points at step {step:.3g}, over the "
+            f"cap of {_SCAN_POINTS}"
+        )
     grid = np.linspace(-window, window, int(count) + 1)
     vals, on_zero, low, high = _scan(H, grid)
     sign = np.sign(vals)

@@ -636,6 +636,7 @@ class TestZeroBandwidthExit2:
             pytest.param(["inverse", *_INVERSE, "--s-samples", "-1"], None, id="inverse-s-samples-negative"),
             pytest.param(["roundtrip", "--s-samples", "-3"], None, id="roundtrip-s-samples-negative"),
             pytest.param(["forward", "--window", "1e308"], None, id="forward-window-no-finite-scan"),
+            pytest.param(["forward", "--window", "1e15"], None, id="forward-window-huge-scan"),
         ],
     )
     def test_exits_2(self, free_h_file, free_mu_file, tmp_path, args, file_c):

@@ -200,6 +200,40 @@ class TestSegmentKernel:
         for got, col in zip((tp, tm, dp, dm), (M[:, 0, 0], M[:, 1, 0], dM[:, 0, 0], dM[:, 1, 0])):
             assert np.array_equal(got, col)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.4j])
+    @pytest.mark.parametrize("size", [1, 57, 400])
+    def test_point_alone_equals_batch(self, size, shift):
+        # find_zeros propagates some zeros again alone and keeps the batched values
+        # of the rest, so a point's value must not depend on the other points
+        H = smooth_weight(8, 300)
+        z = np.linspace(-30.0, 37.0, size) + shift
+        # the 300 segments fill several blocks at 57 and 400 points
+        assert size == 1 or forward._BLOCK_PAIRS // size < H.nsegments
+        M = forward.transfer_entries(H, H.ell, z)
+        theta = forward.theta_and_derivative(H, H.ell, z)
+        for j, x in enumerate(z):
+            assert np.array_equal(forward.transfer_entries(H, H.ell, x), M[j])
+            alone = forward.theta_and_derivative(H, H.ell, x)
+            assert all(np.array_equal(a, b[j]) for a, b in zip(alone, theta))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_cs_branches(self, dtype):
+        def masked_cs(delta):
+            # the series fix-up applied on every call, as a reference
+            w = np.sqrt(delta)
+            c = np.cos(w)
+            small = np.abs(delta) < 1e-12
+            w[small] = 1.0
+            s = np.sin(w) / w
+            s[small] = 1.0 - delta[small] / 6.0
+            return c, s
+
+        shift = 0.3j if dtype is complex else 0.0
+        mixed = np.array([[0.0, 1e-13, 0.5], [0.5, 1e-13 * (1 + shift), 0.5 + shift]], dtype)
+        for delta in (mixed, mixed[:, 2:], mixed[:, :2]):
+            for got, want in zip(forward._cs(delta), masked_cs(delta)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 def scan_weight(name, workloads):
     """The weights of the scan tests; ``workloads`` is ``perfbench/workloads.py``."""
@@ -411,6 +445,24 @@ class TestFindZeros:
         mu = SpectralMeasure(np.array([0.0]), np.array([1.0]), 5.0)
         with pytest.raises(NumericalError, match="beyond window 5 needs two atoms"):
             forward.herglotz_constants(H, mu)
+
+    @pytest.mark.parametrize("window", [1e15, 1e308])
+    def test_huge_window_raises_before_the_grid(self, monkeypatch, window):
+        # 8e15 scan steps of 1/4 would not fit in memory: the cap comes first
+        def linspace(*args, **kwargs):
+            raise AssertionError("find_zeros made the scan grid")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        with pytest.raises(ValidationError, match=f"over the cap of {forward._SCAN_POINTS}"):
+            forward.find_zeros(Hamiltonian.identity(np.pi), window)
+
+    def test_scan_cap_boundary(self, monkeypatch):
+        # window 5 takes 40 steps of 1/4, so 41 points, the cap; window 5.1 takes 42 points
+        monkeypatch.setattr(forward, "_SCAN_POINTS", 41)
+        H = Hamiltonian.identity(np.pi)
+        assert forward.find_zeros(H, 5.0)[0].size == 11
+        with pytest.raises(ValidationError, match="needs 42 scan points"):
+            forward.find_zeros(H, 5.1)
 
     def test_zero_always_included(self, step_hamiltonian):
         zeros, _, _ = forward.find_zeros(step_hamiltonian, 3.0)
