@@ -11,14 +11,14 @@ import numpy as np
 from canspec import GridConfig, RecoveryPipeline
 from canspec.oracles import free_fixture
 
-H_true, mu, c = free_fixture(np.pi, window=200.0)
-print(f"input: {mu.positions.size} atoms at the integers, masses 1, c = {c}")
+H_true, mu = free_fixture(np.pi, window=200.0)
+print(f"input: {mu.positions.size} atoms at the integers, masses 1, c = {mu.herglotz_c}")
 
 # the bandwidth is the measure's own type, pi here
 cfg = GridConfig.for_bandwidth(
     mu.type, s_samples=33, pw_truncation=128, measure_window=mu.window, r_samples=65
 )
-res = RecoveryPipeline(mu, c=c, cfg=cfg).run()
+res = RecoveryPipeline(mu, c=mu.herglotz_c, cfg=cfg).run()
 H = res.hamiltonian
 print(f"recovered interval [0, {H.ell:.12f}] (true pi = {np.pi:.12f})")
 

@@ -463,7 +463,8 @@ def spectral_measure(H: Hamiltonian, window: float) -> SpectralMeasure:
         raise NumericalError(
             f"nonpositive atom mass near t={bad[:3]!r}: zero refinement or compatibility failure"
         )
-    mu = SpectralMeasure(zeros, masses, window)
+    # a provisional c: herglotz_constants reads the atoms, never the c
+    mu = SpectralMeasure(zeros, masses, window, herglotz_c=0.0)
     c, _ = herglotz_constants(H, mu)
     return replace(mu, herglotz_c=c)
 

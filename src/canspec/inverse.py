@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .model import (
 from .pwspace import apply_inverse, build_operator
 
 __all__ = [
-    "BandwidthSlice",
     "RecoveryPipeline",
     "recentering_moment",
     "boundary_cosine_values",
@@ -236,37 +234,6 @@ def _free_model(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sine, cosine
 
 
-@dataclass
-class BandwidthSlice:
-    """Everything the pipeline computes at one bandwidth ``s``.
-
-    Component values are indexed like the measure atoms.  ``norms`` is their
-    tail-completed 2x2 measure Gram; ``norms / pi`` is ``int_0^zeta H``.
-    ``row`` is all that :meth:`RecoveryPipeline.run` keeps of it.
-    """
-
-    s: float
-    sine_at_zero: float
-    sine_values: np.ndarray
-    cosine_values: np.ndarray
-    norms: np.ndarray
-
-    @property
-    def zeta(self) -> float:
-        return 0.5 * self.sine_at_zero + self.norms[1, 1] / (2.0 * np.pi)
-
-    @property
-    def sine_norm_residual(self) -> float:
-        """Residual of ``(1/pi) ||sine||^2 = sine(0)`` (reproducing identity)."""
-        return abs(self.norms[0, 0] / np.pi - self.sine_at_zero)
-
-    @property
-    def row(self) -> tuple:
-        """Slice table row: ``s, zeta, N11 = sine(0), N12, N22`` (``N = norms / pi``), residual."""
-        n12, n22 = self.norms[0, 1] / np.pi, self.norms[1, 1] / np.pi
-        return self.s, self.zeta, self.sine_at_zero, n12, n22, self.sine_norm_residual
-
-
 def _top_eigenprojection(h11, h12, half_gap):
     """``2 v v^T`` for the top eigenvector ``v`` of trace-2 cells.
 
@@ -402,7 +369,12 @@ class RecoveryPipeline:
 
     # -- slices ----------------------------------------------------------
 
-    def slice_at(self, s: float) -> BandwidthSlice:
+    def slice_at(self, s: float) -> tuple[tuple, np.ndarray]:
+        """Slice table row ``s, zeta, N11, N12, N22, residual`` and the (sine, cosine) values.
+
+        ``N = norms / pi`` save ``N11 = sine(0)``; the residual is that of the
+        reproducing identity ``(1/pi) ||sine||^2 = sine(0)``.
+        """
         s = float(s)
         if not 0.0 < s <= self.a * (1 + 1e-12):
             raise ValidationError(f"bandwidth s={s!r} outside (0, {self.a!r}]")
@@ -444,7 +416,10 @@ class RecoveryPipeline:
             vb, fb, mb = values[band], free[band], masses[band]
             norms += weight * (vb.T @ (mb * vb) - fb.T @ (mb * fb))
 
-        return BandwidthSlice(s, sine_at_zero, values[:, 0], values[:, 1], norms)
+        zeta = 0.5 * sine_at_zero + norms[1, 1] / (2.0 * np.pi)
+        n12, n22 = norms[0, 1] / np.pi, norms[1, 1] / np.pi
+        residual = abs(norms[0, 0] / np.pi - sine_at_zero)
+        return (s, zeta, sine_at_zero, n12, n22, residual), values
 
     # -- full recovery ----------------------------------------------------
 
@@ -453,7 +428,7 @@ class RecoveryPipeline:
         cfg = self.cfg
         table = np.zeros((cfg.s_samples, 6))
         for row, s in zip(table[1:], cfg.s_grid):
-            row[:] = self.slice_at(s).row
+            row[:] = self.slice_at(s)[0]
         s_grid, zetas, h11_int, _, n22, residuals = table.T
 
         if np.any(np.diff(zetas) <= 0):

@@ -269,7 +269,7 @@ class SpectralMeasure:
     positions: np.ndarray
     masses: np.ndarray
     window: float
-    herglotz_c: float = 0.0
+    herglotz_c: float
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).copy()

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-def free_fixture(ell: float, window: float = 200.0) -> tuple[Hamiltonian, SpectralMeasure, float]:
+def free_fixture(ell: float, window: float = 200.0) -> tuple[Hamiltonian, SpectralMeasure]:
     """Identity weight on ``[0, ell]`` with its exact spectral measure.
 
     Atoms sit on the lattice ``pi k / ell`` with the constant mass
@@ -52,8 +52,7 @@ def free_fixture(ell: float, window: float = 200.0) -> tuple[Hamiltonian, Spectr
     spacing = np.pi / ell
     kmax = int(np.floor(window / spacing))
     k = np.arange(-kmax, kmax + 1)
-    mu = SpectralMeasure(k * spacing, np.full(k.size, spacing), window)
-    return H, mu, 0.0
+    return H, SpectralMeasure(k * spacing, np.full(k.size, spacing), window, herglotz_c=0.0)
 
 
 def step_fixture(w: float = 1.2, trace_normalized: bool = True) -> Hamiltonian:
@@ -224,7 +223,7 @@ def chain_data(H: Hamiltonian, s: float) -> np.ndarray:
     """Exact slice data ``int_0^zeta H`` at the chain point ``zeta = type_inverse(H, s)``.
 
     The inverse pipeline's slice at bandwidth ``s`` estimates this 2x2
-    matrix: ``sine_at_zero`` its ``(0, 0)`` entry and ``norms / pi`` all of it.
+    matrix: the ``N11``, ``N12`` and ``N22`` of its slice table row.
     """
     return _weight_integral(H, forward.type_inverse(H, s))
 

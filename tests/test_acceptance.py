@@ -61,7 +61,7 @@ def test_criterion_02_perturbed_round_trip():
 
 
 def test_criterion_03_kernel_identity(step_hamiltonian, step_measure):
-    H0, mu0, _ = oracles.free_fixture(np.pi, 200.0)
+    H0, mu0 = oracles.free_fixture(np.pi, 200.0)
     worst_free = 0.0
     for s in (np.pi / 2, np.pi):
         for w in (0.0, 1.0, 1 + 0.5j):
@@ -83,7 +83,7 @@ def test_criterion_03_kernel_identity(step_hamiltonian, step_measure):
 
 
 def test_criterion_04_trace_identities(step_hamiltonian, step_measure):
-    H0, mu0, _ = oracles.free_fixture(np.pi, 200.0)
+    H0, mu0 = oracles.free_fixture(np.pi, 200.0)
     worst_free = max(
         float(np.max(oracles.trace_identity_check(H0, mu0, r)))
         for r in (np.pi / 2, np.pi)
@@ -189,7 +189,7 @@ def test_criterion_08_diagonal_condition():
 def test_criterion_09_frame_bounds():
     from canspec.pwspace import frame_bounds
 
-    _, mu0, _ = oracles.free_fixture(np.pi, 200.0)
+    _, mu0 = oracles.free_fixture(np.pi, 200.0)
     lo, hi = frame_bounds(mu0, np.pi, 150)
     free_ok = abs(lo - 1.0) <= 1e-8 and abs(hi - 1.0) <= 1e-8
     # one fixed perturbed-lattice measure, growing finite sections
@@ -197,7 +197,7 @@ def test_criterion_09_frame_bounds():
     k = np.arange(-int(window / np.pi), int(window / np.pi) + 1)
     d = 0.2 * np.cos(2.399 * k)
     d[k == 0] = 0.0
-    mu = SpectralMeasure(np.pi * k + d, np.full(k.size, np.pi), window)
+    mu = SpectralMeasure(np.pi * k + d, np.full(k.size, np.pi), window, herglotz_c=0.0)
     kadec = np.array([frame_bounds(mu, 1.0, half)[0] for half in (64, 128, 256)])
     stable = float(np.max(kadec) - np.min(kadec)) / float(np.min(kadec))
     kadec_ok = bool(np.all(kadec >= 0.05)) and stable <= 0.10

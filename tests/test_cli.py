@@ -31,7 +31,7 @@ def free_h_file(tmp_path):
 
 @pytest.fixture()
 def free_mu_file(tmp_path):
-    _, mu, _ = oracles.free_fixture(np.pi, 50.0)
+    _, mu = oracles.free_fixture(np.pi, 50.0)
     path = tmp_path / "mu.json"
     path.write_text(dumps_measure(mu))
     return path
@@ -43,7 +43,8 @@ def gap_mu_file(tmp_path):
     k = np.arange(-60, 61)
     k = k[(k == 0) | (np.abs(k) > 12)]
     path = tmp_path / "gap.json"
-    path.write_text(dumps_measure(SpectralMeasure(k.astype(float), np.ones(k.size), 60.5)))
+    mu = SpectralMeasure(k.astype(float), np.ones(k.size), 60.5, herglotz_c=0.0)
+    path.write_text(dumps_measure(mu))
     return path
 
 
@@ -205,7 +206,8 @@ class TestInverseCommand:
     def test_atoms_short_of_window_recover_identity(self, tmp_path):
         # unit atoms on -40..40 in a window of 60 are the free measure
         path = tmp_path / "short.json"
-        path.write_text(dumps_measure(SpectralMeasure(np.arange(-40, 41.0), np.ones(81), 60.0)))
+        mu = SpectralMeasure(np.arange(-40, 41.0), np.ones(81), 60.0, herglotz_c=0.0)
+        path.write_text(dumps_measure(mu))
         out = tmp_path / "rec"
         assert main(["inverse", "--in", str(path), "--out-dir", str(out)]) == 0
         H = load_hamiltonian(out / "hamiltonian.json")
@@ -242,7 +244,7 @@ class TestInverseCommand:
         assert "scipy.integrate" in report["diag"]
 
     def test_overwrite_protection(self, tmp_path):
-        _, mu, _ = oracles.free_fixture(np.pi, 50.0)
+        _, mu = oracles.free_fixture(np.pi, 50.0)
         path = tmp_path / "diagnostics.json"
         path.write_text(dumps_measure(mu))
         code = main(
@@ -305,11 +307,12 @@ class TestInverseCommand:
 
     def test_invariant_violation_in_command_exits_4(self, tmp_path, capsys):
         # the free measure at window 200 plus one unit atom at t = 10.5
-        _, mu, _ = oracles.free_fixture(np.pi, 200.0)
+        _, mu = oracles.free_fixture(np.pi, 200.0)
         positions, masses = np.append(mu.positions, 10.5), np.append(mu.masses, 1.0)
         order = np.argsort(positions)
         path = tmp_path / "inserted.json"
-        path.write_text(dumps_measure(SpectralMeasure(positions[order], masses[order], mu.window)))
+        inserted = SpectralMeasure(positions[order], masses[order], mu.window, herglotz_c=0.0)
+        path.write_text(dumps_measure(inserted))
         code = main(["inverse", "--in", str(path), "--out-dir", str(tmp_path / "rec")])
         assert code == 4
         err = capsys.readouterr().err
@@ -319,7 +322,8 @@ class TestInverseCommand:
     def test_lone_atom_exits_2(self, tmp_path, capsys):
         # one atom fits no type, and the type sets the bandwidth
         path = tmp_path / "lone.json"
-        path.write_text(dumps_measure(SpectralMeasure(np.zeros(1), np.ones(1), 1.0)))
+        mu = SpectralMeasure(np.zeros(1), np.ones(1), 1.0, herglotz_c=0.0)
+        path.write_text(dumps_measure(mu))
         out = tmp_path / "out"
         assert main(["inverse", "--in", str(path), "--out-dir", str(out)]) == 2
         assert "single atom" in capsys.readouterr().err

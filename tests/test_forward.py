@@ -442,7 +442,7 @@ class TestFindZeros:
         with pytest.raises(ValidationError, match="type 0"):
             forward.spectral_measure(H, 5.0)
         # a lone atom fits no type: the tail model has no spacing, whatever the weight
-        mu = SpectralMeasure(np.array([0.0]), np.array([1.0]), 5.0)
+        mu = SpectralMeasure(np.array([0.0]), np.array([1.0]), 5.0, herglotz_c=0.0)
         with pytest.raises(NumericalError, match="beyond window 5 needs two atoms"):
             forward.herglotz_constants(H, mu)
 

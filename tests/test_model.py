@@ -180,33 +180,38 @@ class TestJsonRoundTrip:
 
 
 class TestSpectralMeasureInvariants:
+    def test_c_has_no_default(self):
+        # the atoms do not determine the additive Herglotz constant
+        with pytest.raises(TypeError, match="herglotz_c"):
+            SpectralMeasure(np.array([0.0]), np.array([1.0]), 5.0)
+
     def test_zero_atom_required(self):
         with pytest.raises(ValidationError, match="origin"):
-            SpectralMeasure(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 5.0)
+            SpectralMeasure(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 5.0, herglotz_c=0.0)
 
     def test_two_zero_atoms_rejected(self):
         with pytest.raises(ValidationError, match="origin"):
             SpectralMeasure(
-                np.array([-1e-14, 1e-14]), np.array([1.0, 1.0]), 5.0
+                np.array([-1e-14, 1e-14]), np.array([1.0, 1.0]), 5.0, herglotz_c=0.0
             )
 
     def test_positive_mass_required(self):
         with pytest.raises(ValidationError, match="positive"):
-            SpectralMeasure(np.array([0.0, 1.0]), np.array([1.0, -1.0]), 5.0)
+            SpectralMeasure(np.array([0.0, 1.0]), np.array([1.0, -1.0]), 5.0, herglotz_c=0.0)
 
     def test_sorted_positions_required(self):
         with pytest.raises(ValidationError, match="increasing"):
-            SpectralMeasure(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 5.0)
+            SpectralMeasure(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 5.0, herglotz_c=0.0)
 
     def test_type_is_pi_on_free_measures(self, free_pi):
         # bitwise: the free round trip's arithmetic starts from this number
-        _, mu, _ = free_pi
+        _, mu = free_pi
         assert mu.type == np.pi
         assert forward.spectral_measure(Hamiltonian.identity(np.pi), 200.0).type == np.pi
 
     def test_tail_lattices_anchor_at_outermost_atoms(self):
         # the least-squares slope of the atoms is 1.6, so the spacing pi / type is 1.6
-        mu = SpectralMeasure(np.array([-3.0, -1.0, 0.0, 2.0]), np.ones(4), 5.0)
+        mu = SpectralMeasure(np.array([-3.0, -1.0, 0.0, 2.0]), np.ones(4), 5.0, herglotz_c=0.0)
         assert np.pi / mu.type == pytest.approx(1.6, rel=1e-15)
         lattices = mu.tail_lattices
         assert lattices.shape == (4, 3)
@@ -241,11 +246,12 @@ class TestCompletionLattice:
         if request.param == "short-atoms":
             # unit atoms on -40..40 that stop short of the window 60
             k = np.arange(-40, 41).astype(float)
-            return SpectralMeasure(k, np.ones(k.size), 60.0)
+            return SpectralMeasure(k, np.ones(k.size), 60.0, herglotz_c=0.0)
         return SpectralMeasure(
             np.array([-2.9, -1.7, -0.4, 0.0, 1.1, 2.3, 3.6, 5.2]),
             np.array([0.4, 0.9, 1.3, 2.0, 0.7, 1.1, 0.5, 0.8]),
             6.0,
+            herglotz_c=0.0,
         )
 
     def test_matches_the_formula(self, measure):
@@ -263,7 +269,7 @@ class TestCompletionLattice:
                 array[0] = 0.0
 
     def test_lone_atom_has_none(self):
-        mu = SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0)
+        mu = SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0, herglotz_c=0.0)
         points, weights = mu.completion_lattice
         assert points.size == 0 and weights.size == 0
         assert not points.flags.writeable and not weights.flags.writeable

@@ -7,18 +7,18 @@ from canspec.model import Hamiltonian, NumericalError, ValidationError
 
 class TestFreeFixture:
     def test_lattice_and_masses(self):
-        H, mu, c = oracles.free_fixture(np.pi, 10.0)
+        _, mu = oracles.free_fixture(np.pi, 10.0)
         np.testing.assert_allclose(mu.positions, np.arange(-10, 11))
         np.testing.assert_allclose(mu.masses, 1.0)
-        assert c == 0.0
+        assert mu.herglotz_c == 0.0
 
     def test_unit_interval(self):
-        _, mu, _ = oracles.free_fixture(1.0, 10.0)
+        _, mu = oracles.free_fixture(1.0, 10.0)
         np.testing.assert_allclose(mu.positions, np.pi * np.arange(-3, 4))
         np.testing.assert_allclose(mu.masses, np.pi)
 
     def test_matches_forward_solver(self):
-        H, mu, _ = oracles.free_fixture(np.pi, 10.5)
+        H, mu = oracles.free_fixture(np.pi, 10.5)
         computed = forward.spectral_measure(H, 10.5)
         np.testing.assert_allclose(computed.positions, mu.positions, atol=1e-12)
         np.testing.assert_allclose(computed.masses, mu.masses, rtol=1e-12)
@@ -76,7 +76,7 @@ class TestKernelIdentity:
     @pytest.mark.parametrize("w", [0.0, 1.0, 1 + 0.5j])
     @pytest.mark.parametrize("s_frac", [0.5, 1.0])
     def test_free(self, free_pi, w, s_frac):
-        H, mu, _ = free_pi
+        H, mu = free_pi
         res = oracles.kernel_identity_check(H, mu, np.pi * s_frac, w)
         assert res < 1e-10
 
@@ -90,7 +90,7 @@ class TestKernelIdentity:
 
 class TestTraceIdentities:
     def test_free_window_200(self, free_pi):
-        H, mu, _ = free_pi
+        H, mu = free_pi
         for r in (np.pi / 2, np.pi):
             res = oracles.trace_identity_check(H, mu, r)
             assert np.max(res) < 1e-4
@@ -98,11 +98,11 @@ class TestTraceIdentities:
     def test_free_resonant_tail_is_exact(self, free_pi):
         # at r = pi the tail sine terms vanish on the lattice; the closed-form
         # remainder leaves roundoff only
-        H, mu, _ = free_pi
+        H, mu = free_pi
         assert np.max(oracles.trace_identity_check(H, mu, np.pi)) <= 1e-12
 
     def test_off_diagonal_vanishes_for_diagonal_weight(self, free_pi):
-        H, mu, _ = free_pi
+        H, mu = free_pi
         res = oracles.trace_identity_check(H, mu, 0.6 * np.pi)
         assert res[2] < 1e-6
 

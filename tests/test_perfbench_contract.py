@@ -24,7 +24,12 @@ def perfbench():
     return tracing, workloads
 
 
-@pytest.mark.parametrize("name", ["free-roundtrip", "forward-segments", "wide-roundtrip"])
+#: ``inverse.slice_at`` spans of one traced run, ``s_samples - 1`` of the workload's
+#: grid: ``inverse.slices`` and ``inverse.slice_at_s`` read them
+SLICES = {"free-roundtrip": 128, "forward-segments": 0, "wide-roundtrip": 32}
+
+
+@pytest.mark.parametrize("name", list(SLICES))
 def test_traced_workload_passes_its_check(perfbench, name):
     tracing, workloads = perfbench
     workload = workloads.WORKLOADS[name]
@@ -39,4 +44,5 @@ def test_traced_workload_passes_its_check(perfbench, name):
         tracer.restore()
     assert tracer.absent == []
     assert tracer.spans
+    assert sum(span["name"] == "inverse.slice_at" for span in tracer.spans) == SLICES[name]
     assert check.ok, check

@@ -42,7 +42,7 @@ def near_node_measure():
     """Unit masses on the integers, three atoms moved off their node by at most 1e-6."""
     positions = np.arange(-40, 41).astype(float)
     positions[[45, 23, 70]] += [1e-6, -4e-7, 3e-9]
-    return SpectralMeasure(positions, np.ones(positions.size), 40.5)
+    return SpectralMeasure(positions, np.ones(positions.size), 40.5, herglotz_c=0.0)
 
 
 class TestSincKernel:
@@ -77,7 +77,7 @@ class TestSincKernel:
 
     @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_bandwidth(self, s):
-        mu = SpectralMeasure(np.arange(-5.0, 6.0), np.ones(11), 6.0)
+        mu = SpectralMeasure(np.arange(-5.0, 6.0), np.ones(11), 6.0, herglotz_c=0.0)
         for build in (
             lambda: sinc_kernel(s, 1.0, 0.0),
             lambda: sinc_kernel_dt(s, 1.0, 0.0),
@@ -216,7 +216,7 @@ class TestDividedDifferences:
 class TestBuildOperator:
     @pytest.mark.parametrize("s_frac", [1.0, 0.5])
     def test_free_measure_gives_identity(self, free_pi, s_frac):
-        _, mu, _ = free_pi
+        _, mu = free_pi
         s = np.pi * s_frac
         half = int(np.floor(0.95 * mu.window * s / np.pi))
         op = build_operator(mu, s, half)
@@ -250,7 +250,7 @@ class TestBuildOperator:
 
     def test_single_atom_has_no_completion(self):
         # one atom: the rank-one form m phi phi^T, not positive definite for n > 1
-        mu = SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0)
+        mu = SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0, herglotz_c=0.0)
         basis, gram, phi, _ = pwspace._section(mu, 1.3, 3)
         want = 2.0 * np.outer(phi[:, 0], phi[:, 0])
         assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(gram))
@@ -261,10 +261,10 @@ class TestBuildOperator:
         ell = np.pi
         k = np.arange(-40, 41)
         base = np.full(k.size, 1.0)
-        mu0 = SpectralMeasure(k.astype(float), base, 40.5)
+        mu0 = SpectralMeasure(k.astype(float), base, 40.5, herglotz_c=0.0)
         extra = base.copy()
         extra[40] += 1.0
-        mu1 = SpectralMeasure(k.astype(float), extra, 40.5)
+        mu1 = SpectralMeasure(k.astype(float), extra, 40.5, herglotz_c=0.0)
         s = np.pi
         op0 = build_operator(mu0, s, 30)
         op1 = build_operator(mu1, s, 30)
@@ -275,7 +275,7 @@ class TestBuildOperator:
         np.testing.assert_allclose(diff, want, atol=1e-13)
 
     def test_basis_outside_window_rejected(self, free_pi):
-        _, mu, _ = free_pi
+        _, mu = free_pi
         with pytest.raises(ValidationError, match="window"):
             build_operator(mu, np.pi, 1000)
 
@@ -297,7 +297,7 @@ class TestBuildOperator:
 
 @pytest.fixture(scope="module")
 def lone_atom_measure():
-    return SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0)
+    return SpectralMeasure(np.array([0.0]), np.array([2.0]), 10.0, herglotz_c=0.0)
 
 
 SECTIONS = [
@@ -376,7 +376,7 @@ class TestBasisInputs:
 
 class TestApplyInverse:
     def test_identity_case(self, free_pi):
-        _, mu, _ = free_pi
+        _, mu = free_pi
         op = build_operator(mu, np.pi, 100)
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(op.basis.size)
@@ -459,7 +459,7 @@ class TestApplyInverse:
 
 class TestFrameBounds:
     def test_free_measure_unit_bounds(self, free_pi):
-        _, mu, _ = free_pi
+        _, mu = free_pi
         lo, hi = frame_bounds(mu, np.pi, 150)
         assert lo == pytest.approx(1.0, abs=1e-8)
         assert hi == pytest.approx(1.0, abs=1e-8)
@@ -468,10 +468,10 @@ class TestFrameBounds:
         # removing an atom the section can see strictly lowers the floor
         # (at the aligned bandwidth the deleted site is a blind spot)
         k = np.arange(-40, 41)
-        mu_full = SpectralMeasure(k.astype(float), np.full(k.size, 1.0), 40.5)
+        mu_full = SpectralMeasure(k.astype(float), np.full(k.size, 1.0), 40.5, herglotz_c=0.0)
         keep = np.abs(k - 35) > 0
         mu_del = SpectralMeasure(
-            k[keep].astype(float), np.full(int(keep.sum()), 1.0), 40.5
+            k[keep].astype(float), np.full(int(keep.sum()), 1.0), 40.5, herglotz_c=0.0
         )
         s = np.pi / 2
         lo_full, _ = frame_bounds(mu_full, s, 19)
@@ -484,7 +484,7 @@ class TestFrameBounds:
         # which the certificate reports where the factorization fails
         k = np.arange(-60, 61)
         k = k[(k == 0) | (np.abs(k) > 12)]
-        mu = SpectralMeasure(k.astype(float), np.ones(k.size), 60.5)
+        mu = SpectralMeasure(k.astype(float), np.ones(k.size), 60.5, herglotz_c=0.0)
         lo, _ = frame_bounds(mu, np.pi, 40)
         assert lo <= 1e-12
         with pytest.raises(ComparabilityError):
@@ -496,7 +496,7 @@ class TestFrameBounds:
         k = np.arange(-int(window / np.pi), int(window / np.pi) + 1)
         d = 0.2 * np.cos(2.399 * k)
         d[k == 0] = 0.0
-        mu = SpectralMeasure(np.pi * k + d, np.full(k.size, np.pi), window)
+        mu = SpectralMeasure(np.pi * k + d, np.full(k.size, np.pi), window, herglotz_c=0.0)
         bounds = [frame_bounds(mu, 1.0, half)[0] for half in (64, 128)]
         assert min(bounds) > 0.05
         assert abs(bounds[1] - bounds[0]) / bounds[0] < 0.1
